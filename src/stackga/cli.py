@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,36 +23,26 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .dataset import load_csv, select_features, write_csv
+from .dataset import load_csv, write_csv
 from .errors import ConfigError, DataError
 from .genetic import history_to_csv, mask_to_names
 from .persist import load_artifact, save_artifact
 from .pipeline import (
-    _evaluate,
-    _preprocess_pair,
-    _display_name,
-    _ga_summary,
-    _row_from_outputs,
-    _spec_from_entry,
-    CLEAN_NOTE,
-    FAITHFUL_NOTE,
     GA_REFERENCE_NOTE,
+    evaluate_partition,
+    experiment_report,
     feature_report,
     ga_mask,
+    ga_summary,
+    ga_wrapper_spec,
     holdout_partitions,
+    preprocess_pair,
     run_kfold,
     stack_spec_from_config,
+    train_masked_stack,
 )
-from .report import (
-    ModelRow,
-    Report,
-    STACK_ROW_GA,
-    STACK_ROW_PLAIN,
-    parse_report,
-    render_report,
-)
+from .report import parse_report, render_report
 from .rng import derive_seed
-from .stacking import predict_proba_stack, predict_stack, train_stack
 
 EXIT_OK = 0
 EXIT_MODEL_FAILURE = 1
@@ -67,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key (repeatable)")
     common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("-v", "--verbose", action="store_true", help="chatty logging")
+    common.add_argument("-v", "--verbose", action="store_true",
+                        help="print each report row's time (eval, xval)")
     common.add_argument("-q", "--quiet", action="store_true", help="errors only")
 
     parser = argparse.ArgumentParser(
@@ -113,6 +105,12 @@ def _banner(args, cfg: ExperimentConfig) -> None:
     _say(args, f"master_seed={cfg.master_seed} config_hash={config_hash(cfg)}")
 
 
+def _say_timings(args, timings: dict) -> None:
+    if args.verbose:
+        for key, seconds in timings.items():
+            _say(args, f"{key}: {seconds:.3f}s")
+
+
 def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
@@ -127,7 +125,7 @@ def cmd_prep(args) -> int:
     cfg = _resolve_config(args)
     _banner(args, cfg)
     ds = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header)
-    cleaned, _, stats = _preprocess_pair(ds, ds, cfg.preprocessing)
+    cleaned, _, stats = preprocess_pair(ds, ds, cfg.preprocessing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / (Path(cfg.dataset.path).stem + "_clean.csv")
@@ -151,7 +149,7 @@ def cmd_select(args) -> int:
         raise ConfigError("GA feature selection is disabled in this config (ga.enabled=false)")
     _banner(args, cfg)
     ds = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header)
-    cleaned, _, _ = _preprocess_pair(ds, ds, cfg.preprocessing)
+    cleaned, _, _ = preprocess_pair(ds, ds, cfg.preprocessing)
     run = ga_mask(cfg, cleaned, ("select",))
     out = Path(args.out)
     mask = {
@@ -164,25 +162,10 @@ def cmd_select(args) -> int:
     }
     _write(out / "mask.json", json.dumps(mask, indent=2) + "\n", args)
     _write(out / "ga_history.csv", history_to_csv(run), args)
-    wrapper = _spec_from_entry(cfg.ga.wrapper, derive_seed(cfg.master_seed, "ga-wrapper"))
-    table = feature_report(cleaned, wrapper, run, cv_k=cfg.ga.cv_folds,
+    table = feature_report(cleaned, ga_wrapper_spec(cfg), run, cv_k=cfg.ga.cv_folds,
                            seed=derive_seed(cfg.master_seed, "ga", "select"))
-    _write(
-        out / "feature_table.json",
-        json.dumps(
-            [
-                {
-                    "name": r.name,
-                    "single_feature_cv_accuracy": r.single_feature_cv_accuracy,
-                    "ga_selection_frequency": r.ga_selection_frequency,
-                    "in_best_mask": r.in_best_mask,
-                }
-                for r in table
-            ],
-            indent=2,
-        ) + "\n",
-        args,
-    )
+    _write(out / "feature_table.json",
+           json.dumps([asdict(r) for r in table], indent=2) + "\n", args)
     _say(args, f"selected {len(mask['selected'])} features: {', '.join(mask['selected'])}")
     return EXIT_OK
 
@@ -208,11 +191,7 @@ def cmd_train(args) -> int:
         mask_indices = np.flatnonzero(ga_run.best_chromosome)
         _say(args, f"GA selected {len(mask_indices)} features: "
                    f"{', '.join(mask_to_names(ga_run.best_chromosome, fit_ds))}")
-    spec = stack_spec_from_config(
-        cfg, forced_mode="naive" if cfg.protocol == "paper_faithful" else None
-    )
-    stack_fit = select_features(fit_ds, mask_indices) if mask_indices is not None else fit_ds
-    stack = train_stack(spec, stack_fit)
+    stack = train_masked_stack(stack_spec_from_config(cfg), fit_ds, mask_indices)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.pkl"
@@ -222,7 +201,7 @@ def cmd_train(args) -> int:
         {
             "fingerprint": _train_fingerprint(cfg),
             "mask": None if mask_indices is None else [int(i) for i in mask_indices],
-            "ga_summary": None if ga_run is None else _ga_summary(ga_run, fit_ds),
+            "ga_summary": None if ga_run is None else ga_summary(ga_run, fit_ds),
             "stack_model": stack,
         },
     )
@@ -245,44 +224,10 @@ def cmd_eval(args) -> int:
         )
     _banner(args, cfg)
     fit_ds, eval_ds = holdout_partitions(cfg)
-    mask = bundle["mask"]
-    rows = []
-    curves = {}
-    taken = set()
-    for i, entry in enumerate(cfg.learners):
-        spec = _spec_from_entry(entry, derive_seed(cfg.master_seed, "bench", i))
-        name = _display_name(spec.algorithm, taken)
-        taken.add(name)
-        row, curve = _evaluate(fit_ds, eval_ds, spec, name)
-        rows.append(row)
-        if curve is not None:
-            curves[name] = curve
-
-    stack = bundle["stack_model"]
-    name = STACK_ROW_GA if mask is not None else STACK_ROW_PLAIN
-    stack_eval = select_features(eval_ds, mask) if mask is not None else eval_ds
-    try:
-        labels = predict_stack(stack, stack_eval.features)
-        scores = predict_proba_stack(stack, stack_eval.features)[:, 1]
-        row, curve = _row_from_outputs(name, stack_eval.labels, labels, scores)
-        if curve is not None:
-            curves[name] = curve
-    except Exception as e:
-        row = ModelRow(name=name, status="failed", error=f"{type(e).__name__}: {e}")
-    rows.append(row)
-
-    notes = [FAITHFUL_NOTE if cfg.protocol == "paper_faithful" else CLEAN_NOTE]
-    if mask is not None:
-        notes.append(GA_REFERENCE_NOTE)
-    report = Report(
-        kind="holdout",
-        protocol=cfg.protocol,
-        master_seed=cfg.master_seed,
-        rows=tuple(rows),
-        ga=bundle.get("ga_summary"),
-        notes=tuple(notes),
-        config_echo=config_to_dict(cfg),
-    )
+    rows, curves, timings = evaluate_partition(cfg, fit_ds, eval_ds, bundle["mask"],
+                                               stack=bundle["stack_model"])
+    report = experiment_report(cfg, timings, rows=rows, ga=bundle["ga_summary"])
+    _say_timings(args, timings)
     out = Path(args.out)
     _write(out / "report.json",
            render_report(report, "json", include_timings=cfg.report.include_timings), args)
@@ -297,6 +242,7 @@ def cmd_xval(args) -> int:
         raise ConfigError("xval needs split.mode = 'kfold'")
     _banner(args, cfg)
     report = run_kfold(cfg)
+    _say_timings(args, report.timings)
     out = Path(args.out)
     _write(out / "report.json",
            render_report(report, "json", include_timings=cfg.report.include_timings), args)

@@ -169,8 +169,8 @@ def _parse_cell(text: str, line_no: int, col: int, names) -> float:
 def load_csv(path, schema: Schema, has_header: bool = False) -> Dataset:
     """Read a comma-separated file into a raw (uncleaned) Dataset.
 
-    Every row must have exactly the schema's column count; the label column
-    must parse to 0 or 1. Row order is preserved.
+    Every row must have exactly the schema's column count and only finite
+    numbers; the label column must parse to 0 or 1. Row order is preserved.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -202,7 +202,16 @@ def load_csv(path, schema: Schema, has_header: bool = False) -> Dataset:
         labels.append(int(label))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), schema)
+    X = np.array(rows, dtype=np.float64)
+    # min and max propagate NaN, so both are finite only when every cell is;
+    # unlike isfinite(X) this allocates no copy of the matrix
+    if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+        row, fi = np.argwhere(~np.isfinite(X))[0]
+        col = fi if fi < schema.label_column else fi + 1
+        line = [n for n, raw in enumerate(lines, start=2 if has_header else 1) if raw.strip()][row]
+        raise DataError(f"line {line}: column {col + 1} ({schema.column_names[col]}): "
+                        f"non-finite value {float(X[row, fi])!r}")
+    return Dataset(X, np.array(labels, dtype=np.int64), schema)
 
 
 def _format_value(v: float) -> str:
@@ -336,7 +345,10 @@ def make_folds(ds: Dataset, k: int, stratified: bool = True, seed: int = 0) -> F
 
 
 def select_features(ds: Dataset, feature_indices) -> Dataset:
-    """Dataset restricted to the given predictor columns (mask application)."""
+    """Dataset restricted to the given predictor columns (mask application);
+    `None` keeps every column."""
+    if feature_indices is None:
+        return ds
     idx = sorted(int(i) for i in feature_indices)
     if not idx:
         raise ValueError("at least one feature must be selected")

@@ -332,6 +332,16 @@ def wrapper_cv_accuracy(ds: Dataset, wrapper: LearnerSpec, plan: FoldPlan) -> fl
     return correct / ds.n_samples
 
 
+def _mask_fitness(bits: Chromosome, ds: Dataset, wrapper: LearnerSpec,
+                  plan: FoldPlan) -> float:
+    return wrapper_cv_accuracy(select_features(ds, np.flatnonzero(bits)), wrapper, plan)
+
+
+def wrapper_plan(ds: Dataset, cv_k: int, seed: int) -> FoldPlan:
+    """The stratified fold plan that wrapper fitness is scored on."""
+    return make_folds(ds, cv_k, stratified=True, seed=derive_seed(seed, "wrapper-cv"))
+
+
 def fitness(ch: Chromosome, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5,
             seed: int = 0) -> float:
     """Wrapper CV accuracy of the masked feature subset."""
@@ -340,9 +350,7 @@ def fitness(ch: Chromosome, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5,
         raise ValueError("fitness needs at least one selected feature")
     if bits.size != ds.n_features:
         raise ValueError(f"mask length {bits.size} != {ds.n_features} features")
-    plan = make_folds(ds, cv_k, stratified=True, seed=derive_seed(seed, "wrapper-cv"))
-    sub = select_features(ds, np.flatnonzero(bits))
-    return wrapper_cv_accuracy(sub, wrapper, plan)
+    return _mask_fitness(bits, ds, wrapper, wrapper_plan(ds, cv_k, seed))
 
 
 def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec,
@@ -353,14 +361,8 @@ def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec,
         raise ConfigError(
             f"GA n_bits={config.n_bits} but the dataset has {ds.n_features} features"
         )
-    plan = make_folds(ds, cv_k, stratified=True,
-                      seed=derive_seed(config.seed, "wrapper-cv"))
-
-    def mask_fitness(bits: Chromosome) -> float:
-        sub = select_features(ds, np.flatnonzero(bits))
-        return wrapper_cv_accuracy(sub, wrapper, plan)
-
-    return evolve(config, mask_fitness, memoize=memoize)
+    plan = wrapper_plan(ds, cv_k, config.seed)
+    return evolve(config, lambda bits: _mask_fitness(bits, ds, wrapper, plan), memoize=memoize)
 
 
 def mask_to_names(bits: Chromosome, ds_or_names) -> list:

@@ -30,7 +30,7 @@ __all__ = [
     "train",
     "predict",
     "predict_proba",
-    "default_spec",
+    "labels_from_proba",
     "benchmark_specs",
     "ALGORITHMS",
 ]
@@ -145,19 +145,12 @@ class LearnerSpec:
     def __post_init__(self):
         make_impl(self.algorithm, self.hyperparameters)  # validate eagerly
 
-    def with_seed(self, seed: int) -> "LearnerSpec":
-        return LearnerSpec(self.algorithm, dict(self.hyperparameters), seed)
-
 
 @dataclass(frozen=True)
 class TrainedModel:
     spec: LearnerSpec
     n_features_expected: int
     impl: object
-
-
-def default_spec(algorithm: str, seed: int = 0, **overrides) -> LearnerSpec:
-    return LearnerSpec(algorithm, overrides, seed)
 
 
 def benchmark_specs(seed: int = 0) -> list:
@@ -203,6 +196,11 @@ def predict_proba(model: TrainedModel, X) -> np.ndarray:
     return model.impl.predict_proba(X)
 
 
+def labels_from_proba(proba) -> np.ndarray:
+    """Hard labels from (P(class 0), P(class 1)) rows: exact 0.5 goes to class 0."""
+    return (np.asarray(proba)[:, 1] > 0.5).astype(np.int64)
+
+
 def predict(model: TrainedModel, X) -> np.ndarray:
     """Hard labels: argmax of predict_proba, exact ties toward class 0."""
-    return (predict_proba(model, X)[:, 1] > 0.5).astype(np.int64)
+    return labels_from_proba(predict_proba(model, X))

@@ -9,10 +9,13 @@ Two protocols:
   dataset, and the test rows are re-used for evaluation. This reproduces the
   inflated headline numbers such leaky protocols yield; reports carry a note
   saying so.
+
+Holdout, k-fold and `stackga eval` all score a (fit, eval) partition through
+one routine, `evaluate_partition`.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,8 +33,15 @@ from .dataset import (
     shuffle_split,
 )
 from .errors import ConfigError
-from .genetic import GaConfig, GaRun, mask_to_names, run_ga, wrapper_cv_accuracy
-from .learners import LearnerSpec, predict, predict_proba, train
+from .genetic import (
+    GaConfig,
+    GaRun,
+    mask_to_names,
+    run_ga,
+    wrapper_cv_accuracy,
+    wrapper_plan,
+)
+from .learners import LearnerSpec, labels_from_proba, predict_proba, train
 from .report import (
     DISPLAY_NAMES,
     STACK_ROW_GA,
@@ -43,7 +53,7 @@ from .report import (
     Report,
 )
 from .rng import derive_seed
-from .stacking import StackSpec, predict_proba_stack, predict_stack, train_stack
+from .stacking import StackSpec, predict_proba_stack, train_stack
 
 CLEAN_NOTE = (
     "Headline accuracies near 0.98 for this method are only reachable under a "
@@ -89,7 +99,7 @@ def _display_name(algorithm: str, taken) -> str:
     return name
 
 
-def _preprocess_pair(train_ds: Dataset, test_ds: Dataset, prep) -> tuple:
+def preprocess_pair(train_ds: Dataset, test_ds: Dataset, prep) -> tuple:
     """Clean both partitions using statistics from the training part only."""
     stats = {}
     if prep.impute and train_ds.schema.missing_as_zero_columns:
@@ -109,24 +119,16 @@ def _preprocess_pair(train_ds: Dataset, test_ds: Dataset, prep) -> tuple:
     return train_ds, test_ds, stats
 
 
-def _evaluate(fit_ds: Dataset, eval_ds: Dataset, spec: LearnerSpec, name: str):
-    """One benchmark row plus its ROC curve; failures become failed rows."""
+def _scored_row(name: str, y_true, proba_fn) -> tuple:
+    """(ModelRow, ROC curve or None) from `proba_fn()`, the eval rows' class
+    probabilities; any failure becomes a failed row."""
     try:
-        model = train(spec, fit_ds)
-        labels = predict(model, eval_ds.features)
-        scores = predict_proba(model, eval_ds.features)[:, 1]
-        return _row_from_outputs(name, eval_ds.labels, labels, scores)
+        proba = proba_fn()
+        cm = metrics.confusion(y_true, labels_from_proba(proba))
+        curve = metrics.roc_curve(y_true, proba[:, 1]) if len(np.unique(y_true)) == 2 else None
+        auc_value = None if curve is None else metrics.auc(curve)
     except Exception as e:  # one bad model must not sink the benchmark table
         return ModelRow(name=name, status="failed", error=f"{type(e).__name__}: {e}"), None
-
-
-def _row_from_outputs(name, y_true, y_pred, scores):
-    cm = metrics.confusion(y_true, y_pred)
-    curve = None
-    auc_value = None
-    if len(np.unique(y_true)) == 2:
-        curve = metrics.roc_curve(y_true, scores)
-        auc_value = metrics.auc(curve)
     row = ModelRow(
         name=name,
         accuracy=metrics.accuracy(cm),
@@ -139,29 +141,43 @@ def _row_from_outputs(name, y_true, y_pred, scores):
     return row, curve
 
 
+def ga_wrapper_spec(config: ExperimentConfig) -> LearnerSpec:
+    """The GA's wrapper learner, seeded from the master seed."""
+    return _spec_from_entry(config.ga.wrapper, derive_seed(config.master_seed, "ga-wrapper"))
+
+
 def ga_mask(config: ExperimentConfig, ds: Dataset, seed_tags) -> GaRun:
-    ga = config.ga
-    ga_config = GaConfig(
-        n_bits=ds.n_features,
-        nind=ga.nind,
-        maxgen=ga.maxgen,
-        migr=ga.migr,
-        insr=ga.insr,
-        subpop=ga.subpop,
-        miggen=ga.miggen,
-        mutation_rate=ga.mutation_rate,
-        crossover_rate=ga.crossover_rate,
-        selective_pressure=ga.selective_pressure,
-        stall_generations=ga.stall_generations,
-        seed=derive_seed(config.master_seed, "ga", *seed_tags),
-        nvar=ga.nvar,
-        preci=ga.preci,
-    )
-    wrapper = _spec_from_entry(ga.wrapper, derive_seed(config.master_seed, "ga-wrapper"))
-    return run_ga(ga_config, ds, wrapper, cv_k=ga.cv_folds)
+    """One GA run on `ds`; every GaConfig knob but the width and seed comes
+    from the config's `ga` section."""
+    shared = {f.name: getattr(config.ga, f.name) for f in fields(GaConfig)
+              if f.name not in ("n_bits", "seed")}
+    ga_config = GaConfig(n_bits=ds.n_features,
+                         seed=derive_seed(config.master_seed, "ga", *seed_tags), **shared)
+    return run_ga(ga_config, ds, ga_wrapper_spec(config), cv_k=config.ga.cv_folds)
 
 
-def stack_spec_from_config(config: ExperimentConfig, forced_mode: str = None) -> StackSpec:
+def _guarded_ga(config: ExperimentConfig, fit_ds: Dataset, seed_tags,
+                timings: dict, key: str) -> tuple:
+    """(GaRun, selected column indices, error text) for one training part,
+    adding the search's seconds to `timings[key]`.
+
+    All three are None when the GA is disabled. A failed search returns only
+    its error, which fails the stack row and nothing else.
+    """
+    if not config.ga.enabled:
+        return None, None, None
+    t0 = time.perf_counter()
+    try:
+        ga_run = ga_mask(config, fit_ds, seed_tags)
+    except Exception as e:  # selection failure downgrades only the stack row
+        return None, None, f"{type(e).__name__}: {e}"
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+    return ga_run, np.flatnonzero(ga_run.best_chromosome), None
+
+
+def stack_spec_from_config(config: ExperimentConfig) -> StackSpec:
+    """The configured stack; the paper_faithful protocol builds level 1 naively."""
     entries = config.stack.base or config.learners
     if not entries:
         raise ConfigError("stack enabled but no base learners configured")
@@ -170,17 +186,66 @@ def stack_spec_from_config(config: ExperimentConfig, forced_mode: str = None) ->
         for t, e in enumerate(entries)
     )
     meta = _spec_from_entry(config.stack.meta, derive_seed(config.master_seed, "stack-meta"))
+    faithful = config.protocol == "paper_faithful"
     return StackSpec(
         base_specs=bases,
         meta_spec=meta,
-        level1_mode=forced_mode or config.stack.level1_mode,
+        level1_mode="naive" if faithful else config.stack.level1_mode,
         level1_folds=config.stack.level1_folds,
         level1_feature_kind=config.stack.level1_feature_kind,
         seed=derive_seed(config.master_seed, "stack"),
     )
 
 
-def _ga_summary(ga_run: GaRun, ds: Dataset) -> GaSummary:
+def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None):
+    """Train `spec` on the GA-selected columns of `fit_ds` (all when `mask` is None)."""
+    return train_stack(spec, select_features(fit_ds, mask))
+
+
+def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_ds: Dataset,
+                       mask=None, stack=None, ga_error: str = None) -> tuple:
+    """Train every configured model on `fit_ds` and score it on `eval_ds`.
+
+    Returns (rows, curves, timings): one ModelRow per single learner and then
+    the stack row, ROC curves keyed by row name, and seconds per row. The
+    stack sees only the `mask` columns. It is trained here unless an already
+    trained `stack` is given; a `ga_error` fails the stack row instead.
+    """
+    rows, curves, timings = [], {}, {}
+
+    def score(name, proba_fn):
+        t0 = time.perf_counter()
+        row, curve = _scored_row(name, eval_ds.labels, proba_fn)
+        timings[name] = time.perf_counter() - t0
+        rows.append(row)
+        if curve is not None:
+            curves[name] = curve
+
+    taken = set()
+    for i, entry in enumerate(config.learners):
+        spec = _spec_from_entry(entry, derive_seed(config.master_seed, "bench", i))
+        name = _display_name(spec.algorithm, taken)
+        taken.add(name)
+        score(name, lambda: predict_proba(train(spec, fit_ds), eval_ds.features))
+
+    if config.stack.enabled:
+        name = STACK_ROW_GA if config.ga.enabled else STACK_ROW_PLAIN
+        if ga_error is not None:
+            rows.append(ModelRow(name=name, status="failed", error=ga_error))
+            timings[name] = 0.0
+        else:
+            # built outside the scored call: a config error stops the run
+            spec = None if stack is not None else stack_spec_from_config(config)
+
+            def stack_proba():
+                model = stack if spec is None else train_masked_stack(spec, fit_ds, mask)
+                return predict_proba_stack(model, select_features(eval_ds, mask).features)
+
+            score(name, stack_proba)
+    return rows, curves, timings
+
+
+def ga_summary(ga_run: GaRun, ds: Dataset) -> GaSummary:
     return GaSummary(
         mask=tuple(int(b) for b in ga_run.best_chromosome),
         feature_names=tuple(mask_to_names(ga_run.best_chromosome, ds)),
@@ -188,6 +253,21 @@ def _ga_summary(ga_run: GaRun, ds: Dataset) -> GaSummary:
         generations=len(ga_run.history),
         evaluations=ga_run.evaluations,
     )
+
+
+def experiment_report(config: ExperimentConfig, timings: dict, rows=(), kfold_rows=(),
+                      ga: GaSummary = None, ga_note: str = None) -> Report:
+    """The report of a run of `config`, its kind the split mode, with the
+    protocol's notes."""
+    notes = [FAITHFUL_NOTE if config.protocol == "paper_faithful" else CLEAN_NOTE]
+    if ga_note:
+        notes.append(ga_note)
+    if config.ga.enabled:
+        notes.append(GA_REFERENCE_NOTE)
+    return Report(kind=config.split.mode, protocol=config.protocol,
+                  master_seed=config.master_seed, rows=tuple(rows),
+                  kfold_rows=tuple(kfold_rows), ga=ga, notes=tuple(notes),
+                  config_echo=config_to_dict(config), timings=timings)
 
 
 def holdout_partitions(config: ExperimentConfig) -> tuple:
@@ -201,11 +281,11 @@ def holdout_partitions(config: ExperimentConfig) -> tuple:
     split_seed = derive_seed(config.master_seed, "split")
     train_raw, test_raw = shuffle_split(ds_raw, config.split.train_fraction, split_seed)
     if config.protocol == "paper_faithful":
-        full, _, _ = _preprocess_pair(ds_raw, ds_raw, config.preprocessing)
+        full, _, _ = preprocess_pair(ds_raw, ds_raw, config.preprocessing)
         fit_ds = full
         eval_ds = full.take(np.flatnonzero(np.isin(full.row_ids, test_raw.row_ids)))
     else:
-        fit_ds, eval_ds, _ = _preprocess_pair(train_raw, test_raw, config.preprocessing)
+        fit_ds, eval_ds, _ = preprocess_pair(train_raw, test_raw, config.preprocessing)
     return fit_ds, eval_ds
 
 
@@ -213,75 +293,20 @@ def run_holdout_detailed(config: ExperimentConfig) -> tuple:
     """Full holdout benchmark; returns (Report, RunDetails)."""
     if config.split.mode != "holdout":
         raise ConfigError("run_holdout needs split.mode = 'holdout'")
-    faithful = config.protocol == "paper_faithful"
-    provenance = {}
-    timings = {}
     fit_ds, eval_ds = holdout_partitions(config)
-    provenance["preprocess_stat_rows"] = fit_ds.row_ids
+    timings = {}
+    ga_run, mask, ga_error = _guarded_ga(config, fit_ds, ("holdout",), timings, "ga")
+    rows, curves, row_timings = evaluate_partition(config, fit_ds, eval_ds, mask,
+                                                   ga_error=ga_error)
+    timings.update(row_timings)
 
-    ga_run = None
-    ga_error = None
-    mask_indices = None
+    provenance = {"preprocess_stat_rows": fit_ds.row_ids}
     if config.ga.enabled:
-        t0 = time.perf_counter()
-        try:
-            ga_run = ga_mask(config, fit_ds, ("holdout",))
-            mask_indices = np.flatnonzero(ga_run.best_chromosome)
-        except Exception as e:  # selection failure downgrades only the stack row
-            ga_error = f"{type(e).__name__}: {e}"
-        timings["ga"] = time.perf_counter() - t0
         provenance["ga_rows"] = fit_ds.row_ids
-
-    rows = []
-    curves = {}
-    taken = set()
-    for i, entry in enumerate(config.learners):
-        spec = _spec_from_entry(entry, derive_seed(config.master_seed, "bench", i))
-        name = _display_name(spec.algorithm, taken)
-        taken.add(name)
-        t0 = time.perf_counter()
-        row, curve = _evaluate(fit_ds, eval_ds, spec, name)
-        timings[name] = time.perf_counter() - t0
-        rows.append(row)
-        if curve is not None:
-            curves[name] = curve
-        provenance[name] = {"train_rows": fit_ds.row_ids, "test_rows": eval_ds.row_ids}
-
-    if config.stack.enabled:
-        name = STACK_ROW_GA if config.ga.enabled else STACK_ROW_PLAIN
-        spec = stack_spec_from_config(config, forced_mode="naive" if faithful else None)
-        stack_fit = select_features(fit_ds, mask_indices) if mask_indices is not None else fit_ds
-        stack_eval = select_features(eval_ds, mask_indices) if mask_indices is not None else eval_ds
-        t0 = time.perf_counter()
-        if ga_error is not None:
-            row = ModelRow(name=name, status="failed", error=ga_error)
-        else:
-            try:
-                stack = train_stack(spec, stack_fit)
-                labels = predict_stack(stack, stack_eval.features)
-                scores = predict_proba_stack(stack, stack_eval.features)[:, 1]
-                row, curve = _row_from_outputs(name, stack_eval.labels, labels, scores)
-                if curve is not None:
-                    curves[name] = curve
-            except Exception as e:
-                row = ModelRow(name=name, status="failed", error=f"{type(e).__name__}: {e}")
-        timings[name] = time.perf_counter() - t0
-        rows.append(row)
-        provenance[name] = {"train_rows": stack_fit.row_ids, "test_rows": stack_eval.row_ids}
-
-    notes = [FAITHFUL_NOTE] if faithful else [CLEAN_NOTE]
-    if config.ga.enabled:
-        notes.append(GA_REFERENCE_NOTE)
-    report = Report(
-        kind="holdout",
-        protocol=config.protocol,
-        master_seed=config.master_seed,
-        rows=tuple(rows),
-        ga=None if ga_run is None else _ga_summary(ga_run, fit_ds),
-        notes=tuple(notes),
-        config_echo=config_to_dict(config),
-        timings=timings,
-    )
+    for row in rows:
+        provenance[row.name] = {"train_rows": fit_ds.row_ids, "test_rows": eval_ds.row_ids}
+    ga = None if ga_run is None else ga_summary(ga_run, fit_ds)
+    report = experiment_report(config, timings, rows=rows, ga=ga)
     return report, RunDetails(curves=curves, provenance=provenance, ga_run=ga_run)
 
 
@@ -290,80 +315,47 @@ def run_holdout(config: ExperimentConfig) -> Report:
     return report
 
 
-def _kfold_model_rows(config, ds_raw, k, plan, faithful, full_ds, global_mask):
-    """Per-fold accuracies for every configured model at one k."""
-    names = []
+def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings):
+    """Per-fold accuracies for every configured model at one k; adds the
+    seconds each row took over all folds to `timings`."""
     accs = {}
     errors = {}
-
-    def record(name, fold_acc, err=None):
-        if name not in names:
-            names.append(name)
-            accs[name] = []
-        accs[name].append(fold_acc)
-        if err is not None:
-            errors[name] = err
-
     for fold in range(k):
         ga_error = None
-        if faithful:
+        if full_ds is not None:  # paper_faithful: every fold trains on everything
             fit_ds = full_ds
             eval_ds = full_ds.take(plan.test_indices(fold))
-            mask_indices = global_mask
+            mask = global_mask
         else:
             train_raw = ds_raw.take(plan.train_indices(fold))
             test_raw = ds_raw.take(plan.test_indices(fold))
-            fit_ds, eval_ds, _ = _preprocess_pair(train_raw, test_raw, config.preprocessing)
-            mask_indices = None
-            if config.ga.enabled:
-                try:
-                    ga_run = ga_mask(config, fit_ds, ("kfold", k, fold))
-                    mask_indices = np.flatnonzero(ga_run.best_chromosome)
-                except Exception as e:  # fail only this fold's stack row
-                    ga_error = f"{type(e).__name__}: {e}"
+            fit_ds, eval_ds, _ = preprocess_pair(train_raw, test_raw, config.preprocessing)
+            _, mask, ga_error = _guarded_ga(config, fit_ds, ("kfold", k, fold),
+                                            timings, f"ga (k={k})")
 
-        taken = set()
-        for i, entry in enumerate(config.learners):
-            spec = _spec_from_entry(entry, derive_seed(config.master_seed, "bench", i))
-            name = _display_name(spec.algorithm, taken)
-            taken.add(name)
-            row, _ = _evaluate(fit_ds, eval_ds, spec, name)
-            record(name, row.accuracy, row.error)
-
-        if config.stack.enabled:
-            name = STACK_ROW_GA if config.ga.enabled else STACK_ROW_PLAIN
-            if ga_error is not None:
-                record(name, None, ga_error)
-                continue
-            spec = stack_spec_from_config(config, forced_mode="naive" if faithful else None)
-            s_fit = select_features(fit_ds, mask_indices) if mask_indices is not None else fit_ds
-            s_eval = select_features(eval_ds, mask_indices) if mask_indices is not None else eval_ds
-            try:
-                stack = train_stack(spec, s_fit)
-                labels = predict_stack(stack, s_eval.features)
-                cm = metrics.confusion(s_eval.labels, labels)
-                record(name, metrics.accuracy(cm))
-            except Exception as e:
-                record(name, None, f"{type(e).__name__}: {e}")
+        rows, _, fold_timings = evaluate_partition(config, fit_ds, eval_ds, mask,
+                                                   ga_error=ga_error)
+        for row in rows:
+            accs.setdefault(row.name, []).append(row.accuracy)
+            if row.error is not None:
+                errors[row.name] = row.error
+            key = f"{row.name} (k={k})"
+            timings[key] = timings.get(key, 0.0) + fold_timings[row.name]
 
     rows = []
-    for name in names:
-        fold_accs = accs[name]
+    for name, fold_accs in accs.items():
         valid = [a for a in fold_accs if a is not None]
         if not valid:
             rows.append(KfoldRow(name=name, k=k, status="failed", error=errors.get(name)))
             continue
-        mean = float(np.mean(valid))
-        std = float(np.std(valid))
-        status = "ok" if len(valid) == len(fold_accs) else "partial"
         rows.append(
             KfoldRow(
                 name=name,
                 k=k,
-                mean_accuracy=mean,
-                std=std,
+                mean_accuracy=float(np.mean(valid)),
+                std=float(np.std(valid)),
                 fold_accuracies=tuple(fold_accs),
-                status=status,
+                status="ok" if len(valid) == len(fold_accs) else "partial",
                 error=errors.get(name),
             )
         )
@@ -371,19 +363,25 @@ def _kfold_model_rows(config, ds_raw, k, plan, faithful, full_ds, global_mask):
 
 
 def run_kfold(config: ExperimentConfig) -> Report:
-    """Rotating k-fold benchmark for every configured k in one report."""
+    """Rotating k-fold benchmark for every configured k in one report.
+
+    `Report.timings` holds each row's seconds summed over its folds, keyed
+    "<row name> (k=<k>)", plus the GA's time.
+    """
     if config.split.mode != "kfold":
         raise ConfigError("run_kfold needs split.mode = 'kfold'")
     ds_raw = load_csv(config.dataset.path, config.dataset.schema(), config.dataset.has_header)
-    faithful = config.protocol == "paper_faithful"
 
+    timings = {}
     full_ds = None
     global_mask = None
     ga_note = None
-    if faithful:
-        full_ds, _, _ = _preprocess_pair(ds_raw, ds_raw, config.preprocessing)
+    if config.protocol == "paper_faithful":
+        full_ds, _, _ = preprocess_pair(ds_raw, ds_raw, config.preprocessing)
         if config.ga.enabled:
+            t0 = time.perf_counter()
             ga_run = ga_mask(config, full_ds, ("global",))
+            timings["ga"] = time.perf_counter() - t0
             global_mask = np.flatnonzero(ga_run.best_chromosome)
             ga_note = "GA placement: one global run on the full dataset (leaky)."
     elif config.ga.enabled:
@@ -394,29 +392,17 @@ def run_kfold(config: ExperimentConfig) -> Report:
         plan = make_folds(ds_raw, k, config.split.stratified,
                           seed=derive_seed(config.master_seed, "kfold", k))
         kfold_rows.extend(
-            _kfold_model_rows(config, ds_raw, k, plan, faithful, full_ds, global_mask)
+            _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings)
         )
 
-    notes = [FAITHFUL_NOTE] if faithful else [CLEAN_NOTE]
-    if ga_note:
-        notes.append(ga_note)
-    if config.ga.enabled:
-        notes.append(GA_REFERENCE_NOTE)
-    return Report(
-        kind="kfold",
-        protocol=config.protocol,
-        master_seed=config.master_seed,
-        kfold_rows=tuple(kfold_rows),
-        notes=tuple(notes),
-        config_echo=config_to_dict(config),
-    )
+    return experiment_report(config, timings, kfold_rows=kfold_rows, ga_note=ga_note)
 
 
 def feature_report(ds: Dataset, wrapper: LearnerSpec, ga_run: GaRun,
                    cv_k: int = 5, seed: int = 0) -> tuple:
     """Per-feature table: lone-feature wrapper CV accuracy, GA selection
     frequency in the final population, and best-mask membership."""
-    plan = make_folds(ds, cv_k, stratified=True, seed=derive_seed(seed, "wrapper-cv"))
+    plan = wrapper_plan(ds, cv_k, seed)
     freq = ga_run.final_population.mean(axis=0)
     best = ga_run.best_chromosome.astype(bool)
     rows = []
@@ -434,18 +420,11 @@ def feature_report(ds: Dataset, wrapper: LearnerSpec, ga_run: GaRun,
     return tuple(rows)
 
 
-def run_experiment(config: ExperimentConfig) -> Report:
-    """Dispatch on split mode; prints nothing, raises on config errors."""
-    if config.split.mode == "kfold":
-        return run_kfold(config)
-    return run_holdout(config)
-
-
 __all__ = [
+    "evaluate_partition",
     "run_holdout",
     "run_holdout_detailed",
     "run_kfold",
-    "run_experiment",
     "feature_report",
     "RunDetails",
 ]

@@ -1,9 +1,13 @@
 import json
+import re
 
 import pytest
 
 from stackga.cli import main
+from stackga.config import config_from_dict
 from stackga.dataset import PIMA_SCHEMA, load_csv
+from stackga.pipeline import run_holdout
+from stackga.report import render_report
 
 from test_pipeline import light_config_dict
 
@@ -102,6 +106,31 @@ class TestTrainEval:
         roc = (out / "roc_knn.csv").read_text().splitlines()
         assert roc[0] == "fpr,tpr"
 
+    @pytest.mark.parametrize("protocol", ["clean", "paper_faithful"])
+    def test_train_eval_report_matches_run_holdout(self, pima_csv, tmp_path, protocol):
+        d = light_config_dict(pima_csv, protocol=protocol)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--out", out, "-q") == 0
+        assert run_cli("eval", "--config", cfg, "--model", out / "model.pkl",
+                       "--out", out, "-q") == 0
+        direct = render_report(run_holdout(config_from_dict(d)), "json")
+        assert (out / "report.json").read_text(encoding="utf-8") == direct
+
+    def test_verbose_eval_prints_row_times(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg_path, "--model", out / "model.pkl",
+                       "--out", out) == 0
+        assert not re.search(r": \d+\.\d{3}s$", capsys.readouterr().out, re.M)
+        assert run_cli("eval", "--config", cfg_path, "--model", out / "model.pkl",
+                       "--out", out, "-v") == 0
+        text = capsys.readouterr().out
+        for row in json.loads((out / "report.json").read_text())["rows"]:
+            assert re.search(rf"^{re.escape(row['name'])}: \d+\.\d{{3}}s$", text, re.M)
+
     def test_eval_mismatched_config_exits_2(self, cfg_path, pima_csv, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
@@ -143,6 +172,20 @@ class TestXval:
         assert run_cli("xval", "--config", cfg, "--out", o1, "-q") == 0
         assert run_cli("xval", "--config", cfg, "--out", o2, "-q") == 0
         assert (o1 / "report.json").read_bytes() == (o2 / "report.json").read_bytes()
+
+    def test_verbose_prints_row_times(self, pima_csv, tmp_path, capsys):
+        d = light_config_dict(pima_csv)
+        d["split"] = {"mode": "kfold", "ks": [3], "stratified": True}
+        d["ga"]["enabled"] = False
+        cfg = tmp_path / "xval.json"
+        cfg.write_text(json.dumps(d))
+        assert run_cli("xval", "--config", cfg, "--out", tmp_path, "-v") == 0
+        text = capsys.readouterr().out
+        rows = json.loads((tmp_path / "report.json").read_text())["kfold_rows"]
+        assert len(rows) == 4
+        for row in rows:
+            name = f"{row['name']} (k={row['k']})"
+            assert re.search(rf"^{re.escape(name)}: \d+\.\d{{3}}s$", text, re.M)
 
     def test_wrong_mode_exits_2(self, cfg_path, tmp_path):
         assert run_cli("xval", "--config", cfg_path, "--out", tmp_path, "-q") == 2

@@ -89,6 +89,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(p, TWO_COL, has_header=True)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"a,b,label\n1,2,0\n\n3,{cell},1\n")
+        schema = Schema(("a", "b", "label"), 2)
+        with pytest.raises(DataError, match=r"line 4: column 2 \(b\): non-finite"):
+            load_csv(p, schema, has_header=True)
+
+    def test_non_finite_cell_after_label_column(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("0,1,2\n1,4,nan\n")
+        schema = Schema(("label", "a", "b"), 0)
+        with pytest.raises(DataError, match=r"line 2: column 3 \(b\)"):
+            load_csv(p, schema)
+
     def test_row_order_preserved(self, tmp_path):
         p = tmp_path / "rows.csv"
         p.write_text("3,1\n1,0\n2,1\n")
@@ -244,6 +259,9 @@ class TestDatasetType:
         assert sub.schema.predictor_names == ("glucose", "insulin", "age")
         assert sub.schema.zero_missing_feature_indices == (0, 1)
         np.testing.assert_array_equal(sub.features[:, 0], pima_like.features[:, 1])
+
+    def test_select_features_none_keeps_all(self, pima_like):
+        assert select_features(pima_like, None) is pima_like
 
     def test_select_features_needs_one(self, pima_like):
         with pytest.raises(ValueError):

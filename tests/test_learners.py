@@ -6,6 +6,7 @@ from stackga.errors import ConfigError
 from stackga.learners import (
     LearnerSpec,
     benchmark_specs,
+    labels_from_proba,
     predict,
     predict_proba,
     train,
@@ -101,6 +102,12 @@ class TestTrainContract:
                 predict(model, te.features), (p[:, 1] > 0.5).astype(int),
                 err_msg=spec.algorithm,
             )
+
+    def test_labels_from_proba_exact_half_goes_to_zero(self):
+        proba = np.array([[0.5, 0.5], [0.4999, 0.5001], [1.0, 0.0], [0.0, 1.0]])
+        labels = labels_from_proba(proba)
+        np.testing.assert_array_equal(labels, [0, 1, 0, 1])
+        assert labels.dtype == np.int64
 
     def test_memorizing_two_point_set(self):
         ds = tiny_ds([[-3, -3], [3, 3]], [0, 1])

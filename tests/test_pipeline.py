@@ -208,6 +208,16 @@ class TestKfold:
             assert r.mean_accuracy == pytest.approx(np.mean(r.fold_accuracies))
             assert r.std == pytest.approx(np.std(r.fold_accuracies))
 
+    def test_timings_per_row_and_k(self, pima_csv):
+        d = light_config_dict(pima_csv)
+        d["split"] = {"mode": "kfold", "ks": [3, 4], "stratified": True}
+        report = run_kfold(config_from_dict(d))
+        expected = {f"{r.name} (k={r.k})" for r in report.kfold_rows}
+        expected |= {"ga (k=3)", "ga (k=4)"}
+        assert set(report.timings) == expected
+        assert all(v >= 0 for v in report.timings.values())
+        assert "timings" not in json.loads(render_report(report, "json"))
+
     def test_leave_one_out_small(self, tmp_path):
         ds = make_single_informative(n=10, n_features=2, seed=0)
         path = tmp_path / "ten.csv"
