@@ -73,8 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run GA feature selection; write mask JSON + history CSV")
     sub.add_parser("train", parents=[common],
                    help="train the stacked model on the holdout training part")
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate a trained model; write report + ROC CSVs")
+    p_eval = sub.add_parser(
+        "eval", parents=[common],
+        help="evaluate a trained model; write report + ROC CSVs",
+        description="Score the stacked model from --model on the holdout test part. "
+                    "Only the stack comes from the artifact: the single benchmark "
+                    "learners are retrained on the training part on every call.",
+    )
     p_eval.add_argument("--model", required=True, help="model artifact from `train`")
     sub.add_parser("xval", parents=[common],
                    help="k-fold benchmark for every configured k")

@@ -189,10 +189,20 @@ def _check_width(model: TrainedModel, X: np.ndarray):
         )
 
 
+def _check_finite(model: TrainedModel, X: np.ndarray):
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(
+            f"{model.spec.algorithm} cannot score non-finite input: "
+            f"row {row}, column {col} is {X[row, col]}"
+        )
+
+
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
     """Per-row class probabilities, columns (P(class 0), P(class 1))."""
     X = np.asarray(X, dtype=np.float64)
     _check_width(model, X)
+    _check_finite(model, X)
     return model.impl.predict_proba(X)
 
 

@@ -9,7 +9,7 @@ the training prior.
 
 import numpy as np
 
-from .tree import ClassificationTree
+from .tree import ClassificationTree, leaf_values, presort
 
 _CLIP = 1e-12
 
@@ -31,9 +31,10 @@ class AdaBoost:
         w = np.full(n, 1.0 / n)
         self.stumps_ = []
         y_sign = np.where(y == 1, 1.0, -1.0)
+        order = presort(X)
         for _ in range(self.n_estimators):
             stump = ClassificationTree(self.criterion, max_depth=self.max_depth).fit(
-                X, y, sample_weight=w, rng=rng
+                X, y, sample_weight=w, rng=rng, order=order
             )
             proba = stump.predict_proba(X)
             hard = (proba[:, 1] > 0.5).astype(np.int64)
@@ -53,14 +54,11 @@ class AdaBoost:
 
     def _stump_scores(self, X):
         """Per-round symmetric score s with class scores (-s, +s)."""
-        scores = np.empty((len(self.stumps_), X.shape[0]))
-        for m, stump in enumerate(self.stumps_):
-            p = stump.predict_proba(X)
-            scores[m] = 0.5 * (
-                np.log(np.clip(p[:, 1], _CLIP, None))
-                - np.log(np.clip(p[:, 0], _CLIP, None))
-            )
-        return scores
+        if not self.stumps_:
+            return np.empty((0, X.shape[0]))
+        # (rounds, rows) in C order: the sum over rounds adds them in round order
+        p0, p1 = np.ascontiguousarray(leaf_values(self.stumps_, X).transpose(2, 1, 0))
+        return 0.5 * (np.log(np.clip(p1, _CLIP, None)) - np.log(np.clip(p0, _CLIP, None)))
 
     def staged_decision(self, X):
         """Cumulative aggregate score after each accepted round, shape (rounds, n)."""

@@ -7,7 +7,7 @@ what makes the per-stage training loss reliably non-increasing.
 
 import numpy as np
 
-from .tree import RegressionTree
+from .tree import RegressionTree, apply_trees, presort
 
 
 def _sigmoid(z):
@@ -33,14 +33,15 @@ class GradientBoosting:
         raw = np.full(len(y), self.base_score_)
         self.stages_ = []
         self.train_deviance_ = [_deviance(y, raw)]
+        order = presort(X)
         for _ in range(self.n_estimators):
             p = _sigmoid(raw)
             residual = y - p
-            tree = RegressionTree(max_depth=self.max_depth).fit(X, residual)
+            tree = RegressionTree(max_depth=self.max_depth).fit(X, residual, order=order)
             leaf_ids = tree.apply(X)
             hess = np.maximum(p * (1 - p), 1e-12)
-            num = np.bincount(leaf_ids, weights=residual, minlength=tree.n_leaves)
-            den = np.bincount(leaf_ids, weights=hess, minlength=tree.n_leaves)
+            num = np.bincount(leaf_ids, weights=residual, minlength=len(tree.value))
+            den = np.bincount(leaf_ids, weights=hess, minlength=len(tree.value))
             gamma = num / np.maximum(den, 1e-12)
             raw = raw + self.learning_rate * gamma[leaf_ids]
             self.stages_.append((tree, gamma))
@@ -50,8 +51,12 @@ class GradientBoosting:
     def decision_function(self, X):
         X = np.asarray(X, dtype=np.float64)
         raw = np.full(X.shape[0], self.base_score_)
-        for tree, gamma in self.stages_:
-            raw += self.learning_rate * gamma[tree.apply(X)]
+        if self.stages_:
+            trees, gammas = zip(*self.stages_)
+            leaves = apply_trees(trees, X)
+            gamma = np.concatenate(gammas)
+            for m in range(len(trees)):
+                raw += self.learning_rate * gamma[leaves[:, m]]
         return raw
 
     def predict_proba(self, X):

@@ -5,17 +5,19 @@ shares, so argmax of the probabilities IS the majority vote.
 
 import numpy as np
 
-from .tree import ClassificationTree
+from .tree import ClassificationTree, fit_trees, leaf_values
 
 _SEED_BOUND = 2**63
 
 
-def _vote_proba(members, X):
-    votes1 = np.zeros(X.shape[0])
-    for m in members:
-        votes1 += (m.predict_proba(X)[:, 1] > 0.5).astype(np.float64)
-    votes1 /= len(members)
+def _vote_proba(p1):
+    """Vote shares from per-member P(class 1), shape (rows, members)."""
+    votes1 = (p1 > 0.5).sum(axis=1) / p1.shape[1]
     return np.column_stack([1.0 - votes1, votes1])
+
+
+def _tree_rngs(rng, n):
+    return [np.random.default_rng(rng.integers(_SEED_BOUND)) for _ in range(n)]
 
 
 class RandomForest:
@@ -31,17 +33,17 @@ class RandomForest:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n = len(y)
-        self.trees_ = []
-        for _ in range(self.n_estimators):
-            tree_rng = np.random.default_rng(rng.integers(_SEED_BOUND))
-            idx = tree_rng.integers(0, n, n)
-            tree = ClassificationTree(self.criterion, self.max_depth, self.max_features)
-            tree.fit(X[idx], y[idx], rng=tree_rng)
-            self.trees_.append(tree)
+        rngs = _tree_rngs(rng, self.n_estimators)
+        samples = [tree_rng.integers(0, n, n) for tree_rng in rngs]  # bootstrap
+        self.trees_ = [
+            ClassificationTree(self.criterion, self.max_depth, self.max_features)
+            for _ in range(self.n_estimators)
+        ]
+        fit_trees(self.trees_, X, y, samples=samples, rngs=rngs)
         return self
 
     def predict_proba(self, X):
-        return _vote_proba(self.trees_, np.asarray(X, dtype=np.float64))
+        return _vote_proba(leaf_values(self.trees_, X)[:, :, 1])
 
 
 class ExtraTrees:
@@ -59,18 +61,17 @@ class ExtraTrees:
         rng = rng or np.random.default_rng(0)
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        self.trees_ = []
-        for _ in range(self.n_estimators):
-            tree_rng = np.random.default_rng(rng.integers(_SEED_BOUND))
-            tree = ClassificationTree(
-                self.criterion, self.max_depth, self.max_features, random_threshold=True
-            )
-            tree.fit(X, y, rng=tree_rng)
-            self.trees_.append(tree)
+        rngs = _tree_rngs(rng, self.n_estimators)
+        self.trees_ = [
+            ClassificationTree(self.criterion, self.max_depth, self.max_features,
+                               random_threshold=True)
+            for _ in range(self.n_estimators)
+        ]
+        fit_trees(self.trees_, X, y, rngs=rngs)
         return self
 
     def predict_proba(self, X):
-        return _vote_proba(self.trees_, np.asarray(X, dtype=np.float64))
+        return _vote_proba(leaf_values(self.trees_, X)[:, :, 1])
 
 
 class Bagging:
@@ -104,4 +105,5 @@ class Bagging:
         return self
 
     def predict_proba(self, X):
-        return _vote_proba(self.members_, np.asarray(X, dtype=np.float64))
+        X = np.asarray(X, dtype=np.float64)
+        return _vote_proba(np.column_stack([m.predict_proba(X)[:, 1] for m in self.members_]))

@@ -1,13 +1,43 @@
-"""CART-style binary trees: weighted classification and regression variants.
+"""CART-style binary trees stored as flat node arrays and grown by one split kernel.
 
-Split search is vectorized across all candidate features at once; candidate
-thresholds are midpoints between consecutive distinct sorted values. Ties on
-split quality resolve to the lowest feature index, then lowest threshold.
+A fitted tree is five arrays indexed by node, root first:
+
+- `feature`: the split feature, -1 at a leaf;
+- `threshold`: rows with `x[feature] <= threshold` go left;
+- `left`, `right`: child node indices, -1 at a leaf;
+- `value`: at a leaf, the class probabilities `(P(0), P(1))` of a
+  classification tree or the weighted mean target of a regression tree
+  (zero at inner nodes).
+
+Growth presorts each feature once per fit (SLIQ). Every open node owns one
+contiguous segment of each feature's sorted order, and a split partitions
+those segments stably, so tied values stay in row order. One kernel scores
+every node of a *frontier* in one vectorised pass: prefix sums of `w` and
+`w*y` along each segment give the left and right sums at every boundary
+between distinct sorted values, and the candidate thresholds are the
+midpoints of those boundaries (or one uniform draw per candidate feature
+for extremely randomized trees). Trees that draw no randomness per node grow
+level by level, with every open node of a group of trees in one frontier.
+Trees that draw per node (feature subsampling, random thresholds) take the
+next depth-first node of each tree as the frontier, so each tree's rng sees
+the draws of depth-first growth. Ties on split quality resolve to the lowest
+threshold, then the lowest feature index.
+
+The split scores are exactly those of a per-node search: a segment's prefix
+sum is the global cumulative sum minus the segment's offset when every
+weight and weighted target is integer-valued (then any summation order is
+exact); otherwise each segment is summed on its own, in sorted order, in a
+zero-padded block.
 """
 
 import numpy as np
 
 _INF = np.inf
+
+#: cap on rows x features that one pass of the split kernel or of
+#: prediction holds, which bounds the size of its temporaries; forests are
+#: grown in groups of trees under this cap
+_MAX_CELLS = 1 << 16
 
 
 def _entropy_sum(w1, w):
@@ -30,22 +60,6 @@ def _gini_sum(w1, w):
 _CRITERIA = {"entropy": _entropy_sum, "gini": _gini_sum}
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value", "leaf_id")
-
-    def __init__(self):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.value = None
-        self.leaf_id = None
-
-    @property
-    def is_leaf(self):
-        return self.feature is None
-
-
 def _resolve_max_features(mode, d):
     if mode in (None, "all"):
         return d
@@ -63,60 +77,384 @@ def _candidate_features(rng, d, k):
     return np.sort(rng.choice(d, size=k, replace=False))
 
 
-def _best_split_class(X, y, w, features, impurity_sum):
-    """Best (feature, threshold, score) over midpoint candidates; None if no valid boundary."""
-    Xc = X[:, features]
-    order = np.argsort(Xc, axis=0, kind="stable")
-    xs = np.take_along_axis(Xc, order, axis=0)
-    ys = y[order]
-    ws = w[order]
-    cw = np.cumsum(ws, axis=0)
-    cw1 = np.cumsum(ws * ys, axis=0)
-    W = cw[-1, 0]
-    W1 = cw1[-1, 0]
-    wl, w1l = cw[:-1], cw1[:-1]
-    wr, w1r = W - wl, W1 - w1l
-    score = impurity_sum(w1l, wl) + impurity_sum(w1r, wr)
-    valid = (xs[1:] > xs[:-1]) & (wl > 0) & (wr > 0)
-    score = np.where(valid, score, _INF)
-    per_feature_best = np.argmin(score, axis=0)  # first hit = lowest threshold
-    per_feature_score = score[per_feature_best, np.arange(len(features))]
-    j = int(np.argmin(per_feature_score))  # first hit = lowest feature index
-    if not np.isfinite(per_feature_score[j]):
-        return None
-    i = int(per_feature_best[j])
-    threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
-    return int(features[j]), float(threshold), float(per_feature_score[j])
+def presort(X):
+    """Row order of every feature of X, ties in row order: shape (features, rows)."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def _best_split_reg(X, y, w, features):
-    """Maximize the weighted two-sample mean-separation gain wl*wr/(wl+wr)*(ml-mr)^2."""
-    Xc = X[:, features]
-    order = np.argsort(Xc, axis=0, kind="stable")
-    xs = np.take_along_axis(Xc, order, axis=0)
-    ys = y[order]
-    ws = w[order]
-    cw = np.cumsum(ws, axis=0)
-    cwy = np.cumsum(ws * ys, axis=0)
-    W, S = cw[-1, 0], cwy[-1, 0]
-    wl, sl = cw[:-1], cwy[:-1]
-    wr, sr = W - wl, S - sl
-    valid = (xs[1:] > xs[:-1]) & (wl > 0) & (wr > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = np.where(valid, sl / np.where(wl > 0, wl, 1.0) - sr / np.where(wr > 0, wr, 1.0), 0.0)
-        gain = np.where(valid, wl * wr / (wl + wr) * diff * diff, -_INF)
-    per_feature_best = np.argmax(gain, axis=0)
-    per_feature_gain = gain[per_feature_best, np.arange(len(features))]
-    j = int(np.argmax(per_feature_gain))
-    # zero gain means targets are constant across every boundary; don't split
-    if not np.isfinite(per_feature_gain[j]) or per_feature_gain[j] <= 0.0:
-        return None
-    i = int(per_feature_best[j])
-    threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
-    return int(features[j]), float(threshold), float(per_feature_gain[j])
+def _is_integral(a):
+    return bool(np.all(a == np.floor(a)))
 
 
-class ClassificationTree:
+class _Grower:
+    """The shared state of a group of trees grown together.
+
+    Tree t trains on rows `samples[t]` of X (None: every row, in order,
+    presorted as `order`); its rows take a block of the group's sample index
+    space, and `ord[f]` lists sample indices by feature f with every open
+    node's samples in one contiguous segment.
+    """
+
+    def __init__(self, tree, X, y, w, samples, rngs, order):
+        n, self.d = X.shape
+        self.impurity = tree._impurity
+        self.max_depth = tree.max_depth
+        self.k = _resolve_max_features(tree.max_features, self.d)
+        self.random_threshold = tree.random_threshold
+        self.rngs = rngs
+        self.per_node = self.random_threshold or self.k < self.d
+        blocks = [np.arange(n) if s is None else np.asarray(s) for s in samples]
+        self.sizes = np.array([len(b) for b in blocks])
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        rows = np.concatenate(blocks)
+        self.XT = np.ascontiguousarray(X[rows].T)
+        self.row_offset = (np.arange(self.d) * len(rows))[:, None]  # flat index of (f, 0)
+        self.y, self.w = y[rows], w[rows]
+        self.wy = self.w * self.y
+        self.ord = np.concatenate([
+            (order if s is None else presort(X[s])) + start
+            for s, start in zip(samples, self.starts)
+        ], axis=1)
+        self.unit = bool(np.all(self.w == 1.0))
+        self.integral = _is_integral(self.w) and _is_integral(self.wy)
+
+    def step(self, tree, start, size, depth):
+        """Settle one frontier: a split or a leaf value for every node.
+
+        Returns (feature, threshold, value, left_size); feature is -1 at a
+        leaf and left_size counts the rows sent to the left child.
+        """
+        offs, s0 = self._rows(start, size)
+        if self.impurity is not None:
+            n1 = np.add.reduceat(self.y[s0], offs)
+            stop = (n1 == 0) | (n1 == size)
+        else:
+            stop = size < 2
+        if self.max_depth is not None:
+            stop |= depth >= self.max_depth
+        feature = -np.ones(len(size), dtype=np.intp)
+        threshold = np.zeros(len(size))
+        left_size = np.zeros(len(size), dtype=np.intp)
+        grow = (~stop).nonzero()[0]
+        if len(grow):
+            cand, thr = self._draws(tree[grow], start[grow], size[grow])
+            # children at the depth limit are leaves: their rows need no feature order
+            deeper = self.max_depth is None or (depth[grow] + 1 < self.max_depth).any()
+            f, t, ok, nl = self._split(start[grow], size[grow], cand, thr, deeper)
+            split = grow[ok]
+            feature[split], threshold[split], left_size[grow] = f[ok], t[ok], nl
+        return feature, threshold, self._leaf_values(s0, offs, size, feature < 0), left_size
+
+    def _rows(self, start, size):
+        """Segment offsets of the given nodes and their rows, node after node."""
+        offs = size.cumsum() - size
+        return offs, self.ord[0, (start - offs).repeat(size) + np.arange(offs[-1] + size[-1])]
+
+    def leaves(self, start, size):
+        """`value` of nodes that are leaves whatever their rows (depth limit)."""
+        offs, s0 = self._rows(start, size)
+        return self._leaf_values(s0, offs, size, np.ones(len(size), dtype=bool))
+
+    def _draws(self, tree, start, size):
+        """Per-node rng draws in each tree's order: candidate features, then
+        one uniform threshold per candidate feature that is not constant."""
+        if not self.per_node:
+            return None, None
+        cand = np.zeros((self.d, len(tree)), dtype=bool)
+        thr = np.full((self.d, len(tree)), np.nan) if self.random_threshold else None
+        for j, t in enumerate(tree):
+            rng = self.rngs[t]
+            feats = _candidate_features(rng, self.d, self.k)
+            cand[feats, j] = True
+            if thr is not None:
+                lo = self.XT[feats, self.ord[feats, start[j]]]
+                hi = self.XT[feats, self.ord[feats, start[j] + size[j] - 1]]
+                for f, a, b in zip(feats, lo, hi):
+                    if a != b:
+                        thr[f, j] = float(rng.uniform(a, b))
+        return cand, thr
+
+    def _segment_cumsum(self, v, offs, size, node_of, rank):
+        """Cumulative sums of v (features, rows) along every segment, as
+        (sums, base): the sum through a position is sums - base[segment]."""
+        if self.integral or len(size) == 1:
+            c = v.cumsum(axis=1)
+            return c, c[:, offs] - v[:, offs]
+        block = np.zeros((self.d, len(size), size.max()))
+        block[:, node_of, rank] = v
+        return block.cumsum(axis=2)[:, node_of, rank], np.zeros((self.d, len(size)))
+
+    def _split(self, start, size, cand, thr, deeper):
+        """The split kernel: best (feature, threshold) of every given node,
+        whether one exists, and the stable partition of its segments."""
+        d, n_s = self.d, len(size)
+        M = int(size.sum())
+        offs = size.cumsum() - size
+        last = offs + size - 1
+        nodes = np.arange(n_s)
+        node_of = nodes.repeat(size)
+        rank = np.arange(M) - offs[node_of]
+        pos = start.repeat(size) + rank
+        sub = self.ord.take(pos, axis=1)
+        xs = self.XT.take(sub + self.row_offset)
+
+        # candidate boundaries: between sorted positions q and q + 1 of a segment
+        valid = np.zeros((d, M), dtype=bool)
+        if thr is None:
+            np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+        else:
+            t = thr[:, node_of[:-1]]
+            valid[:, :-1] = (xs[:, :-1] <= t) & (xs[:, 1:] > t)
+        valid[:, last] = False
+        if cand is not None:
+            valid &= cand[:, node_of]
+        flat = valid.ravel().nonzero()[0]
+        cuts = np.searchsorted(flat, np.arange(d + 1) * M)
+        f = np.arange(d).repeat(cuts[1:] - cuts[:-1])
+        q = flat - f * M
+        j = node_of[q]
+        seg = f * n_s + j
+        del valid, f
+
+        f0 = 0 if cand is None else np.argmax(cand, axis=0)  # first candidate feature
+        cw1, base1 = self._segment_cumsum(self.wy.take(sub), offs, size, node_of, rank)
+        W1 = cw1[f0, last] - base1[f0, nodes]
+        w1l = cw1.ravel()[flat] - base1.ravel()[seg]
+        if self.unit:
+            W = size.astype(np.float64)
+            wl = (rank[q] + 1).astype(np.float64)
+        else:
+            cw, base = self._segment_cumsum(self.w.take(sub), offs, size, node_of, rank)
+            W = cw[f0, last] - base[f0, nodes]
+            wl = cw.ravel()[flat] - base.ravel()[seg]
+            del cw
+        del cw1, q
+        wr, w1r = W[j] - wl, W1[j] - w1l
+        keep = (wl > 0) & (wr > 0)
+        if not keep.all():
+            seg, flat, wl, w1l, wr, w1r = (a[keep] for a in (seg, flat, wl, w1l, wr, w1r))
+        if self.impurity is not None:  # one call scores both sides
+            both = self.impurity(np.concatenate((w1l, w1r)), np.concatenate((wl, wr)))
+            score = both[:len(wl)] + both[len(wl):]
+        else:
+            # maximize the weighted mean separation wl*wr/(wl+wr)*(ml-mr)^2
+            diff = w1l / wl - w1r / wr
+            score = -(wl * wr / (wl + wr) * diff * diff)
+
+        # first minimum of every (feature, node) segment, then of every node
+        best = np.full(d * n_s, _INF)
+        at = np.zeros(d * n_s, dtype=np.intp)
+        if len(seg):
+            b = np.concatenate(([True], seg[1:] != seg[:-1])).nonzero()[0]
+            m = np.minimum.reduceat(score, b)
+            hit = (score == m.repeat(np.append(b[1:], len(seg)) - b)).nonzero()[0]
+            first = hit[np.concatenate(([True], seg[hit[1:]] != seg[hit[:-1]]))]
+            best[seg[b]] = m
+            at[seg[first]] = flat[first]
+        best = best.reshape(d, n_s)
+        feature = np.argmin(best, axis=0)
+        score = best[feature, nodes]
+        # no boundary, or (regression) zero gain: targets constant across every boundary
+        ok = np.isfinite(score) if self.impurity is not None else score < 0
+        if thr is None:
+            q = at[feature * n_s + nodes]
+            threshold = 0.5 * (xs.ravel()[q] + xs.ravel()[q + 1])
+        else:
+            threshold = thr[feature, nodes]
+
+        x = self.XT.take(self.row_offset[feature[node_of], 0] + sub[0])
+        go_left = (x <= threshold[node_of]) & ok[node_of]
+        left_size = np.add.reduceat(go_left, offs, dtype=np.intp)
+        ok &= (left_size > 0) & (left_size < size)  # midpoint collapsed onto a data value
+        if ok.any():
+            self._partition(pos, sub if deeper else sub[:1], go_left & ok[node_of],
+                            offs, node_of, left_size)
+        return feature, threshold, ok, left_size
+
+    def _partition(self, pos, sub, go_left, offs, node_of, left_size):
+        """Stable partition of every segment of the given feature orders: its
+        left rows first, then its right rows, each side in order."""
+        g = np.zeros(self.XT.shape[1], dtype=bool)
+        g[sub[0]] = go_left
+        g = g.take(sub)
+        lefts = g.cumsum(axis=1) - g  # left rows before each position
+        lefts -= lefts[:, offs][:, node_of]
+        new = np.where(g, offs[node_of] + lefts,
+                       np.arange(len(pos)) + left_size[node_of] - lefts)
+        self.ord[:len(sub)].ravel()[pos.take(new) + self.row_offset[:len(sub)]] = sub
+
+    def _leaf_values(self, s0, offs, size, leaf):
+        """`value` of every node (zero at inner nodes) from the weighted sums
+        of its rows in row order; s0 lists the nodes' rows one after another."""
+        if self.integral:
+            w1 = np.add.reduceat(self.wy[s0], offs)
+            total = size if self.unit else np.add.reduceat(self.w[s0], offs)
+        else:  # sums in row order, as a node-by-node search adds them
+            w1, total = np.zeros(len(size)), np.zeros(len(size))
+            for i in leaf.nonzero()[0]:
+                rows = np.sort(s0[offs[i]:offs[i] + size[i]])
+                w1[i], total[i] = np.sum(self.wy[rows]), np.sum(self.w[rows])
+        mean = np.divide(w1, total, out=np.zeros(len(size)), where=leaf & (total > 0))
+        if self.impurity is None:
+            return mean
+        return np.stack((np.where(leaf, 1.0 - mean, 0.0), mean), axis=1)
+
+
+def _grow_group(tree, X, y, w, samples, rngs, order):
+    """Grow one tree per sample; returns (feature, threshold, left, right, value)
+    per tree, nodes numbered in the order they were created."""
+    g = _Grower(tree, X, y, w, samples, rngs, order)
+    T = len(samples)
+    links, thresholds, values = [], [], []  # one entry per settled frontier
+    next_id = T
+
+    def settle(frontier):
+        """Settle a frontier, rows (id, tree, start, size, depth) by node;
+        return its children, left children first."""
+        nonlocal next_id
+        ids, trees, start, size, depth = frontier
+        feature, threshold, value, left_size = g.step(trees, start, size, depth)
+        split = (feature >= 0).nonzero()[0]
+        n = len(split)
+        left = np.full(len(ids), -1)
+        left[split] = np.arange(next_id, next_id + n)
+        right = np.where(left >= 0, left + n, -1)
+        links.append(np.stack((ids, trees, feature, left, right)))
+        thresholds.append(threshold)
+        values.append(value)
+        next_id += 2 * n
+        kids = frontier[:, np.concatenate((split, split))]
+        kids[0] = np.arange(next_id - 2 * n, next_id)
+        nl = left_size[split]
+        kids[2, n:] += nl
+        kids[3] = np.concatenate((nl, kids[3, n:] - nl))
+        kids[4] += 1
+        done = kids[4] >= (np.inf if g.max_depth is None else g.max_depth)
+        if done.any():  # children at the depth limit are leaves that draw nothing
+            kid_ids, kid_trees, kid_start, kid_size, _ = kids[:, done]
+            none = np.full(len(kid_ids), -1)
+            links.append(np.stack((kid_ids, kid_trees, none, none, none)))
+            thresholds.append(np.zeros(len(kid_ids)))
+            values.append(g.leaves(kid_start, kid_size))
+            kids = kids[:, ~done]
+        return kids
+
+    frontier = np.stack((np.arange(T), np.arange(T), g.starts, g.sizes, np.zeros(T, dtype=int)))
+    if not g.per_node:
+        while frontier.shape[1]:
+            frontier = settle(frontier)
+    else:
+        # depth-first per tree: each step takes the next preorder node of every tree
+        stacks = [[node] for node in frontier.T]
+        while True:
+            top = [s.pop() for s in stacks if s]
+            if not top:
+                break
+            kids = settle(np.stack(top, axis=1)).T
+            n = len(kids) // 2
+            for left_kid, right_kid in zip(kids[:n], kids[n:]):
+                stacks[left_kid[1]] += [right_kid, left_kid]  # left on top
+
+    ids, trees, feature, left, right = np.concatenate(links, axis=1)
+    order_ = np.lexsort((ids, trees))
+    counts = np.bincount(trees, minlength=T)
+    ends = counts.cumsum()
+    local = np.empty(next_id, dtype=np.int32)
+    local[ids[order_]] = np.arange(len(ids)) - (ends - counts).repeat(counts)
+    left = np.where(left >= 0, local[left], -1)
+    right = np.where(right >= 0, local[right], -1)
+    arrays = [a[order_] for a in (feature.astype(np.int32), np.concatenate(thresholds),
+                                  left.astype(np.int32), right.astype(np.int32),
+                                  np.concatenate(values))]
+    return [tuple(a[hi - c:hi] for a in arrays) for c, hi in zip(counts, ends)]
+
+
+def fit_trees(trees, X, y, sample_weight=None, samples=None, rngs=None, order=None):
+    """Fit `trees` (one settings for all) together, tree t on rows samples[t].
+
+    A sample of None means every row in order. `rngs[t]` serves tree t's
+    per-node draws; `order` is `presort(X)`, computed when not given. Trees
+    are grown in groups whose rows x features stay under `_MAX_CELLS`.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    samples = [None] * len(trees) if samples is None else samples
+    rngs = [np.random.default_rng(0) for _ in trees] if rngs is None else rngs
+    if order is None and any(s is None for s in samples):
+        order = presort(X)
+    rows = [n if s is None else len(s) for s in samples]
+    i = 0
+    while i < len(trees):
+        j = i + 1
+        while j < len(trees) and sum(rows[i:j + 1]) * d <= _MAX_CELLS:
+            j += 1
+        arrays = _grow_group(trees[i], X, y, w, samples[i:j], rngs[i:j], order)
+        for tree, (feature, threshold, left, right, value) in zip(trees[i:j], arrays):
+            tree.feature, tree.threshold, tree.value = feature, threshold, value
+            tree.left, tree.right = left, right
+            tree.n_features_ = d
+        i = j
+    return trees
+
+
+def apply_trees(trees, X):
+    """Leaf of every row in every tree, (rows, trees), as indices into the
+    trees' node arrays concatenated in order."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    if len(trees) == 1:
+        feature, threshold, left, right = (trees[0].feature, trees[0].threshold,
+                                           trees[0].left, trees[0].right)
+        roots = np.zeros(1, dtype=np.intp)
+    else:
+        counts = [len(t.feature) for t in trees]
+        roots = np.cumsum(counts) - counts
+        shift = np.repeat(roots, counts)
+        feature = np.concatenate([t.feature for t in trees])
+        threshold = np.concatenate([t.threshold for t in trees])
+        left = np.concatenate([t.left for t in trees]) + shift
+        right = np.concatenate([t.right for t in trees]) + shift
+    leaf = feature < 0
+    node = np.arange(len(feature))
+    left, right = np.where(leaf, node, left), np.where(leaf, node, right)  # leaves stay put
+    out = np.empty((n, len(trees)), dtype=np.intp)
+    chunk = max(1, _MAX_CELLS // len(trees))
+    Xf = X.ravel()
+    for a in range(0, n, chunk):
+        rows = d * np.arange(a, min(n, a + chunk))[:, None]
+        at = np.empty((len(rows), len(trees)), dtype=np.intp)
+        at[:] = roots
+        while True:
+            f = feature[at]
+            if (f < 0).all():
+                break
+            at = np.where(Xf[rows + f] <= threshold[at], left[at], right[at])
+        out[a:a + chunk] = at
+    return out
+
+
+def leaf_values(trees, X):
+    """`value` of the leaf each row reaches in each tree: (rows, trees, ...)."""
+    return np.concatenate([t.value for t in trees])[apply_trees(trees, X)]
+
+
+class _Tree:
+    feature = threshold = left = right = value = None
+
+    def apply(self, X):
+        """Leaf node index of every row."""
+        return apply_trees([self], X)[:, 0]
+
+    def depth(self):
+        depth = np.zeros(len(self.feature), dtype=np.intp)
+        for i in np.flatnonzero(self.left >= 0):  # parents precede children
+            depth[self.left[i]] = depth[self.right[i]] = depth[i] + 1
+        return int(depth.max())
+
+
+class ClassificationTree(_Tree):
     """Greedy binary tree for 0/1 labels with optional sample weights.
 
     criterion: "entropy" or "gini". max_features: None/"all", "sqrt"/"auto"
@@ -131,167 +469,37 @@ class ClassificationTree:
         self.max_depth = max_depth
         self.max_features = max_features
         self.random_threshold = random_threshold  # extremely-randomized variant
-        self.root = None
         self.n_features_ = None
 
-    def fit(self, X, y, sample_weight=None, rng=None):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-        rng = rng or np.random.default_rng(0)
-        self.n_features_ = X.shape[1]
-        self._k = _resolve_max_features(self.max_features, X.shape[1])
-        self._impurity = _CRITERIA[self.criterion]
-        self.root = self._grow(X, y, w, depth=0, rng=rng)
+    @property
+    def _impurity(self):
+        return _CRITERIA[self.criterion]
+
+    def fit(self, X, y, sample_weight=None, rng=None, order=None):
+        """`order`: `presort(X)`, for callers that fit many trees on one X."""
+        fit_trees([self], X, y, sample_weight, rngs=[rng or np.random.default_rng(0)],
+                  order=order)
         return self
 
-    def _leaf(self, y, w):
-        node = _Node()
-        w1 = float(np.sum(w * y))
-        total = float(np.sum(w))
-        p1 = w1 / total if total > 0 else 0.0
-        node.value = np.array([1.0 - p1, p1])
-        return node
-
-    def _random_split(self, X, y, w, features, rng):
-        """Extra-trees style: one uniform threshold per candidate feature, best kept."""
-        best = None
-        for f in features:
-            col = X[:, f]
-            lo, hi = col.min(), col.max()
-            if lo == hi:
-                continue
-            thr = float(rng.uniform(lo, hi))
-            left = col <= thr
-            wl, wr = w[left], w[~left]
-            if wl.size == 0 or wr.size == 0:
-                continue
-            score = float(
-                self._impurity(np.sum(wl * y[left]), np.sum(wl))
-                + self._impurity(np.sum(wr * y[~left]), np.sum(wr))
-            )
-            if best is None or score < best[2]:
-                best = (int(f), thr, score)
-        return best
-
-    def _grow(self, X, y, w, depth, rng):
-        if (self.max_depth is not None and depth >= self.max_depth) or np.all(y == y[0]):
-            return self._leaf(y, w)
-        features = _candidate_features(rng, X.shape[1], self._k)
-        if self.random_threshold:
-            split = self._random_split(X, y, w, features, rng)
-        else:
-            split = _best_split_class(X, y, w, features, self._impurity)
-        if split is None:
-            return self._leaf(y, w)
-        feature, threshold, _ = split
-        left = X[:, feature] <= threshold
-        if not left.any() or left.all():  # midpoint collapsed onto a data value
-            return self._leaf(y, w)
-        node = _Node()
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[left], y[left], w[left], depth + 1, rng)
-        node.right = self._grow(X[~left], y[~left], w[~left], depth + 1, rng)
-        return node
-
     def predict_proba(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty((X.shape[0], 2))
-        self._route(self.root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _route(self, node, X, idx, out):
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        self._route(node.left, X, idx[go_left], out)
-        self._route(node.right, X, idx[~go_left], out)
-
-    def depth(self):
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        return self.value[self.apply(X)]
 
 
-class RegressionTree:
+class RegressionTree(_Tree):
     """Least-squares tree on real targets, split by weighted mean separation.
 
-    `apply` routes samples to integer leaf ids so a booster can refit leaf
+    `apply` routes samples to leaf node indices so a booster can refit leaf
     values under its own loss.
     """
 
+    _impurity = None
+    max_features = None
+    random_threshold = False
+
     def __init__(self, max_depth=3):
         self.max_depth = max_depth
-        self.root = None
-        self.n_leaves = 0
 
-    def fit(self, X, y, sample_weight=None):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-        self.n_leaves = 0
-        self.root = self._grow(X, y, w, depth=0)
+    def fit(self, X, y, sample_weight=None, order=None):
+        """`order`: `presort(X)`, for callers that fit many trees on one X."""
+        fit_trees([self], X, y, sample_weight, order=order)
         return self
-
-    def _leaf(self, y, w):
-        node = _Node()
-        total = float(np.sum(w))
-        node.value = float(np.sum(w * y) / total) if total > 0 else 0.0
-        node.leaf_id = self.n_leaves
-        self.n_leaves += 1
-        return node
-
-    def _grow(self, X, y, w, depth):
-        if (self.max_depth is not None and depth >= self.max_depth) or len(y) < 2:
-            return self._leaf(y, w)
-        split = _best_split_reg(X, y, w, np.arange(X.shape[1]))
-        if split is None:
-            return self._leaf(y, w)
-        feature, threshold, _ = split
-        left = X[:, feature] <= threshold
-        if not left.any() or left.all():
-            return self._leaf(y, w)
-        node = _Node()
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[left], y[left], w[left], depth + 1)
-        node.right = self._grow(X[~left], y[~left], w[~left], depth + 1)
-        return node
-
-    def apply(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        self._route(self.root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _route(self, node, X, idx, out):
-        if node.is_leaf:
-            out[idx] = node.leaf_id
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        self._route(node.left, X, idx[go_left], out)
-        self._route(node.right, X, idx[~go_left], out)
-
-    def predict(self, X, leaf_values=None):
-        ids = self.apply(X)
-        if leaf_values is None:
-            leaf_values = self.leaf_values()
-        return leaf_values[ids]
-
-    def leaf_values(self):
-        values = np.zeros(self.n_leaves)
-
-        def walk(node):
-            if node.is_leaf:
-                values[node.leaf_id] = node.value
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return values

@@ -10,7 +10,8 @@ import pickle
 from .errors import ConfigError
 
 FORMAT_PREFIX = "stackga."
-ARTIFACT_VERSION = 1
+#: 2: trees are flat node arrays (version 1 pickled node objects)
+ARTIFACT_VERSION = 2
 
 
 def save_artifact(path, kind: str, payload: dict) -> None:
@@ -25,7 +26,14 @@ def save_artifact(path, kind: str, payload: dict) -> None:
 
 def load_artifact(path, kind: str) -> dict:
     with open(path, "rb") as fh:
-        envelope = pickle.load(fh)
+        try:
+            envelope = pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ModuleNotFoundError) as exc:
+            # truncated or corrupt, or pickled classes that no longer exist
+            raise ConfigError(
+                f"{path}: unreadable artifact ({type(exc).__name__}: {exc}); "
+                "retrain it with this version of stackga"
+            ) from exc
     expected = FORMAT_PREFIX + kind
     if not isinstance(envelope, dict) or envelope.get("format") != expected:
         raise ConfigError(f"{path}: not a {expected} artifact")

@@ -34,7 +34,7 @@ from stackga.metrics import (
     specificity,
 )
 from stackga.pipeline import holdout_partitions, run_holdout, run_holdout_detailed
-from stackga.report import STACK_ROW_GA
+from stackga.report import STACK_ROW_GA, render_report
 from stackga.rng import child_rng, derive_seed
 from stackga.stacking import StackSpec, build_level1_dataset
 from stackga.synth import make_separable_clouds
@@ -256,6 +256,15 @@ def test_criterion_8_end_to_end_holdout(pima_csv, holdout_run):
         st_leaky = [r for r in faithful_report.rows if r.name == STACK_ROW_GA][0]
         assert st_leaky.accuracy > 0.90, f"leaky ST-GA only {st_leaky.accuracy:.3f}"
         assert st_leaky.accuracy > st_ga.accuracy
+
+
+def test_holdout_report_equals_committed_reference(holdout_run):
+    """The shipped holdout config reproduces `out/holdout/report.json` row for row."""
+    _, report, _, _ = holdout_run
+    rendered = json.loads(render_report(report, "json"))
+    rendered["config_echo"]["dataset"]["path"] = "data/pima_like.csv"
+    with open("out/holdout/report.json", encoding="utf-8") as fh:
+        assert rendered == json.load(fh)
 
 
 def test_criterion_9_feature_selection(pima_csv, holdout_run):

@@ -147,6 +147,16 @@ class TestTrainEval:
         assert run_cli("eval", "--config", cfg_path, "--model", bogus,
                        "--out", tmp_path, "-q") == 2
 
+    def test_eval_truncated_artifact_exits_2(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
+        model = out / "model.pkl"
+        model.write_bytes(model.read_bytes()[:1000])
+        assert run_cli("eval", "--config", cfg_path, "--model", model,
+                       "--out", out, "-q") == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "retrain" in err
+
     def test_eval_schema_change_names_mismatch(self, cfg_path, pima_csv, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0

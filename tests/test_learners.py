@@ -78,6 +78,18 @@ class TestTrainContract:
         with pytest.raises(ValueError, match="features"):
             predict(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_with_location(self, small_clouds, all_specs, bad):
+        tr, te = small_clouds
+        X = te.features[:5].copy()
+        X[3, 1] = bad
+        for spec in all_specs:
+            model = train(spec, tr)
+            with pytest.raises(ValueError, match=rf"{spec.algorithm} .*row 3, column 1"):
+                predict_proba(model, X)
+            with pytest.raises(ValueError, match="non-finite"):
+                predict(model, X)
+
     def test_determinism_all_algorithms(self, small_clouds, all_specs):
         tr, te = small_clouds
         for spec in all_specs:
@@ -142,19 +154,20 @@ class TestTrees:
         assert tree.depth() <= 3
 
         def check_leaves(node, idx):
-            if node.is_leaf:
+            if tree.feature[node] < 0:
                 labels = y[idx]
                 majority = int(np.bincount(labels, minlength=2).argmax())
-                predicted = int(node.value[1] > 0.5)
-                if node.value[1] != 0.5:
+                predicted = int(tree.value[node][1] > 0.5)
+                if tree.value[node][1] != 0.5:
                     assert predicted == majority
                 return
-            left = idx[X[idx, node.feature] <= node.threshold]
-            right = idx[X[idx, node.feature] > node.threshold]
-            check_leaves(node.left, left)
-            check_leaves(node.right, right)
+            feature, threshold = tree.feature[node], tree.threshold[node]
+            left = idx[X[idx, feature] <= threshold]
+            right = idx[X[idx, feature] > threshold]
+            check_leaves(tree.left[node], left)
+            check_leaves(tree.right[node], right)
 
-        check_leaves(tree.root, np.arange(len(y)))
+        check_leaves(0, np.arange(len(y)))
 
     def test_all_equal_features_single_leaf(self):
         X = np.ones((10, 3))
@@ -168,8 +181,8 @@ class TestTrees:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0, 0, 1, 1])
         tree = ClassificationTree("entropy", max_depth=1).fit(X, y, rng=child_rng(0))
-        assert tree.root.feature == 0
-        assert tree.root.threshold == pytest.approx(1.5)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(1.5)
 
     def test_forest_honors_table_defaults(self, small_clouds):
         tr, _ = small_clouds

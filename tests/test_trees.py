@@ -1,0 +1,152 @@
+"""Flat-array trees: group growth, a brute-force split oracle, presorting."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from stackga.learners import tree as tree_module
+from stackga.learners.adaboost import AdaBoost
+from stackga.learners.boosting import GradientBoosting
+from stackga.learners.forest import ExtraTrees, RandomForest
+from stackga.learners.tree import ClassificationTree, RegressionTree, presort
+from stackga.rng import child_rng
+
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+@st.composite
+def tied_data(draw):
+    """Small integer-valued tables with many ties and duplicated rows."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 4))
+    levels = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, levels - 1), min_size=n * d, max_size=n * d))
+    X = np.array(cells, dtype=float).reshape(n, d)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    y = np.array(labels)
+    dup = draw(st.integers(0, n))  # repeat the first rows, labels included
+    return np.vstack([X, X[:dup]]), np.concatenate([y, y[:dup]])
+
+
+def _fit_with_cap(make, X, y, seed, cap):
+    with mock.patch.object(tree_module, "_MAX_CELLS", cap):
+        return make().fit(X, y, rng=child_rng(seed, "trees"))
+
+
+def _assert_same_trees(a, b, X):
+    assert len(a.trees_) == len(b.trees_)
+    for ta, tb in zip(a.trees_, b.trees_):
+        for name in NODE_ARRAYS:
+            np.testing.assert_array_equal(getattr(ta, name), getattr(tb, name), err_msg=name)
+    np.testing.assert_array_equal(a.predict_proba(X), b.predict_proba(X))
+
+
+FORESTS = {
+    "random_forest": lambda: RandomForest(n_estimators=7, max_depth=4),
+    "random_forest_sqrt": lambda: RandomForest(n_estimators=7, max_depth=4,
+                                               max_features="sqrt"),
+    "extra_trees": lambda: ExtraTrees(n_estimators=7, max_depth=3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FORESTS))
+@given(data=tied_data(), seed=st.integers(0, 5), trees_per_group=st.integers(2, 6))
+def test_group_size_never_changes_a_forest(kind, data, seed, trees_per_group):
+    X, y = data
+    make = FORESTS[kind]
+    cells = X.shape[0] * X.shape[1]
+    together = _fit_with_cap(make, X, y, seed, 10**9)
+    one_by_one = _fit_with_cap(make, X, y, seed, 1)
+    grouped = _fit_with_cap(make, X, y, seed, trees_per_group * cells)
+    _assert_same_trees(together, one_by_one, X)
+    _assert_same_trees(together, grouped, X)
+
+
+def _oracle_scores(X, y, impurity):
+    """(score, feature, threshold) of every midpoint split, by direct counting."""
+
+    def node_sum(labels):
+        n, n1 = len(labels), int(np.sum(labels))
+        if impurity == "gini":
+            p = n1 / n
+            return n * 2.0 * p * (1.0 - p)
+        h = 0.0
+        for c in (n1, n - n1):
+            if c:
+                h -= c / n * math.log2(c / n)
+        return n * h
+
+    out = []
+    for f in range(X.shape[1]):
+        values = np.unique(X[:, f])
+        for lo, hi in zip(values[:-1], values[1:]):
+            threshold = 0.5 * (lo + hi)
+            left = X[:, f] <= threshold
+            out.append((node_sum(y[left]) + node_sum(y[~left]), f, threshold))
+    return out
+
+
+@pytest.mark.parametrize("criterion", ["entropy", "gini"])
+@pytest.mark.parametrize("seed", range(6))
+def test_root_split_matches_brute_force_oracle(criterion, seed):
+    rng = child_rng(seed, "oracle")
+    X = rng.integers(0, 6, size=(60, 4)).astype(float)
+    X[:, 1] = rng.normal(size=60).round(2)
+    y = ((X[:, 0] + X[:, 1] + rng.normal(size=60)) > 2.5).astype(int)
+    tree = ClassificationTree(criterion, max_depth=1).fit(X, y, rng=child_rng(0))
+    scores = _oracle_scores(X, y, criterion)
+    best = min(s for s, _, _ in scores)
+    near = [(f, t) for s, f, t in scores if s <= best + 1e-9]
+    assert (tree.feature[0], tree.threshold[0]) in near
+    if len(near) == 1:
+        assert (tree.feature[0], tree.threshold[0]) == near[0]
+
+
+def test_node_arrays_layout():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1])
+    tree = ClassificationTree("gini").fit(X, y)
+    np.testing.assert_array_equal(tree.feature, [0, -1, -1])
+    np.testing.assert_array_equal(tree.threshold, [1.5, 0.0, 0.0])
+    np.testing.assert_array_equal(tree.left, [1, -1, -1])
+    np.testing.assert_array_equal(tree.right, [2, -1, -1])
+    np.testing.assert_array_equal(tree.value, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(tree.apply(X), [1, 1, 2, 2])
+
+
+def test_presorted_order_gives_the_same_trees():
+    rng = child_rng(3, "presort")
+    X = rng.normal(size=(80, 3)).round(1)
+    y = (X[:, 0] > 0).astype(int)
+    w = rng.random(80) + 0.1
+    r = rng.normal(size=80)
+    for make, fit_args in (
+        (lambda: ClassificationTree("gini", max_depth=3), (X, y, w)),
+        (lambda: RegressionTree(max_depth=3), (X, r)),
+    ):
+        plain = make().fit(*fit_args)
+        sorted_once = make().fit(*fit_args, order=presort(X))
+        for name in NODE_ARRAYS:
+            np.testing.assert_array_equal(getattr(plain, name), getattr(sorted_once, name))
+
+
+def test_boosters_predict_in_round_order():
+    rng = child_rng(4, "boost")
+    X = rng.normal(size=(120, 3))
+    y = (X[:, 0] + 0.5 * rng.normal(size=120) > 0).astype(int)
+    ada = AdaBoost(n_estimators=20).fit(X, y, rng=child_rng(0))
+    expected = np.zeros(len(y))
+    for stump in ada.stumps_:
+        p = stump.predict_proba(X)
+        expected += 0.5 * (np.log(np.clip(p[:, 1], 1e-12, None))
+                           - np.log(np.clip(p[:, 0], 1e-12, None)))
+    np.testing.assert_array_equal(ada.staged_decision(X)[-1], expected)
+    gbc = GradientBoosting(n_estimators=10).fit(X, y)
+    raw = np.full(len(y), gbc.base_score_)
+    for tree, gamma in gbc.stages_:
+        raw += gbc.learning_rate * gamma[tree.apply(X)]
+    np.testing.assert_array_equal(gbc.decision_function(X), raw)
