@@ -2,8 +2,9 @@
 
 Submodules: dataset (loading/cleaning/splitting), metrics (confusion/ROC),
 learners (the base classifiers), stacking (two-level ensembles), genetic
-(island-model GA over feature masks), pipeline (experiment orchestration),
-report (rendering), cli (command-line front end).
+(island-model GA over feature masks), config (experiment settings), pipeline
+(experiment orchestration), report (rendering), records (dataclasses to and
+from JSON), cli (command-line front end).
 """
 
 __version__ = "0.1.0"

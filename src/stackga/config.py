@@ -1,31 +1,49 @@
 """Experiment configuration: a versioned, human-editable JSON file.
 
-Every key is validated; unknown keys are rejected with their location so
-typos fail loudly. `apply_overrides` implements the CLI's repeatable
-`--set dotted.path=value` flag, which may only touch keys that already
-exist in the resolved config.
+Each section's dataclass is the only statement of its keys: parsing, the
+echo and the hash are derived from its fields. `config_from_dict` checks
+every value when the config loads and names a bad one as `section.key`, so
+a bad config fails before any data is read. The GA knobs are
+`genetic.GaConfig`'s fields, checked by building a GaConfig; the stack
+settings are checked by building the StackSpec a run would train.
+`apply_overrides` implements the CLI's repeatable `--set dotted.path=value`
+flag, which may only touch keys that already exist in the resolved config.
 """
 
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import (MISSING, dataclass, field, fields, is_dataclass, make_dataclass,
+                         replace)
 
 from .dataset import Schema
 from .errors import ConfigError
+from .genetic import GaConfig
 from .learners import ALGORITHMS, LearnerSpec
+from .records import to_plain
+from .rng import derive_seed
+from .stacking import StackSpec
 
 CONFIG_VERSION = 1
 
 PROTOCOLS = ("clean", "paper_faithful")
+
+#: GaConfig fields that each GA run sets (the dataset's width, a derived
+#: seed) instead of the config
+_GA_RUN_FIELDS = ("n_bits", "seed")
+
+#: field metadata: how to read a value that names a learner or a dataset
+#: column (each item, for a list); `section` holds the section's earlier fields
+LEARNERS = {"parse": lambda value, where, section: _learner_entry(value, where)}
+COLUMNS = {"parse": lambda value, where, section: _column_index(value, section["columns"], where)}
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
     path: str
     columns: tuple
-    label_column: int
-    zero_as_missing: tuple = ()
+    label_column: int = field(metadata=COLUMNS)
+    zero_as_missing: tuple = field(default=(), metadata=COLUMNS)
     has_header: bool = True
 
     def schema(self) -> Schema:
@@ -54,32 +72,27 @@ class SplitConfig:
 @dataclass(frozen=True)
 class StackSettings:
     enabled: bool = True
-    base: tuple = ()  # empty means: the configured benchmark learner list
-    meta: dict = field(default_factory=lambda: {"algorithm": "gradient_boosting", "hyperparameters": {}})
+    # empty means: the configured benchmark learner list
+    base: tuple = field(default=(), metadata=LEARNERS)
+    meta: dict = field(default_factory=lambda: {"algorithm": "gradient_boosting",
+                                                "hyperparameters": {}}, metadata=LEARNERS)
     level1_mode: str = "out_of_fold"
     level1_folds: int = 5
     level1_feature_kind: str = "probability"
 
 
-@dataclass(frozen=True)
-class GaSettings:
-    enabled: bool = True
-    wrapper: dict = field(
-        default_factory=lambda: {"algorithm": "logistic_regression", "hyperparameters": {}}
-    )
-    cv_folds: int = 5
-    nind: int = 20
-    maxgen: int = 100
-    migr: float = 0.2
-    insr: float = 0.95
-    subpop: int = 5
-    miggen: int = 20
-    mutation_rate: float = None
-    crossover_rate: float = 0.9
-    selective_pressure: float = 2.0
-    stall_generations: int = 25
-    nvar: int = 9
-    preci: int = 20
+GaSettings = make_dataclass(
+    "GaSettings",
+    [("enabled", bool, True),
+     ("wrapper", dict, field(default_factory=lambda: {"algorithm": "logistic_regression",
+                                                      "hyperparameters": {}}, metadata=LEARNERS)),
+     ("cv_folds", int, 5)]
+    + [(f.name, f.type, f.default) for f in fields(GaConfig) if f.name not in _GA_RUN_FIELDS],
+    frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "The `ga` section: the wrapper learner and its CV folds, then "
+                          "every GaConfig knob but the per-run width and seed."},
+)
 
 
 @dataclass(frozen=True)
@@ -94,7 +107,7 @@ class ExperimentConfig:
     dataset: DatasetConfig
     preprocessing: PreprocessConfig = PreprocessConfig()
     split: SplitConfig = SplitConfig()
-    learners: tuple = ()
+    learners: tuple = field(default=(), metadata=LEARNERS)
     stack: StackSettings = StackSettings()
     ga: GaSettings = GaSettings()
     protocol: str = "clean"
@@ -102,11 +115,66 @@ class ExperimentConfig:
     report: ReportConfig = ReportConfig()
     version: int = CONFIG_VERSION
 
+    @property
+    def ga_run_config(self) -> GaConfig:
+        """The `ga` knobs as a GaConfig over every predictor column, seed 0;
+        a GA run replaces the width and the seed."""
+        knobs = {f.name: getattr(self.ga, f.name) for f in fields(GaConfig)
+                 if f.name not in _GA_RUN_FIELDS}
+        return GaConfig(n_bits=len(self.dataset.columns) - 1, **knobs)
+
 
 def _require_keys(d: dict, allowed, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {d!r}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
+
+
+#: the JSON values each field annotation accepts; a bool is not a number
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list, tuple), "a list"),
+    dict: ((dict,), "an object"),
+}
+
+
+def _parse_section(d: dict, cls, where: str):
+    """`cls` from the JSON object `d`, each value checked against its field;
+    `where` is the section's name, empty at the top level."""
+    _require_keys(d, [f.name for f in fields(cls)], where or "config")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            key = f"{where}.{f.name}" if where else f.name
+            kwargs[f.name] = _field_value(d[f.name], f, key, kwargs)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where or 'config'}: missing required key {f.name!r}")
+    return cls(**kwargs)
+
+
+def _field_value(value, f, where: str, section: dict):
+    """`value` for field `f`, checked; lists become tuples. `section` holds
+    the section's earlier fields."""
+    if value is None and f.default is None:
+        return None
+    if is_dataclass(f.type):
+        return _parse_section(value, f.type, where)
+    parse = f.metadata.get("parse")
+    if parse is not None and f.type is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(parse(v, f"{where}[{i}]", section) for i, v in enumerate(value))
+    if parse is not None:
+        return parse(value, where, section)
+    types, name = _JSON_TYPES[f.type]
+    if isinstance(value, bool) != (f.type is bool) or not isinstance(value, types):
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return tuple(value) if f.type is tuple else value
 
 
 def _learner_entry(entry, where: str) -> dict:
@@ -138,165 +206,83 @@ def _column_index(ref, columns, where: str) -> int:
     return columns.index(ref)
 
 
-def _parse_dataset(d: dict) -> DatasetConfig:
-    _require_keys(d, ("path", "columns", "label_column", "zero_as_missing", "has_header"),
-                  "dataset")
-    for key in ("path", "columns", "label_column"):
-        if key not in d:
-            raise ConfigError(f"dataset: missing required key {key!r}")
-    columns = list(d["columns"])
-    label = _column_index(d["label_column"], columns, "dataset.label_column")
-    zeros = tuple(
-        _column_index(z, columns, "dataset.zero_as_missing") for z in d.get("zero_as_missing", [])
-    )
-    return DatasetConfig(
-        path=d["path"],
-        columns=tuple(columns),
-        label_column=label,
-        zero_as_missing=zeros,
-        has_header=bool(d.get("has_header", True)),
-    )
-
-
-def _parse_section(d: dict, cls, where: str, special=()):
-    fields = {f for f in cls.__dataclass_fields__ if f not in special}
-    _require_keys(d, fields | set(special), where)
-    kwargs = {k: v for k, v in d.items() if k in fields}
-    if "ks" in kwargs:
-        kwargs["ks"] = tuple(kwargs["ks"])
-    return cls(**kwargs)
+def _prefixed(section: str, check) -> None:
+    """Run `check`, naming `section` in its ConfigError; the checks' messages
+    start with the field name, so this names `section.key`."""
+    try:
+        check()
+    except ConfigError as e:
+        raise ConfigError(f"{section}.{e}") from None
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    _require_keys(
-        d,
-        ("version", "dataset", "preprocessing", "split", "learners", "stack", "ga",
-         "protocol", "master_seed", "report"),
-        "config",
-    )
-    if d.get("version", CONFIG_VERSION) != CONFIG_VERSION:
+    if isinstance(d, dict) and d.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {d.get('version')!r}")
-    if "dataset" not in d:
-        raise ConfigError("config: missing required section 'dataset'")
-    dataset = _parse_dataset(d["dataset"])
-    preprocessing = _parse_section(d.get("preprocessing", {}), PreprocessConfig, "preprocessing")
-    split = _parse_section(d.get("split", {}), SplitConfig, "split")
-    if split.mode not in ("holdout", "kfold"):
-        raise ConfigError(f"split.mode must be 'holdout' or 'kfold', got {split.mode!r}")
-    if not 0 < split.train_fraction < 1:
+    cfg = _parse_section(d, ExperimentConfig, "")
+    if len(cfg.dataset.columns) < 2 or not all(isinstance(c, str) for c in cfg.dataset.columns):
+        raise ConfigError(f"dataset.columns must name a label and at least one predictor, "
+                          f"got {list(cfg.dataset.columns)!r}")
+    if cfg.preprocessing.iqr_multiplier <= 0:
+        raise ConfigError(f"preprocessing.iqr_multiplier must be positive, "
+                          f"got {cfg.preprocessing.iqr_multiplier!r}")
+    if cfg.split.mode not in ("holdout", "kfold"):
+        raise ConfigError(f"split.mode must be 'holdout' or 'kfold', got {cfg.split.mode!r}")
+    if not 0 < cfg.split.train_fraction < 1:
         raise ConfigError("split.train_fraction must lie strictly between 0 and 1")
-    learners = tuple(
-        _learner_entry(e, f"learners[{i}]") for i, e in enumerate(d.get("learners", []))
-    )
-
-    stack_d = dict(d.get("stack", {}))
-    if "base" in stack_d:
-        stack_d["base"] = tuple(
-            _learner_entry(e, f"stack.base[{i}]") for i, e in enumerate(stack_d["base"])
-        )
-    if "meta" in stack_d:
-        stack_d["meta"] = _learner_entry(stack_d["meta"], "stack.meta")
-    stack = _parse_section(stack_d, StackSettings, "stack")
-
-    ga_d = dict(d.get("ga", {}))
-    if "wrapper" in ga_d:
-        ga_d["wrapper"] = _learner_entry(ga_d["wrapper"], "ga.wrapper")
-    ga = _parse_section(ga_d, GaSettings, "ga")
-
-    protocol = d.get("protocol", "clean")
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    report = _parse_section(d.get("report", {}), ReportConfig, "report")
-    if report.format not in ("json", "csv", "markdown"):
-        raise ConfigError(f"report.format must be json, csv, or markdown, got {report.format!r}")
-    if not learners and not stack.enabled:
+    if not cfg.split.ks or any(isinstance(k, bool) or not isinstance(k, int) or k < 2
+                               for k in cfg.split.ks):
+        raise ConfigError(f"split.ks must be a non-empty list of integers of at least 2, "
+                          f"got {list(cfg.split.ks)!r}")
+    if cfg.ga.cv_folds < 2:
+        raise ConfigError(f"ga.cv_folds must be at least 2, got {cfg.ga.cv_folds!r}")
+    _prefixed("ga", lambda: cfg.ga_run_config)
+    if cfg.stack.enabled:
+        _prefixed("stack", lambda: stack_spec_from_config(cfg))
+    if cfg.protocol not in PROTOCOLS:
+        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {cfg.protocol!r}")
+    if cfg.report.format not in ("json", "csv", "markdown"):
+        raise ConfigError(f"report.format must be json, csv, or markdown, "
+                          f"got {cfg.report.format!r}")
+    if not cfg.learners and not cfg.stack.enabled:
         raise ConfigError("config enables no learners and no stack; nothing to run")
-    return ExperimentConfig(
-        dataset=dataset,
-        preprocessing=preprocessing,
-        split=split,
-        learners=learners,
-        stack=stack,
-        ga=ga,
-        protocol=protocol,
-        master_seed=int(d.get("master_seed", 0)),
-        report=report,
-    )
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    cfg = config_from_dict(raw)
-    return cfg
+    return config_from_dict(raw)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Plain-dict echo of the resolved config (defaults filled in)."""
+    """Plain-dict echo of the resolved config (defaults filled in), version first."""
+    d = to_plain(cfg)
+    return {"version": d.pop("version"), **d}
 
-    def spec_dicts(entries):
-        return [{"algorithm": e["algorithm"], "hyperparameters": e["hyperparameters"]}
-                for e in entries]
 
-    return {
-        "version": cfg.version,
-        "dataset": {
-            "path": cfg.dataset.path,
-            "columns": list(cfg.dataset.columns),
-            "label_column": cfg.dataset.label_column,
-            "zero_as_missing": list(cfg.dataset.zero_as_missing),
-            "has_header": cfg.dataset.has_header,
-        },
-        "preprocessing": {
-            "impute": cfg.preprocessing.impute,
-            "clip": cfg.preprocessing.clip,
-            "iqr_multiplier": cfg.preprocessing.iqr_multiplier,
-        },
-        "split": {
-            "mode": cfg.split.mode,
-            "train_fraction": cfg.split.train_fraction,
-            "ks": list(cfg.split.ks),
-            "stratified": cfg.split.stratified,
-        },
-        "learners": spec_dicts(cfg.learners),
-        "stack": {
-            "enabled": cfg.stack.enabled,
-            "base": spec_dicts(cfg.stack.base),
-            "meta": dict(cfg.stack.meta),
-            "level1_mode": cfg.stack.level1_mode,
-            "level1_folds": cfg.stack.level1_folds,
-            "level1_feature_kind": cfg.stack.level1_feature_kind,
-        },
-        "ga": {
-            "enabled": cfg.ga.enabled,
-            "wrapper": dict(cfg.ga.wrapper),
-            "cv_folds": cfg.ga.cv_folds,
-            "nind": cfg.ga.nind,
-            "maxgen": cfg.ga.maxgen,
-            "migr": cfg.ga.migr,
-            "insr": cfg.ga.insr,
-            "subpop": cfg.ga.subpop,
-            "miggen": cfg.ga.miggen,
-            "mutation_rate": cfg.ga.mutation_rate,
-            "crossover_rate": cfg.ga.crossover_rate,
-            "selective_pressure": cfg.ga.selective_pressure,
-            "stall_generations": cfg.ga.stall_generations,
-            "nvar": cfg.ga.nvar,
-            "preci": cfg.ga.preci,
-        },
-        "protocol": cfg.protocol,
-        "master_seed": cfg.master_seed,
-        "report": {
-            "path": cfg.report.path,
-            "format": cfg.report.format,
-            "include_timings": cfg.report.include_timings,
-        },
-    }
+def learner_spec(entry: dict, seed: int) -> LearnerSpec:
+    """The LearnerSpec of a parsed learner entry."""
+    return LearnerSpec(entry["algorithm"], dict(entry["hyperparameters"]), seed)
+
+
+def stack_spec_from_config(config: ExperimentConfig) -> StackSpec:
+    """The configured stack; the paper_faithful protocol builds level 1 naively."""
+    bases = tuple(
+        learner_spec(e, derive_seed(config.master_seed, "stack-base", t))
+        for t, e in enumerate(config.stack.base or config.learners)
+    )
+    spec = StackSpec(
+        base_specs=bases,
+        meta_spec=learner_spec(config.stack.meta, derive_seed(config.master_seed, "stack-meta")),
+        level1_mode=config.stack.level1_mode,
+        level1_folds=config.stack.level1_folds,
+        level1_feature_kind=config.stack.level1_feature_kind,
+        seed=derive_seed(config.master_seed, "stack"),
+    )
+    return replace(spec, level1_mode="naive") if config.protocol == "paper_faithful" else spec
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -48,6 +48,7 @@ class GaConfig:
     preci: int = 20
 
     def __post_init__(self):
+        # each message starts with the field's name, which is its key in a config's `ga` section
         if self.n_bits < 1:
             raise ConfigError("n_bits must be at least 1")
         if self.nind < 2:
@@ -62,6 +63,8 @@ class GaConfig:
             raise ConfigError("subpop must be at least 1")
         if self.miggen < 1:
             raise ConfigError("miggen must be at least 1")
+        if self.stall_generations < 1:
+            raise ConfigError("stall_generations must be at least 1")
         if not 1 <= self.selective_pressure <= 2:
             raise ConfigError("selective_pressure must lie in [1, 2]")
         rate = self.effective_mutation_rate

@@ -15,12 +15,12 @@ one routine, `evaluate_partition`.
 """
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import metrics
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, config_to_dict, learner_spec, stack_spec_from_config
 from .dataset import (
     Dataset,
     apply_clip,
@@ -34,7 +34,6 @@ from .dataset import (
 )
 from .errors import ConfigError
 from .genetic import (
-    GaConfig,
     GaRun,
     mask_to_names,
     run_ga,
@@ -83,10 +82,6 @@ class RunDetails:
     curves: dict
     provenance: dict
     ga_run: GaRun = None
-
-
-def _spec_from_entry(entry: dict, seed: int) -> LearnerSpec:
-    return LearnerSpec(entry["algorithm"], dict(entry.get("hyperparameters", {})), seed)
 
 
 def _display_name(algorithm: str, taken) -> str:
@@ -143,16 +138,14 @@ def _scored_row(name: str, y_true, proba_fn) -> tuple:
 
 def ga_wrapper_spec(config: ExperimentConfig) -> LearnerSpec:
     """The GA's wrapper learner, seeded from the master seed."""
-    return _spec_from_entry(config.ga.wrapper, derive_seed(config.master_seed, "ga-wrapper"))
+    return learner_spec(config.ga.wrapper, derive_seed(config.master_seed, "ga-wrapper"))
 
 
 def ga_mask(config: ExperimentConfig, ds: Dataset, seed_tags) -> GaRun:
-    """One GA run on `ds`; every GaConfig knob but the width and seed comes
-    from the config's `ga` section."""
-    shared = {f.name: getattr(config.ga, f.name) for f in fields(GaConfig)
-              if f.name not in ("n_bits", "seed")}
-    ga_config = GaConfig(n_bits=ds.n_features,
-                         seed=derive_seed(config.master_seed, "ga", *seed_tags), **shared)
+    """One GA run on `ds` with the config's `ga` knobs and a seed derived
+    from `seed_tags`."""
+    ga_config = replace(config.ga_run_config, n_bits=ds.n_features,
+                        seed=derive_seed(config.master_seed, "ga", *seed_tags))
     return run_ga(ga_config, ds, ga_wrapper_spec(config), cv_k=config.ga.cv_folds)
 
 
@@ -174,27 +167,6 @@ def _guarded_ga(config: ExperimentConfig, fit_ds: Dataset, seed_tags,
     finally:
         timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
     return ga_run, np.flatnonzero(ga_run.best_chromosome), None
-
-
-def stack_spec_from_config(config: ExperimentConfig) -> StackSpec:
-    """The configured stack; the paper_faithful protocol builds level 1 naively."""
-    entries = config.stack.base or config.learners
-    if not entries:
-        raise ConfigError("stack enabled but no base learners configured")
-    bases = tuple(
-        _spec_from_entry(e, derive_seed(config.master_seed, "stack-base", t))
-        for t, e in enumerate(entries)
-    )
-    meta = _spec_from_entry(config.stack.meta, derive_seed(config.master_seed, "stack-meta"))
-    faithful = config.protocol == "paper_faithful"
-    return StackSpec(
-        base_specs=bases,
-        meta_spec=meta,
-        level1_mode="naive" if faithful else config.stack.level1_mode,
-        level1_folds=config.stack.level1_folds,
-        level1_feature_kind=config.stack.level1_feature_kind,
-        seed=derive_seed(config.master_seed, "stack"),
-    )
 
 
 def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None):
@@ -223,7 +195,7 @@ def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_ds: Datas
 
     taken = set()
     for i, entry in enumerate(config.learners):
-        spec = _spec_from_entry(entry, derive_seed(config.master_seed, "bench", i))
+        spec = learner_spec(entry, derive_seed(config.master_seed, "bench", i))
         name = _display_name(spec.algorithm, taken)
         taken.add(name)
         score(name, lambda: predict_proba(train(spec, fit_ds), eval_ds.features))

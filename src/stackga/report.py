@@ -7,9 +7,10 @@ function of (config, seed).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .records import from_plain, to_plain
 
 REPORT_VERSION = 1
 
@@ -78,132 +79,46 @@ class Report:
     kind: str  # "holdout" | "kfold"
     protocol: str
     master_seed: int
-    rows: tuple = ()
-    kfold_rows: tuple = ()
+    rows: tuple[ModelRow, ...] = ()
+    kfold_rows: tuple[KfoldRow, ...] = ()
     ga: GaSummary = None
-    feature_table: tuple = ()
+    feature_table: tuple[FeatureRow, ...] = ()
     notes: tuple = ()
     config_echo: dict = field(default_factory=dict)
     timings: dict = None
     version: int = REPORT_VERSION
 
 
-def _num(x):
-    return None if x is None else float(x)
-
-
 def report_to_dict(report: Report, include_timings: bool = False) -> dict:
-    d = {
-        "version": report.version,
-        "kind": report.kind,
-        "protocol": report.protocol,
-        "master_seed": report.master_seed,
-        "rows": [
-            {
-                "name": r.name,
-                "accuracy": _num(r.accuracy),
-                "sensitivity": _num(r.sensitivity),
-                "specificity": _num(r.specificity),
-                "fscore": _num(r.fscore),
-                "f1": _num(r.f1),
-                "auc": _num(r.auc),
-                "status": r.status,
-                "error": r.error,
-            }
-            for r in report.rows
-        ],
-        "kfold_rows": [
-            {
-                "name": r.name,
-                "k": r.k,
-                "mean_accuracy": _num(r.mean_accuracy),
-                "std": _num(r.std),
-                "fold_accuracies": [_num(a) for a in r.fold_accuracies],
-                "status": r.status,
-                "error": r.error,
-            }
-            for r in report.kfold_rows
-        ],
-        "ga": None
-        if report.ga is None
-        else {
-            "mask": [int(b) for b in report.ga.mask],
-            "feature_names": list(report.ga.feature_names),
-            "best_fitness": _num(report.ga.best_fitness),
-            "generations": report.ga.generations,
-            "evaluations": report.ga.evaluations,
-        },
-        "feature_table": [
-            {
-                "name": r.name,
-                "single_feature_cv_accuracy": _num(r.single_feature_cv_accuracy),
-                "ga_selection_frequency": _num(r.ga_selection_frequency),
-                "in_best_mask": bool(r.in_best_mask),
-            }
-            for r in report.feature_table
-        ],
-        "notes": list(report.notes),
-        "config_echo": report.config_echo,
-    }
-    if include_timings and report.timings is not None:
-        d["timings"] = {k: float(v) for k, v in report.timings.items()}
-    return d
+    d = to_plain(report)
+    timings = d.pop("timings")
+    if include_timings and timings is not None:
+        d["timings"] = timings
+    return {"version": d.pop("version"), **d}
 
 
 def report_from_dict(d: dict) -> Report:
-    return Report(
-        kind=d["kind"],
-        protocol=d["protocol"],
-        master_seed=d["master_seed"],
-        rows=tuple(ModelRow(**r) for r in d["rows"]),
-        kfold_rows=tuple(
-            KfoldRow(**{**r, "fold_accuracies": tuple(r["fold_accuracies"])})
-            for r in d["kfold_rows"]
-        ),
-        ga=None if d["ga"] is None else GaSummary(
-            mask=tuple(d["ga"]["mask"]),
-            feature_names=tuple(d["ga"]["feature_names"]),
-            best_fitness=d["ga"]["best_fitness"],
-            generations=d["ga"]["generations"],
-            evaluations=d["ga"]["evaluations"],
-        ),
-        feature_table=tuple(FeatureRow(**r) for r in d["feature_table"]),
-        notes=tuple(d["notes"]),
-        config_echo=d["config_echo"],
-        timings=d.get("timings"),
-        version=d["version"],
-    )
+    return from_plain(Report, d)
 
 
 def _fmt(x, digits=4):
     return "n/a" if x is None else f"{x:.{digits}f}"
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, tuple):
+        return ";".join(_csv_cell(v) for v in value)
+    if value is None or isinstance(value, float):
+        return _fmt(value, 6)
+    return str(value)
+
+
 def _render_csv(report: Report) -> str:
-    if report.kind == "kfold":
-        lines = ["name,k,mean_accuracy,std,fold_accuracies,status"]
-        for r in report.kfold_rows:
-            folds = ";".join(_fmt(a, 6) for a in r.fold_accuracies)
-            lines.append(
-                f"{r.name},{r.k},{_fmt(r.mean_accuracy, 6)},{_fmt(r.std, 6)},{folds},{r.status}"
-            )
-    else:
-        lines = ["name,accuracy,sensitivity,specificity,fscore,f1,auc,status"]
-        for r in report.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.name,
-                        _fmt(r.accuracy, 6),
-                        _fmt(r.sensitivity, 6),
-                        _fmt(r.specificity, 6),
-                        _fmt(r.fscore, 6),
-                        _fmt(r.f1, 6),
-                        _fmt(r.auc, 6),
-                        r.status,
-                    ]
-                )
-            )
+    """A flat table of the mode's rows: every row field but the error text."""
+    kfold = report.kind == "kfold"
+    rows, cls = (report.kfold_rows, KfoldRow) if kfold else (report.rows, ModelRow)
+    names = [f.name for f in fields(cls) if f.name != "error"]
+    lines = [",".join(names)] + [",".join(_csv_cell(getattr(r, n)) for n in names) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -37,14 +37,17 @@ class StackSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "base_specs", tuple(self.base_specs))
+        # each message starts with the setting's name in a config's `stack` section
         if not self.base_specs:
-            raise ConfigError("a stack needs at least one base learner")
+            raise ConfigError("base: a stack needs at least one base learner")
         if self.level1_mode not in ("out_of_fold", "naive"):
-            raise ConfigError(f"unknown level1_mode {self.level1_mode!r}")
+            raise ConfigError(f"level1_mode must be 'out_of_fold' or 'naive', "
+                              f"got {self.level1_mode!r}")
         if self.level1_mode == "out_of_fold" and self.level1_folds < 2:
-            raise ConfigError("out_of_fold stacking needs at least 2 folds")
+            raise ConfigError("level1_folds must be at least 2 for out_of_fold stacking")
         if self.level1_feature_kind not in (LABEL, PROBABILITY):
-            raise ConfigError(f"unknown level1_feature_kind {self.level1_feature_kind!r}")
+            raise ConfigError(f"level1_feature_kind must be {LABEL!r} or {PROBABILITY!r}, "
+                              f"got {self.level1_feature_kind!r}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete. Every tolerance is pinned here, not tuned at runtime.
 """
 
+import dataclasses
 import itertools
 import json
 import time
@@ -259,12 +260,13 @@ def test_criterion_8_end_to_end_holdout(pima_csv, holdout_run):
 
 
 def test_holdout_report_equals_committed_reference(holdout_run):
-    """The shipped holdout config reproduces `out/holdout/report.json` row for row."""
+    """The shipped holdout config reproduces `out/holdout/report.json` byte for byte."""
     _, report, _, _ = holdout_run
-    rendered = json.loads(render_report(report, "json"))
-    rendered["config_echo"]["dataset"]["path"] = "data/pima_like.csv"
-    with open("out/holdout/report.json", encoding="utf-8") as fh:
-        assert rendered == json.load(fh)
+    echo = report.config_echo
+    echo = {**echo, "dataset": {**echo["dataset"], "path": "data/pima_like.csv"}}
+    rendered = render_report(dataclasses.replace(report, config_echo=echo), "json")
+    with open("out/holdout/report.json", "rb") as fh:
+        assert rendered.encode("utf-8") == fh.read()
 
 
 def test_criterion_9_feature_selection(pima_csv, holdout_run):

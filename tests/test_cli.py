@@ -201,6 +201,31 @@ class TestXval:
         assert run_cli("xval", "--config", cfg_path, "--out", tmp_path, "-q") == 2
 
 
+BAD_VALUES = [
+    ("ga.nind=1", "ga.nind"),
+    ("ga.migr=5", "ga.migr"),
+    ("stack.level1_mode=bogus", "stack.level1_mode"),
+    ("split.ks=[1]", "split.ks"),
+    ("preprocessing.iqr_multiplier=-1", "preprocessing.iqr_multiplier"),
+    ('master_seed="abc"', "master_seed"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "xval"])
+@pytest.mark.parametrize("override,key", BAD_VALUES)
+def test_bad_value_exits_2_naming_it_before_any_output(pima_csv, tmp_path, capsys,
+                                                       command, override, key):
+    d = light_config_dict(pima_csv)
+    if command == "xval":
+        d["split"] = {"mode": "kfold", "ks": [3], "stratified": True}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out, "--set", override, "-q") == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "model.pkl").exists() and not (out / "report.json").exists()
+
+
 class TestReportCommand:
     def test_rerender_markdown_and_csv(self, pima_csv, tmp_path):
         d = light_config_dict(pima_csv)

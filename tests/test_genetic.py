@@ -42,6 +42,8 @@ class TestConfig:
             GaConfig(n_bits=8, nind=1)
         with pytest.raises(ConfigError):
             GaConfig(n_bits=8, selective_pressure=2.5)
+        with pytest.raises(ConfigError, match="stall_generations"):
+            GaConfig(n_bits=8, stall_generations=0)
         with pytest.raises(ConfigError):
             GaConfig(n_bits=0)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -23,6 +25,9 @@ from stackga.pipeline import (
 )
 from stackga.report import (
     STACK_ROW_GA,
+    FeatureRow,
+    GaSummary,
+    KfoldRow,
     ModelRow,
     Report,
     parse_report,
@@ -105,6 +110,30 @@ class TestConfigParsing:
         d["stack"]["enabled"] = False
         with pytest.raises(ConfigError, match="nothing to run"):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("split", "ks", []),
+        ("split", "ks", [5, True]),
+        (None, "master_seed", True),
+        (None, "master_seed", 1.5),
+        ("preprocessing", "iqr_multiplier", 0),
+        ("ga", "nind", "abc"),
+        ("ga", "mutation_rate", 2.0),
+        ("ga", "stall_generations", 0),
+        ("stack", "level1_feature_kind", "margin"),
+    ])
+    def test_bad_value_names_its_key(self, pima_csv, section, key, value):
+        d = light_config_dict(pima_csv)
+        (d[section] if section else d)[key] = value
+        where = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            config_from_dict(d)
+
+    def test_ga_section_is_the_ga_config_knobs(self, light_config):
+        knobs = [f.name for f in dataclasses.fields(GaConfig) if f.name not in ("n_bits", "seed")]
+        assert list(config_to_dict(light_config)["ga"]) == ["enabled", "wrapper", "cv_folds"] + knobs
+        assert light_config.ga_run_config == GaConfig(n_bits=8, nind=10, maxgen=12, subpop=2,
+                                                      stall_generations=6)
 
     def test_load_config_round_trip(self, pima_csv, tmp_path):
         p = tmp_path / "cfg.json"
@@ -296,6 +325,26 @@ class TestRendering:
         report = run_holdout(light_config)
         again = parse_report(render_report(report, "json", include_timings=True))
         assert again == Report(**{**report.__dict__})
+
+    def test_json_round_trip_of_every_row_kind(self):
+        report = Report(
+            kind="kfold", protocol="clean", master_seed=3,
+            rows=(ModelRow(name="A", accuracy=0.5, sensitivity=1.0, specificity=0.0,
+                           fscore=None, f1=0.25, auc=0.75),
+                  ModelRow(name="B", status="failed", error="ValueError: boom")),
+            kfold_rows=(KfoldRow(name="A", k=3, mean_accuracy=0.5, std=0.125,
+                                 fold_accuracies=(0.375, None, 0.625), status="partial",
+                                 error="ValueError: fold 2"),
+                        KfoldRow(name="B", k=3, status="failed", error="ValueError: boom")),
+            ga=GaSummary(mask=(1, 0, 1), feature_names=("x", "z"), best_fitness=0.875,
+                         generations=4, evaluations=31),
+            feature_table=(FeatureRow("x", 0.75, 0.5, True), FeatureRow("y", 0.5, 0.0, False)),
+            notes=("a note",), config_echo={"version": 1, "split": {"ks": [3]}},
+            timings={"A (k=3)": 0.25, "ga": 1.5},
+        )
+        text = render_report(report, "json", include_timings=True)
+        assert parse_report(text) == report
+        assert "timings" not in json.loads(render_report(report, "json"))
 
     def test_empty_report_renders(self):
         empty = Report(kind="holdout", protocol="clean", master_seed=0)
