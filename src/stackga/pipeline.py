@@ -41,6 +41,7 @@ from .genetic import (
     wrapper_plan,
 )
 from .learners import LearnerSpec, labels_from_proba, predict_proba, train
+from .parallel import run_tasks
 from .report import (
     DISPLAY_NAMES,
     STACK_ROW_GA,
@@ -114,16 +115,37 @@ def preprocess_pair(train_ds: Dataset, test_ds: Dataset, prep) -> tuple:
     return train_ds, test_ds, stats
 
 
-def _scored_row(name: str, y_true, proba_fn) -> tuple:
-    """(ModelRow, ROC curve or None) from `proba_fn()`, the eval rows' class
-    probabilities; any failure becomes a failed row."""
+def _error_text(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _timed_proba(proba_fn) -> tuple:
+    """(`proba_fn()`, seconds, None), or (None, seconds, error text) if it raises."""
+    t0 = time.perf_counter()
     try:
         proba = proba_fn()
+    except Exception as e:  # one bad model must not sink the benchmark table
+        return None, time.perf_counter() - t0, _error_text(e)
+    return proba, time.perf_counter() - t0, None
+
+
+def _single_proba(spec: LearnerSpec, fit_ds: Dataset, eval_X) -> tuple:
+    """One single learner trained on `fit_ds` and scored on `eval_X`, as
+    `_timed_proba` returns it; one task of `evaluate_partition`."""
+    return _timed_proba(lambda: predict_proba(train(spec, fit_ds), eval_X))
+
+
+def _scored_row(name: str, y_true, proba, error: str) -> tuple:
+    """(ModelRow, ROC curve or None) from the eval rows' class probabilities;
+    an `error`, or a failure to score, becomes a failed row."""
+    if error is not None:
+        return ModelRow(name=name, status="failed", error=error), None
+    try:
         cm = metrics.confusion(y_true, labels_from_proba(proba))
         curve = metrics.roc_curve(y_true, proba[:, 1]) if len(np.unique(y_true)) == 2 else None
         auc_value = None if curve is None else metrics.auc(curve)
     except Exception as e:  # one bad model must not sink the benchmark table
-        return ModelRow(name=name, status="failed", error=f"{type(e).__name__}: {e}"), None
+        return ModelRow(name=name, status="failed", error=_error_text(e)), None
     row = ModelRow(
         name=name,
         accuracy=metrics.accuracy(cm),
@@ -163,42 +185,47 @@ def _guarded_ga(config: ExperimentConfig, fit_ds: Dataset, seed_tags,
     try:
         ga_run = ga_mask(config, fit_ds, seed_tags)
     except Exception as e:  # selection failure downgrades only the stack row
-        return None, None, f"{type(e).__name__}: {e}"
+        return None, None, _error_text(e)
     finally:
         timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
     return ga_run, np.flatnonzero(ga_run.best_chromosome), None
 
 
-def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None):
+def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None, jobs: int = 1):
     """Train `spec` on the GA-selected columns of `fit_ds` (all when `mask` is None)."""
-    return train_stack(spec, select_features(fit_ds, mask))
+    return train_stack(spec, select_features(fit_ds, mask), jobs=jobs)
 
 
 def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_ds: Dataset,
-                       mask=None, stack=None, ga_error: str = None) -> tuple:
+                       mask=None, stack=None, ga_error: str = None, jobs: int = 1) -> tuple:
     """Train every configured model on `fit_ds` and score it on `eval_ds`.
 
     Returns (rows, curves, timings): one ModelRow per single learner and then
     the stack row, ROC curves keyed by row name, and seconds per row. The
     stack sees only the `mask` columns. It is trained here unless an already
-    trained `stack` is given; a `ga_error` fails the stack row instead.
+    trained `stack` is given; a `ga_error` fails the stack row instead. The
+    single learners, and then the stack's fits, run in up to `jobs`
+    processes (see `parallel.run_tasks`); only the timings depend on `jobs`.
     """
     rows, curves, timings = [], {}, {}
 
-    def score(name, proba_fn):
+    def score(name, outcome):
+        proba, seconds, error = outcome
         t0 = time.perf_counter()
-        row, curve = _scored_row(name, eval_ds.labels, proba_fn)
-        timings[name] = time.perf_counter() - t0
+        row, curve = _scored_row(name, eval_ds.labels, proba, error)
+        timings[name] = seconds + time.perf_counter() - t0
         rows.append(row)
         if curve is not None:
             curves[name] = curve
 
-    taken = set()
+    taken, names, tasks = set(), [], []
     for i, entry in enumerate(config.learners):
         spec = learner_spec(entry, derive_seed(config.master_seed, "bench", i))
-        name = _display_name(spec.algorithm, taken)
-        taken.add(name)
-        score(name, lambda: predict_proba(train(spec, fit_ds), eval_ds.features))
+        names.append(_display_name(spec.algorithm, taken))
+        taken.add(names[-1])
+        tasks.append((spec, fit_ds, eval_ds.features))
+    for name, outcome in zip(names, run_tasks(_single_proba, tasks, jobs)):
+        score(name, outcome)
 
     if config.stack.enabled:
         name = STACK_ROW_GA if config.ga.enabled else STACK_ROW_PLAIN
@@ -210,10 +237,10 @@ def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_ds: Datas
             spec = None if stack is not None else stack_spec_from_config(config)
 
             def stack_proba():
-                model = stack if spec is None else train_masked_stack(spec, fit_ds, mask)
+                model = stack if spec is None else train_masked_stack(spec, fit_ds, mask, jobs)
                 return predict_proba_stack(model, select_features(eval_ds, mask).features)
 
-            score(name, stack_proba)
+            score(name, _timed_proba(stack_proba))
     return rows, curves, timings
 
 
@@ -261,15 +288,16 @@ def holdout_partitions(config: ExperimentConfig) -> tuple:
     return fit_ds, eval_ds
 
 
-def run_holdout_detailed(config: ExperimentConfig) -> tuple:
-    """Full holdout benchmark; returns (Report, RunDetails)."""
+def run_holdout_detailed(config: ExperimentConfig, jobs: int = 1) -> tuple:
+    """Full holdout benchmark; returns (Report, RunDetails). Model fits run in
+    up to `jobs` processes, which changes nothing but the timings."""
     if config.split.mode != "holdout":
         raise ConfigError("run_holdout needs split.mode = 'holdout'")
     fit_ds, eval_ds = holdout_partitions(config)
     timings = {}
     ga_run, mask, ga_error = _guarded_ga(config, fit_ds, ("holdout",), timings, "ga")
     rows, curves, row_timings = evaluate_partition(config, fit_ds, eval_ds, mask,
-                                                   ga_error=ga_error)
+                                                   ga_error=ga_error, jobs=jobs)
     timings.update(row_timings)
 
     provenance = {"preprocess_stat_rows": fit_ds.row_ids}
@@ -282,12 +310,12 @@ def run_holdout_detailed(config: ExperimentConfig) -> tuple:
     return report, RunDetails(curves=curves, provenance=provenance, ga_run=ga_run)
 
 
-def run_holdout(config: ExperimentConfig) -> Report:
-    report, _ = run_holdout_detailed(config)
+def run_holdout(config: ExperimentConfig, jobs: int = 1) -> Report:
+    report, _ = run_holdout_detailed(config, jobs)
     return report
 
 
-def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings):
+def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings, jobs):
     """Per-fold accuracies for every configured model at one k; adds the
     seconds each row took over all folds to `timings`."""
     accs = {}
@@ -306,7 +334,7 @@ def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings):
                                             timings, f"ga (k={k})")
 
         rows, _, fold_timings = evaluate_partition(config, fit_ds, eval_ds, mask,
-                                                   ga_error=ga_error)
+                                                   ga_error=ga_error, jobs=jobs)
         for row in rows:
             accs.setdefault(row.name, []).append(row.accuracy)
             if row.error is not None:
@@ -334,11 +362,12 @@ def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings):
     return rows
 
 
-def run_kfold(config: ExperimentConfig) -> Report:
+def run_kfold(config: ExperimentConfig, jobs: int = 1) -> Report:
     """Rotating k-fold benchmark for every configured k in one report.
 
     `Report.timings` holds each row's seconds summed over its folds, keyed
-    "<row name> (k=<k>)", plus the GA's time.
+    "<row name> (k=<k>)", plus the GA's time. The folds run one after
+    another; each fold's model fits run in up to `jobs` processes.
     """
     if config.split.mode != "kfold":
         raise ConfigError("run_kfold needs split.mode = 'kfold'")
@@ -364,7 +393,7 @@ def run_kfold(config: ExperimentConfig) -> Report:
         plan = make_folds(ds_raw, k, config.split.stratified,
                           seed=derive_seed(config.master_seed, "kfold", k))
         kfold_rows.extend(
-            _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings)
+            _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings, jobs)
         )
 
     return experiment_report(config, timings, kfold_rows=kfold_rows, ga_note=ga_note)

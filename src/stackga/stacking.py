@@ -20,6 +20,7 @@ import numpy as np
 from .dataset import Dataset, Schema, make_folds
 from .errors import ConfigError
 from .learners import LearnerSpec, TrainedModel, predict, predict_proba, train
+from .parallel import run_tasks
 from .rng import derive_seed
 
 LABEL = "label"
@@ -70,8 +71,20 @@ def _base_outputs(model: TrainedModel, X: np.ndarray, kind: str) -> np.ndarray:
     return predict_proba(model, X)[:, 1]
 
 
-def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False):
+def _trained_outputs(base: LearnerSpec, fit_ds: Dataset, X: np.ndarray, kind: str,
+                     fold: int = None) -> np.ndarray:
+    """`base` trained on `fit_ds`, its outputs on `X`; one level-1 task."""
+    if fold is not None and len(np.unique(fit_ds.labels)) < 2:
+        raise ConfigError(f"level-1 fold {fold}: training part has a single class")
+    return _base_outputs(train(base, fit_ds), X, kind)
+
+
+def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False,
+                         jobs: int = 1):
     """Derived dataset: one row per training sample, one column per base learner.
+
+    The (fold x base) fits are independent tasks, run in up to `jobs`
+    processes (see `parallel.run_tasks`); the result does not depend on `jobs`.
 
     With `instrument=True` also returns (fold assignments, per-fold training
     row ids) so callers can verify that no contributing model saw the row it
@@ -80,29 +93,30 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False)
     """
     if len(np.unique(ds.labels)) < 2:
         raise ConfigError("stacking requires both classes in the training data")
-    T = len(spec.base_specs)
-    Z = np.empty((ds.n_samples, T))
+    kind = spec.level1_feature_kind
+    Z = np.empty((ds.n_samples, len(spec.base_specs)))
     if spec.level1_mode == "naive":
-        for t, base in enumerate(spec.base_specs):
-            Z[:, t] = _base_outputs(train(base, ds), ds.features, spec.level1_feature_kind)
+        tasks = [(base, ds, ds.features, kind) for base in spec.base_specs]
+        for t, column in enumerate(run_tasks(_trained_outputs, tasks, jobs)):
+            Z[:, t] = column
         assignments = np.full(ds.n_samples, -1)
         trained_on = {-1: ds.row_ids.copy()}
     else:
         plan = make_folds(ds, spec.level1_folds, stratified=True,
                           seed=derive_seed(spec.seed, "level1-folds"))
-        trained_on = {}
-        for fold in range(plan.k):
-            fit_part = ds.take(plan.train_indices(fold))
-            if len(np.unique(fit_part.labels)) < 2:
-                raise ConfigError(
-                    f"level-1 fold {fold}: training part has a single class"
-                )
-            held_idx = plan.test_indices(fold)
-            held_X = ds.features[held_idx]
-            for t, base in enumerate(spec.base_specs):
-                model = train(base, fit_part)
-                Z[held_idx, t] = _base_outputs(model, held_X, spec.level1_feature_kind)
-            trained_on[fold] = fit_part.row_ids.copy()
+        parts = [(fold, ds.take(plan.train_indices(fold)), plan.test_indices(fold))
+                 for fold in range(plan.k)]
+        trained_on = {fold: fit_part.row_ids.copy() for fold, fit_part, _ in parts}
+        # each base's folds together, in base order: workers start on the
+        # first base's fits (in the shipped configs the random forest, the
+        # largest in memory and time), the calling process on the last's
+        cells, tasks = [], []
+        for t, base in enumerate(spec.base_specs):
+            for fold, fit_part, held_idx in parts:
+                cells.append((held_idx, t))
+                tasks.append((base, fit_part, ds.features[held_idx], kind, fold))
+        for (held_idx, t), column in zip(cells, run_tasks(_trained_outputs, tasks, jobs)):
+            Z[held_idx, t] = column
         assignments = plan.assignments
     d_prime = Dataset(Z, ds.labels, _level1_schema(spec, ds), ds.row_ids)
     if instrument:
@@ -110,13 +124,17 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False)
     return d_prime
 
 
-def train_stack(spec: StackSpec, ds: Dataset) -> StackModel:
+def train_stack(spec: StackSpec, ds: Dataset, jobs: int = 1) -> StackModel:
     """Fit the meta-learner on the derived dataset, then refit every base
-    learner on the full training set for prediction time."""
-    d_prime = build_level1_dataset(spec, ds)
-    meta = train(spec.meta_spec, d_prime)
-    bases = tuple(train(b, ds) for b in spec.base_specs)
-    return StackModel(base_models=bases, meta_model=meta, spec=spec)
+    learner on the full training set for prediction time.
+
+    Level 1, and then the meta fit with the refits, run as independent tasks
+    in up to `jobs` processes; the model does not depend on `jobs`.
+    """
+    d_prime = build_level1_dataset(spec, ds, jobs=jobs)
+    fits = [(spec.meta_spec, d_prime)] + [(b, ds) for b in spec.base_specs]
+    meta, *bases = run_tasks(train, fits, jobs)
+    return StackModel(base_models=tuple(bases), meta_model=meta, spec=spec)
 
 
 def _meta_features(model: StackModel, X: np.ndarray) -> np.ndarray:

@@ -131,6 +131,18 @@ class TestTrainEval:
         for row in json.loads((out / "report.json").read_text())["rows"]:
             assert re.search(rf"^{re.escape(row['name'])}: \d+\.\d{{3}}s$", text, re.M)
 
+    def test_verbose_train_prints_step_times(self, cfg_path, pima_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out) == 0
+        assert not re.search(r": \d+\.\d{3}s$", capsys.readouterr().out, re.M)
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-v") == 0
+        text = capsys.readouterr().out
+        assert re.findall(r"^(\w+): \d+\.\d{3}s$", text, re.M) == ["ga", "stack"]
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-v",
+                       "--set", "ga.enabled=false") == 0
+        text = capsys.readouterr().out
+        assert re.findall(r"^(\w+): \d+\.\d{3}s$", text, re.M) == ["stack"]
+
     def test_eval_mismatched_config_exits_2(self, cfg_path, pima_csv, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
