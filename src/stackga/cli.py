@@ -27,7 +27,6 @@ from .config import (
 from .dataset import load_csv, write_csv
 from .errors import ConfigError, DataError
 from .genetic import history_to_csv, mask_to_names
-from .parallel import usable_cpus
 from .persist import load_artifact, save_artifact
 from .pipeline import (
     GA_REFERENCE_NOTE,
@@ -52,16 +51,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _jobs(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config JSON")
@@ -74,11 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the time of each training step (train) "
                              "or report row (eval, xval)")
     common.add_argument("-q", "--quiet", action="store_true", help="errors only")
-    fits = argparse.ArgumentParser(add_help=False)
-    fits.add_argument("--jobs", type=_jobs, default=usable_cpus(), metavar="N",
-                      help="processes for independent model fits (default: "
-                           "%(default)s, the usable CPUs); 1 forks no worker. "
-                           "Reports do not depend on it")
 
     parser = argparse.ArgumentParser(
         prog="stackga",
@@ -89,17 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="clean the configured dataset; write CSV + summary JSON")
     sub.add_parser("select", parents=[common],
                    help="run GA feature selection; write mask JSON + history CSV")
-    sub.add_parser("train", parents=[common, fits],
+    sub.add_parser("train", parents=[common],
                    help="train the stacked model on the holdout training part")
     p_eval = sub.add_parser(
-        "eval", parents=[common, fits],
+        "eval", parents=[common],
         help="evaluate a trained model; write report + ROC CSVs",
         description="Score the stacked model from --model on the holdout test part. "
                     "Only the stack comes from the artifact: the single benchmark "
                     "learners are retrained on the training part on every call.",
     )
     p_eval.add_argument("--model", required=True, help="model artifact from `train`")
-    sub.add_parser("xval", parents=[common, fits],
+    sub.add_parser("xval", parents=[common],
                    help="k-fold benchmark for every configured k")
     p_rep = sub.add_parser("report", help="re-render a JSON report")
     p_rep.add_argument("--report", required=True, help="report JSON produced by eval/xval")
@@ -218,7 +202,7 @@ def cmd_train(args) -> int:
         _say(args, f"GA selected {len(mask_indices)} features: "
                    f"{', '.join(mask_to_names(ga_run.best_chromosome, fit_ds))}")
     t0 = time.perf_counter()
-    stack = train_masked_stack(stack_spec_from_config(cfg), fit_ds, mask_indices, args.jobs)
+    stack = train_masked_stack(stack_spec_from_config(cfg), fit_ds, mask_indices)
     timings["stack"] = time.perf_counter() - t0
     _say_timings(args, timings)
     out = Path(args.out)
@@ -254,7 +238,7 @@ def cmd_eval(args) -> int:
     _banner(args, cfg)
     fit_ds, eval_ds = holdout_partitions(cfg)
     rows, curves, timings = evaluate_partition(cfg, fit_ds, eval_ds, bundle["mask"],
-                                               stack=bundle["stack_model"], jobs=args.jobs)
+                                               stack=bundle["stack_model"])
     report = experiment_report(cfg, timings, rows=rows, ga=bundle["ga_summary"])
     _say_timings(args, timings)
     out = Path(args.out)
@@ -270,7 +254,7 @@ def cmd_xval(args) -> int:
     if cfg.split.mode != "kfold":
         raise ConfigError("xval needs split.mode = 'kfold'")
     _banner(args, cfg)
-    report = run_kfold(cfg, args.jobs)
+    report = run_kfold(cfg)
     _say_timings(args, report.timings)
     out = Path(args.out)
     _write(out / "report.json",

@@ -3,19 +3,21 @@
 A task is a module-level function and its arguments. Every task's result
 depends only on its arguments (learner seeds come from `derive_seed` tags),
 so the results, returned in task order, are the same for any number of
-workers. With one job the tasks run in a plain loop in this process, which
-imports no `multiprocessing` and starts no process.
+workers. The number of processes is `usable_cpus()`, so an affinity mask
+(`taskset -c 0 ...`) is how to run serially. With one usable CPU the tasks
+run in a plain loop in this process, which imports no `multiprocessing` and
+starts no process.
 
-With `jobs` > 1, this process and `jobs - 1` forked workers claim tasks
-until none is left: the workers from the front of the list, this process
-from the back. A caller that puts its heaviest tasks first (in memory and
-time) thus leaves them to the workers and spreads the light ones over both
-ends. The workers inherit the task list through `fork`, so only results are
-pickled, and the calling process does its share of the fits instead of
-waiting. Its own results are pickled and unpickled too: every result then
-arrives as a fresh object graph, whichever process made it, so the bytes of
-anything that pickles results again (a saved model) do not depend on which
-process ran which task.
+With more CPUs, this process and one forked worker per further CPU claim
+tasks until none is left: the workers from the front of the list, this
+process from the back. A caller that puts its longest tasks first thus has
+them started early and leaves the short ones to fill in at both ends. The
+workers inherit the task list through `fork`, so only results are pickled,
+and the calling process does its share of the fits instead of waiting.
+Every result, on either path and in whichever process it was made, is
+pickled and unpickled once, so it arrives as a fresh object graph and the
+bytes of anything that pickles results again (a saved model) do not depend
+on the number of CPUs or on which process ran which task.
 """
 
 import os
@@ -28,6 +30,11 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this OS
         return os.cpu_count() or 1
+
+
+def _fresh(result):
+    """`result` through one pickle round trip, as a worker's result arrives."""
+    return pickle.loads(pickle.dumps(result))
 
 
 def _outcome(fn, args) -> tuple:
@@ -58,18 +65,17 @@ def _work(fn, tasks, ends, results) -> None:
         results.put((i, _outcome(fn, tasks[i])))
 
 
-def run_tasks(fn, tasks, jobs: int = 1) -> list:
+def run_tasks(fn, tasks) -> list:
     """`[fn(*t) for t in tasks]`, computed by this process and up to
-    `jobs - 1` forked workers; put the heaviest tasks first.
+    `usable_cpus() - 1` forked workers; put the longest tasks first.
 
     A failing task raises what the serial loop would raise first: the
     exception, with its type and message, of the lowest-index failing task.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = list(tasks)
-    if jobs == 1 or len(tasks) < 2 or not hasattr(os, "fork"):
-        return [fn(*t) for t in tasks]
+    processes = min(usable_cpus(), len(tasks))
+    if processes < 2 or not hasattr(os, "fork"):
+        return [_fresh(fn(*t)) for t in tasks]
     import multiprocessing
     from queue import Empty
 
@@ -78,13 +84,13 @@ def run_tasks(fn, tasks, jobs: int = 1) -> list:
     results = ctx.Queue()
     workers, outcomes = [], {}
     try:
-        for _ in range(min(jobs, len(tasks)) - 1):
+        for _ in range(processes - 1):
             workers.append(ctx.Process(target=_work, args=(fn, tasks, ends, results),
                                        daemon=True))
             workers[-1].start()
         i = len(tasks) - 1
         while i >= 0:
-            outcomes[i] = pickle.loads(pickle.dumps(_outcome(fn, tasks[i])))
+            outcomes[i] = _fresh(_outcome(fn, tasks[i]))
             i = _claim(ends, from_back=True)
         while len(outcomes) < len(tasks):
             exited = all(w.exitcode is not None for w in workers)

@@ -191,21 +191,21 @@ def _guarded_ga(config: ExperimentConfig, fit_ds: Dataset, seed_tags,
     return ga_run, np.flatnonzero(ga_run.best_chromosome), None
 
 
-def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None, jobs: int = 1):
+def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None):
     """Train `spec` on the GA-selected columns of `fit_ds` (all when `mask` is None)."""
-    return train_stack(spec, select_features(fit_ds, mask), jobs=jobs)
+    return train_stack(spec, select_features(fit_ds, mask))
 
 
 def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_ds: Dataset,
-                       mask=None, stack=None, ga_error: str = None, jobs: int = 1) -> tuple:
+                       mask=None, stack=None, ga_error: str = None) -> tuple:
     """Train every configured model on `fit_ds` and score it on `eval_ds`.
 
     Returns (rows, curves, timings): one ModelRow per single learner and then
     the stack row, ROC curves keyed by row name, and seconds per row. The
     stack sees only the `mask` columns. It is trained here unless an already
     trained `stack` is given; a `ga_error` fails the stack row instead. The
-    single learners, and then the stack's fits, run in up to `jobs`
-    processes (see `parallel.run_tasks`); only the timings depend on `jobs`.
+    single learners, and then the stack's fits, are shared by the usable
+    CPUs (see `parallel.run_tasks`); only the timings depend on their number.
     """
     rows, curves, timings = [], {}, {}
 
@@ -224,7 +224,7 @@ def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_ds: Datas
         names.append(_display_name(spec.algorithm, taken))
         taken.add(names[-1])
         tasks.append((spec, fit_ds, eval_ds.features))
-    for name, outcome in zip(names, run_tasks(_single_proba, tasks, jobs)):
+    for name, outcome in zip(names, run_tasks(_single_proba, tasks)):
         score(name, outcome)
 
     if config.stack.enabled:
@@ -237,7 +237,7 @@ def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_ds: Datas
             spec = None if stack is not None else stack_spec_from_config(config)
 
             def stack_proba():
-                model = stack if spec is None else train_masked_stack(spec, fit_ds, mask, jobs)
+                model = stack if spec is None else train_masked_stack(spec, fit_ds, mask)
                 return predict_proba_stack(model, select_features(eval_ds, mask).features)
 
             score(name, _timed_proba(stack_proba))
@@ -288,16 +288,15 @@ def holdout_partitions(config: ExperimentConfig) -> tuple:
     return fit_ds, eval_ds
 
 
-def run_holdout_detailed(config: ExperimentConfig, jobs: int = 1) -> tuple:
-    """Full holdout benchmark; returns (Report, RunDetails). Model fits run in
-    up to `jobs` processes, which changes nothing but the timings."""
+def run_holdout_detailed(config: ExperimentConfig) -> tuple:
+    """Full holdout benchmark; returns (Report, RunDetails)."""
     if config.split.mode != "holdout":
         raise ConfigError("run_holdout needs split.mode = 'holdout'")
     fit_ds, eval_ds = holdout_partitions(config)
     timings = {}
     ga_run, mask, ga_error = _guarded_ga(config, fit_ds, ("holdout",), timings, "ga")
     rows, curves, row_timings = evaluate_partition(config, fit_ds, eval_ds, mask,
-                                                   ga_error=ga_error, jobs=jobs)
+                                                   ga_error=ga_error)
     timings.update(row_timings)
 
     provenance = {"preprocess_stat_rows": fit_ds.row_ids}
@@ -310,12 +309,12 @@ def run_holdout_detailed(config: ExperimentConfig, jobs: int = 1) -> tuple:
     return report, RunDetails(curves=curves, provenance=provenance, ga_run=ga_run)
 
 
-def run_holdout(config: ExperimentConfig, jobs: int = 1) -> Report:
-    report, _ = run_holdout_detailed(config, jobs)
+def run_holdout(config: ExperimentConfig) -> Report:
+    report, _ = run_holdout_detailed(config)
     return report
 
 
-def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings, jobs):
+def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings):
     """Per-fold accuracies for every configured model at one k; adds the
     seconds each row took over all folds to `timings`."""
     accs = {}
@@ -334,7 +333,7 @@ def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings, jo
                                             timings, f"ga (k={k})")
 
         rows, _, fold_timings = evaluate_partition(config, fit_ds, eval_ds, mask,
-                                                   ga_error=ga_error, jobs=jobs)
+                                                   ga_error=ga_error)
         for row in rows:
             accs.setdefault(row.name, []).append(row.accuracy)
             if row.error is not None:
@@ -362,12 +361,12 @@ def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings, jo
     return rows
 
 
-def run_kfold(config: ExperimentConfig, jobs: int = 1) -> Report:
+def run_kfold(config: ExperimentConfig) -> Report:
     """Rotating k-fold benchmark for every configured k in one report.
 
     `Report.timings` holds each row's seconds summed over its folds, keyed
     "<row name> (k=<k>)", plus the GA's time. The folds run one after
-    another; each fold's model fits run in up to `jobs` processes.
+    another; each fold's model fits are shared by the usable CPUs.
     """
     if config.split.mode != "kfold":
         raise ConfigError("run_kfold needs split.mode = 'kfold'")
@@ -393,7 +392,7 @@ def run_kfold(config: ExperimentConfig, jobs: int = 1) -> Report:
         plan = make_folds(ds_raw, k, config.split.stratified,
                           seed=derive_seed(config.master_seed, "kfold", k))
         kfold_rows.extend(
-            _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings, jobs)
+            _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings)
         )
 
     return experiment_report(config, timings, kfold_rows=kfold_rows, ga_note=ga_note)

@@ -79,12 +79,11 @@ def _trained_outputs(base: LearnerSpec, fit_ds: Dataset, X: np.ndarray, kind: st
     return _base_outputs(train(base, fit_ds), X, kind)
 
 
-def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False,
-                         jobs: int = 1):
+def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False):
     """Derived dataset: one row per training sample, one column per base learner.
 
-    The (fold x base) fits are independent tasks, run in up to `jobs`
-    processes (see `parallel.run_tasks`); the result does not depend on `jobs`.
+    The (fold x base) fits are independent tasks, shared by the usable CPUs
+    (see `parallel.run_tasks`); the result does not depend on their number.
 
     With `instrument=True` also returns (fold assignments, per-fold training
     row ids) so callers can verify that no contributing model saw the row it
@@ -97,7 +96,7 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False,
     Z = np.empty((ds.n_samples, len(spec.base_specs)))
     if spec.level1_mode == "naive":
         tasks = [(base, ds, ds.features, kind) for base in spec.base_specs]
-        for t, column in enumerate(run_tasks(_trained_outputs, tasks, jobs)):
+        for t, column in enumerate(run_tasks(_trained_outputs, tasks)):
             Z[:, t] = column
         assignments = np.full(ds.n_samples, -1)
         trained_on = {-1: ds.row_ids.copy()}
@@ -109,13 +108,13 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False,
         trained_on = {fold: fit_part.row_ids.copy() for fold, fit_part, _ in parts}
         # each base's folds together, in base order: workers start on the
         # first base's fits (in the shipped configs the random forest, the
-        # largest in memory and time), the calling process on the last's
+        # longest), the calling process on the last's
         cells, tasks = [], []
         for t, base in enumerate(spec.base_specs):
             for fold, fit_part, held_idx in parts:
                 cells.append((held_idx, t))
                 tasks.append((base, fit_part, ds.features[held_idx], kind, fold))
-        for (held_idx, t), column in zip(cells, run_tasks(_trained_outputs, tasks, jobs)):
+        for (held_idx, t), column in zip(cells, run_tasks(_trained_outputs, tasks)):
             Z[held_idx, t] = column
         assignments = plan.assignments
     d_prime = Dataset(Z, ds.labels, _level1_schema(spec, ds), ds.row_ids)
@@ -124,16 +123,16 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False,
     return d_prime
 
 
-def train_stack(spec: StackSpec, ds: Dataset, jobs: int = 1) -> StackModel:
+def train_stack(spec: StackSpec, ds: Dataset) -> StackModel:
     """Fit the meta-learner on the derived dataset, then refit every base
     learner on the full training set for prediction time.
 
     Level 1, and then the meta fit with the refits, run as independent tasks
-    in up to `jobs` processes; the model does not depend on `jobs`.
+    on the usable CPUs; the model does not depend on their number.
     """
-    d_prime = build_level1_dataset(spec, ds, jobs=jobs)
+    d_prime = build_level1_dataset(spec, ds)
     fits = [(spec.meta_spec, d_prime)] + [(b, ds) for b in spec.base_specs]
-    meta, *bases = run_tasks(train, fits, jobs)
+    meta, *bases = run_tasks(train, fits)
     return StackModel(base_models=tuple(bases), meta_model=meta, spec=spec)
 
 
