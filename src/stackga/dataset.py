@@ -166,15 +166,23 @@ def _parse_cell(text: str, line_no: int, col: int, names) -> float:
         ) from None
 
 
+#: lines that `load_csv` parses at a time; bounds the parse's temporary lists
+_BLOCK_LINES = 4096
+
+
 def load_csv(path, schema: Schema, has_header: bool = False) -> Dataset:
     """Read a comma-separated file into a raw (uncleaned) Dataset.
 
     Every row must have exactly the schema's column count and only finite
     numbers; the label column must parse to 0 or 1. Row order is preserved.
+
+    Clean files are parsed a block of lines at a time. A file the block
+    parse does not accept as clean is read again line by line, which raises
+    the error of the first bad line with its line and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    line_no = 0
+    first = 1
     if has_header:
         if not lines:
             raise DataError(f"{path}: empty file")
@@ -184,7 +192,58 @@ def load_csv(path, schema: Schema, has_header: bool = False) -> Dataset:
                 f"{path}: header {header!r} does not match schema columns {schema.column_names!r}"
             )
         lines = lines[1:]
-        line_no = 1
+        first = 2
+    parsed = _parse_blocks(lines, schema)
+    X, y = _parse_lines(path, lines, first, schema) if parsed is None else parsed
+    return Dataset(X, y, schema)
+
+
+def _parse_block(lines, n_cols: int):
+    """The cells of `lines` as a (rows, n_cols) matrix, blank lines skipped;
+    None unless each line that is not blank has n_cols cells that `float`
+    reads."""
+    # a line holds no "\n", so the "\n" cells mark exactly the line ends
+    cells = ",\n,".join(lines).split(",")
+    ends = cells[n_cols::n_cols + 1]
+    if len(cells) != len(lines) * (n_cols + 1) - 1 or ends.count("\n") != len(ends):
+        kept = [raw for raw in lines if raw.strip()]
+        if len(kept) == len(lines):
+            return None
+        return _parse_block(kept, n_cols) if kept else np.empty((0, n_cols))
+    del cells[n_cols::n_cols + 1]
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
+    return values.reshape(len(lines), n_cols)
+
+
+def _parse_blocks(lines, schema: Schema):
+    """(features, labels) of a clean file's data lines, parsed a block at a
+    time into preallocated arrays; None if a line is not clean (a field
+    count, an unparsable cell, a label other than 0/1, a non-finite value)
+    or there is no data row."""
+    n_cols, label = schema.n_columns, schema.label_column
+    X = np.empty((len(lines), n_cols - 1))
+    y = np.empty(len(lines), dtype=np.int64)
+    n = 0
+    for a in range(0, len(lines), _BLOCK_LINES):
+        block = _parse_block(lines[a:a + _BLOCK_LINES], n_cols)
+        if block is None:
+            return None
+        labels, features = block[:, label], np.delete(block, label, axis=1)
+        if not (((labels == 0.0) | (labels == 1.0)).all() and np.isfinite(features).all()):
+            return None
+        X[n:n + len(block)], y[n:n + len(block)] = features, labels
+        n += len(block)
+    return (X[:n], y[:n]) if n else None
+
+
+def _parse_lines(path, lines, first: int, schema: Schema) -> tuple:
+    """(features, labels) of the data lines, line by line; the first bad
+    line raises its located DataError. `first` is the line number of
+    lines[0]."""
+    line_no = first - 1
     rows, labels = [], []
     n_cols = schema.n_columns
     for raw in lines:
@@ -208,10 +267,10 @@ def load_csv(path, schema: Schema, has_header: bool = False) -> Dataset:
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):
         row, fi = np.argwhere(~np.isfinite(X))[0]
         col = fi if fi < schema.label_column else fi + 1
-        line = [n for n, raw in enumerate(lines, start=2 if has_header else 1) if raw.strip()][row]
+        line = [n for n, raw in enumerate(lines, start=first) if raw.strip()][row]
         raise DataError(f"line {line}: column {col + 1} ({schema.column_names[col]}): "
                         f"non-finite value {float(X[row, fi])!r}")
-    return Dataset(X, np.array(labels, dtype=np.int64), schema)
+    return X, np.array(labels, dtype=np.int64)
 
 
 def _format_value(v: float) -> str:

@@ -55,6 +55,9 @@ class _KnnLearner(KNeighbors):
             raise ConfigError("knn supports only the minkowski (p=2) metric")
         if algorithm not in ("auto", "brute"):
             raise ConfigError(f"unknown knn algorithm {algorithm!r}")
+        if isinstance(n_neighbors, bool) or not isinstance(n_neighbors, int) or n_neighbors < 1:
+            raise ConfigError(f"knn n_neighbors must be an integer of at least 1, "
+                              f"got {n_neighbors!r}")
         super().__init__(n_neighbors=n_neighbors)
 
 

@@ -9,9 +9,15 @@ the training prior.
 
 import numpy as np
 
-from .tree import ClassificationTree, leaf_values, presort
+from .tree import ClassificationTree, apply_trees, node_values, presort
 
 _CLIP = 1e-12
+
+
+def _scores(value):
+    """Symmetric log-ratio score of each row of class probabilities (P(0), P(1))."""
+    return 0.5 * (np.log(np.clip(value[:, 1], _CLIP, None))
+                  - np.log(np.clip(value[:, 0], _CLIP, None)))
 
 
 class AdaBoost:
@@ -36,19 +42,16 @@ class AdaBoost:
             stump = ClassificationTree(self.criterion, max_depth=self.max_depth).fit(
                 X, y, sample_weight=w, rng=rng, order=order
             )
-            proba = stump.predict_proba(X)
-            hard = (proba[:, 1] > 0.5).astype(np.int64)
+            leaf = stump.apply(X)
+            hard = (stump.value[leaf, 1] > 0.5).astype(np.int64)
             err = float(w[hard != y].sum() / w.sum())
             if err >= 0.5:
                 break
             self.stumps_.append(stump)
             if err == 0.0:
                 break
-            logratio = 0.5 * (
-                np.log(np.clip(proba[:, 1], _CLIP, None))
-                - np.log(np.clip(proba[:, 0], _CLIP, None))
-            )
-            w = w * np.exp(-self.learning_rate * y_sign * logratio)
+            # scored once per node, then gathered at each row's leaf
+            w = w * np.exp(-self.learning_rate * y_sign * _scores(stump.value)[leaf])
             w /= w.sum()
         return self
 
@@ -56,9 +59,9 @@ class AdaBoost:
         """Per-round symmetric score s with class scores (-s, +s)."""
         if not self.stumps_:
             return np.empty((0, X.shape[0]))
+        # scored once per node, then gathered at each row's leaf, as
         # (rounds, rows) in C order: the sum over rounds adds them in round order
-        p0, p1 = np.ascontiguousarray(leaf_values(self.stumps_, X).transpose(2, 1, 0))
-        return 0.5 * (np.log(np.clip(p1, _CLIP, None)) - np.log(np.clip(p0, _CLIP, None)))
+        return _scores(node_values(self.stumps_)).take(apply_trees(self.stumps_, X).T)
 
     def staged_decision(self, X):
         """Cumulative aggregate score after each accepted round, shape (rounds, n)."""

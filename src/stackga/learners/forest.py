@@ -5,7 +5,7 @@ shares, so argmax of the probabilities IS the majority vote.
 
 import numpy as np
 
-from .tree import ClassificationTree, fit_trees, leaf_values
+from .tree import ClassificationTree, apply_trees, fit_trees, node_values
 
 _SEED_BOUND = 2**63
 
@@ -14,6 +14,11 @@ def _vote_proba(p1):
     """Vote shares from per-member P(class 1), shape (rows, members)."""
     votes1 = (p1 > 0.5).sum(axis=1) / p1.shape[1]
     return np.column_stack([1.0 - votes1, votes1])
+
+
+def _tree_vote_proba(trees, X):
+    """Vote shares of trees: each votes with its leaf's P(class 1)."""
+    return _vote_proba(node_values(trees)[:, 1][apply_trees(trees, X)])
 
 
 def _tree_rngs(rng, n):
@@ -43,7 +48,7 @@ class RandomForest:
         return self
 
     def predict_proba(self, X):
-        return _vote_proba(leaf_values(self.trees_, X)[:, :, 1])
+        return _tree_vote_proba(self.trees_, X)
 
 
 class ExtraTrees:
@@ -71,7 +76,7 @@ class ExtraTrees:
         return self
 
     def predict_proba(self, X):
-        return _vote_proba(leaf_values(self.trees_, X)[:, :, 1])
+        return _tree_vote_proba(self.trees_, X)
 
 
 class Bagging:

@@ -20,6 +20,25 @@ class KNeighbors:
             )
         return self
 
+    def _nearest(self, d2):
+        """Indices of each row's k nearest training points: the k smallest
+        distances, ties at the k-th resolved to the lower training index.
+
+        A linear-time partial selection (introselect) finds k smallest
+        distances. Its choice among points tied with the k-th is arbitrary,
+        so only the rows with more than k points at or below the k-th
+        distance are sorted stably, which keeps the lower index first.
+        """
+        k = self.n_neighbors
+        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, nearest[:, k - 1:], axis=1)
+        # exactly k points at or below the k-th distance: the set is unique
+        # (with a NaN k-th distance the count is 0, so the row is sorted)
+        tied = np.count_nonzero(d2 <= kth, axis=1) != k
+        if tied.any():
+            nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        return nearest
+
     def predict_proba(self, X):
         X = np.asarray(X, dtype=np.float64)
         d2 = (
@@ -27,7 +46,6 @@ class KNeighbors:
             + (self.X_**2).sum(axis=1)[None, :]
             - 2.0 * X @ self.X_.T
         )
-        # stable argsort on distance keeps the lower index first among ties
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.n_neighbors]
-        votes1 = self.y_[nearest].mean(axis=1)
+        # a sum of 0/1 labels: the neighbours' order does not change it
+        votes1 = self.y_[self._nearest(d2)].mean(axis=1)
         return np.column_stack([1.0 - votes1, votes1])

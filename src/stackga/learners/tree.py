@@ -399,11 +399,17 @@ def fit_trees(trees, X, y, sample_weight=None, samples=None, rngs=None, order=No
     return trees
 
 
-def apply_trees(trees, X):
-    """Leaf of every row in every tree, (rows, trees), as indices into the
-    trees' node arrays concatenated in order."""
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
+def _routing_table(trees):
+    """The trees' nodes as one routing table: (feature, threshold, kids,
+    roots, levels), node n of the table at `kids[2n]` and `kids[2n + 1]`.
+
+    `kids[2n + (x[feature[n]] <= threshold[n])]` is inner node n's child
+    (right, then left). A leaf is both its own children, so whatever its
+    comparison gives (its feature -1 reads another cell of X), a row that
+    reaches a leaf stays there. `levels` is the trees' greatest depth: after
+    that many steps every row is at its leaf. The table is built per call,
+    so a fitted tree keeps only its node arrays.
+    """
     if len(trees) == 1:
         feature, threshold, left, right = (trees[0].feature, trees[0].threshold,
                                            trees[0].left, trees[0].right)
@@ -416,28 +422,37 @@ def apply_trees(trees, X):
         threshold = np.concatenate([t.threshold for t in trees])
         left = np.concatenate([t.left for t in trees]) + shift
         right = np.concatenate([t.right for t in trees]) + shift
-    leaf = feature < 0
-    node = np.arange(len(feature))
-    left, right = np.where(leaf, node, left), np.where(leaf, node, right)  # leaves stay put
+    inner = feature >= 0
+    kids = np.where(inner, np.array((right, left)), np.arange(len(feature))).T
+    levels, level = 0, roots
+    while len(level := level[inner[level]]):
+        level = kids[level].ravel()
+        levels += 1
+    return feature, threshold, kids.ravel(), roots, levels
+
+
+def apply_trees(trees, X):
+    """Leaf of every row in every tree, (rows, trees), as indices into the
+    trees' node arrays concatenated in order."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    feature, threshold, kids, roots, levels = _routing_table(trees)
     out = np.empty((n, len(trees)), dtype=np.intp)
     chunk = max(1, _MAX_CELLS // len(trees))
     Xf = X.ravel()
     for a in range(0, n, chunk):
         rows = d * np.arange(a, min(n, a + chunk))[:, None]
-        at = np.empty((len(rows), len(trees)), dtype=np.intp)
-        at[:] = roots
-        while True:
-            f = feature[at]
-            if (f < 0).all():
-                break
-            at = np.where(Xf[rows + f] <= threshold[at], left[at], right[at])
+        at = np.broadcast_to(roots, (len(rows), len(trees)))
+        for _ in range(levels):
+            at = kids[2 * at + (Xf[rows + feature[at]] <= threshold[at])]
         out[a:a + chunk] = at
     return out
 
 
-def leaf_values(trees, X):
-    """`value` of the leaf each row reaches in each tree: (rows, trees, ...)."""
-    return np.concatenate([t.value for t in trees])[apply_trees(trees, X)]
+def node_values(trees):
+    """The trees' `value` arrays concatenated in order, indexed like
+    `apply_trees`' leaves."""
+    return np.concatenate([t.value for t in trees])
 
 
 class _Tree:

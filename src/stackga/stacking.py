@@ -72,14 +72,21 @@ def _base_outputs(model: TrainedModel, X: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _trained_outputs(base: LearnerSpec, fit_ds: Dataset, X: np.ndarray, kind: str,
-                     fold: int = None) -> np.ndarray:
-    """`base` trained on `fit_ds`, its outputs on `X`; one level-1 task."""
-    if fold is not None and len(np.unique(fit_ds.labels)) < 2:
+                     fold: int) -> np.ndarray:
+    """`base` trained on `fit_ds`, its outputs on `X`; one out-of-fold level-1 task."""
+    if len(np.unique(fit_ds.labels)) < 2:
         raise ConfigError(f"level-1 fold {fold}: training part has a single class")
     return _base_outputs(train(base, fit_ds), X, kind)
 
 
-def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False):
+def _trained_model_and_outputs(base: LearnerSpec, ds: Dataset, kind: str) -> tuple:
+    """`base` trained on `ds` and its outputs on `ds`; one naive level-1 task."""
+    model = train(base, ds)
+    return model, _base_outputs(model, ds.features, kind)
+
+
+def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False,
+                         keep_fits: bool = False):
     """Derived dataset: one row per training sample, one column per base learner.
 
     The (fold x base) fits are independent tasks, shared by the usable CPUs
@@ -88,15 +95,18 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False)
     With `instrument=True` also returns (fold assignments, per-fold training
     row ids) so callers can verify that no contributing model saw the row it
     predicted. In naive mode the assignments are -1 and every model saw all
-    rows.
+    rows. With `keep_fits=True` the last value returned is the naive mode's
+    base models, each fitted on all of `ds` (None out of fold).
     """
     if len(np.unique(ds.labels)) < 2:
         raise ConfigError("stacking requires both classes in the training data")
     kind = spec.level1_feature_kind
     Z = np.empty((ds.n_samples, len(spec.base_specs)))
+    models = None
     if spec.level1_mode == "naive":
-        tasks = [(base, ds, ds.features, kind) for base in spec.base_specs]
-        for t, column in enumerate(run_tasks(_trained_outputs, tasks)):
+        tasks = [(base, ds, kind) for base in spec.base_specs]
+        models, columns = zip(*run_tasks(_trained_model_and_outputs, tasks))
+        for t, column in enumerate(columns):
             Z[:, t] = column
         assignments = np.full(ds.n_samples, -1)
         trained_on = {-1: ds.row_ids.copy()}
@@ -118,22 +128,25 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False)
             Z[held_idx, t] = column
         assignments = plan.assignments
     d_prime = Dataset(Z, ds.labels, _level1_schema(spec, ds), ds.row_ids)
-    if instrument:
-        return d_prime, assignments, trained_on
-    return d_prime
+    extra = ((assignments, trained_on) if instrument else ()) + ((models,) if keep_fits else ())
+    return (d_prime, *extra) if extra else d_prime
 
 
 def train_stack(spec: StackSpec, ds: Dataset) -> StackModel:
     """Fit the meta-learner on the derived dataset, then refit every base
-    learner on the full training set for prediction time.
+    learner on the full training set for prediction time. In naive mode the
+    level-1 fits are those refits (same spec, seed and rows), so they are
+    kept instead of fitted again.
 
     Level 1, and then the meta fit with the refits, run as independent tasks
     on the usable CPUs; the model does not depend on their number.
     """
-    d_prime = build_level1_dataset(spec, ds)
-    fits = [(spec.meta_spec, d_prime)] + [(b, ds) for b in spec.base_specs]
-    meta, *bases = run_tasks(train, fits)
-    return StackModel(base_models=tuple(bases), meta_model=meta, spec=spec)
+    d_prime, bases = build_level1_dataset(spec, ds, keep_fits=True)
+    fits = [(spec.meta_spec, d_prime)]
+    if bases is None:
+        fits += [(b, ds) for b in spec.base_specs]
+    meta, *refits = run_tasks(train, fits)
+    return StackModel(base_models=tuple(bases or refits), meta_model=meta, spec=spec)
 
 
 def _meta_features(model: StackModel, X: np.ndarray) -> np.ndarray:

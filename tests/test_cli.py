@@ -223,6 +223,17 @@ BAD_VALUES = [
 ]
 
 
+@pytest.mark.parametrize("k", [0, -2, 2.5, True])
+def test_bad_knn_n_neighbors_exits_2_naming_it(pima_csv, tmp_path, capsys, k):
+    d = light_config_dict(pima_csv)
+    d["learners"] = [{"algorithm": "knn", "hyperparameters": {"n_neighbors": k}}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "out", "-q") == 2
+    assert "n_neighbors" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.pkl").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "xval"])
 @pytest.mark.parametrize("override,key", BAD_VALUES)
 def test_bad_value_exits_2_naming_it_before_any_output(pima_csv, tmp_path, capsys,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stackga import dataset as dataset_module
 from stackga.dataset import (
     Dataset,
     PIMA_SCHEMA,
@@ -109,6 +110,102 @@ class TestLoadCsv:
         p.write_text("3,1\n1,0\n2,1\n")
         ds = load_csv(p, TWO_COL)
         np.testing.assert_array_equal(ds.features[:, 0], [3, 1, 2])
+
+
+THREE_COL = Schema(("a", "b", "label"), 2)
+
+
+def _load_line_by_line(path, schema, has_header=False):
+    """`load_csv` with the block parse turned off: every line through the
+    line-by-line parser."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "_parse_blocks", lambda lines, schema: None)
+        return load_csv(path, schema, has_header)
+
+
+def _assert_same_dataset(a, b):
+    for name in ("features", "labels", "row_ids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name
+    assert a.schema == b.schema
+
+
+class TestCsvBlockParse:
+    """The block parser reads clean files exactly as the line-by-line parser
+    does, and leaves every located error to it."""
+
+    CLEAN = {
+        "plain": "1,2,0\n3.5,-4e-3,1\n0,0,0\n",
+        "blank_lines": "\n1,2,0\n\n3,4,1\n\n\n5,6,0\n\n",
+        "whitespace_lines": "1,2,0\n   \n3,4,1\n\t\n5,6,1\n",
+        "padded_cells": " 1 ,\t2, 0\n3,  4.25  ,1 \n",
+        "negative_zero_label": "1,2,-0\n3,4,1.0\n",
+        "no_trailing_newline": "1,2,0\n3,4,1",
+        "crlf": "1,2,0\r\n3,4,1\r\n",
+    }
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3, 4096])
+    @pytest.mark.parametrize("case", sorted(CLEAN))
+    def test_clean_files_match_the_line_parser(self, tmp_path, monkeypatch, case, block_lines):
+        p = tmp_path / "clean.csv"
+        p.write_text("a,b,label\n" + self.CLEAN[case], newline="")
+        monkeypatch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
+        lines = p.read_text().splitlines()[1:]
+        assert dataset_module._parse_blocks(lines, THREE_COL) is not None  # no fallback
+        _assert_same_dataset(load_csv(p, THREE_COL, has_header=True),
+                             _load_line_by_line(p, THREE_COL, has_header=True))
+
+    def test_a_large_file_across_block_boundaries(self, tmp_path, monkeypatch, pima_like):
+        p = tmp_path / "pima.csv"
+        write_csv(pima_like, p)
+        text = p.read_text().splitlines()
+        text[10:10] = ["", "  "]  # blank lines inside the first block
+        p.write_text("\n".join(text) + "\n")
+        monkeypatch.setattr(dataset_module, "_BLOCK_LINES", 100)
+        _assert_same_dataset(load_csv(p, PIMA_SCHEMA, has_header=True),
+                             _load_line_by_line(p, PIMA_SCHEMA, has_header=True))
+
+    # each message as the line-by-line parser words it, line and column included
+    MALFORMED = [
+        ("1,2,0\n3,4\n", False, "line 2: expected 3 fields, found 2"),
+        ("1,2,0\n3,4,1,5\n", False, "line 2: expected 3 fields, found 4"),
+        # the field counts add up to two rows, but no line holds one
+        ("1,2,0,5\n3,4\n", False, "line 1: expected 3 fields, found 4"),
+        ("1,2,0\n3,4,1\n5,x,1\n", False,
+         "line 3: column 2 (b): cannot parse 'x' as a number"),
+        ("1,,0\n", False, "line 1: column 2 (b): cannot parse '' as a number"),
+        ("1,2,0\n3,4,2\n", False, "line 2: label must be 0 or 1, found 2.0"),
+        ("1,2,nan\n", False, "line 1: label must be 0 or 1, found nan"),
+        ("1,2,0\n3,nan,1\n", False, "line 2: column 2 (b): non-finite value nan"),
+        ("1,2,0\n-inf,4,1\n", False, "line 2: column 1 (a): non-finite value -inf"),
+        ("1,2,0\n\n\n3,Infinity,1\n", True,
+         "line 5: column 2 (b): non-finite value inf"),
+        ("\n  \n1,2,0\n\n3,4\n", False, "line 5: expected 3 fields, found 2"),
+        ("1,2,0\n\n3,oops,1\n", True, "line 4: column 2 (b): cannot parse 'oops' as a number"),
+        # a parse error anywhere comes before a non-finite cell earlier in the file
+        ("1,inf,0\n3,4,1\n5,6,7\n", False, "line 3: label must be 0 or 1, found 7.0"),
+        ("\n \n", False, "{path}: no data rows"),
+    ]
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 4096])
+    @pytest.mark.parametrize("text,header,message", MALFORMED)
+    def test_malformed_files_raise_the_located_error(self, tmp_path, monkeypatch, block_lines,
+                                                     text, header, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(("a,b,label\n" if header else "") + text)
+        monkeypatch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
+        with pytest.raises(DataError) as err:
+            load_csv(p, THREE_COL, has_header=header)
+        assert str(err.value) == message.format(path=p)
+
+    def test_header_mismatch_message(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("a, c ,label\n1,2,0\n")
+        with pytest.raises(DataError) as err:
+            load_csv(p, THREE_COL, has_header=True)
+        assert str(err.value) == (f"{p}: header ('a', 'c', 'label') does not match "
+                                  f"schema columns ('a', 'b', 'label')")
 
 
 class TestWriteCsv:

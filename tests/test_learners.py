@@ -44,6 +44,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="unknown hyperparameters"):
             LearnerSpec("knn", {"n_neighbours": 3})
 
+    @pytest.mark.parametrize("k", [0, -2, 2.5, True, "5", None])
+    def test_knn_n_neighbors_must_be_a_positive_int(self, k):
+        with pytest.raises(ConfigError, match="n_neighbors"):
+            LearnerSpec("knn", {"n_neighbors": k})
+
     def test_fixed_value_knobs(self):
         with pytest.raises(ConfigError):
             LearnerSpec("mlp", {"solver": "sgd"})

@@ -1,9 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from stackga import learners, parallel, stacking
+from stackga.config import stack_spec_from_config
 from stackga.dataset import Dataset, Schema
 from stackga.errors import ConfigError
 from stackga.learners import LearnerSpec, predict, train
+from stackga.pipeline import holdout_partitions
 from stackga.stacking import (
     StackSpec,
     build_level1_dataset,
@@ -13,6 +18,8 @@ from stackga.stacking import (
 )
 from stackga.rng import child_rng
 from stackga.synth import make_separable_clouds
+
+from test_acceptance import shipped_config
 
 KNN1 = LearnerSpec("knn", {"n_neighbors": 1}, 0)
 TREE = LearnerSpec("decision_tree", {}, 1)
@@ -96,6 +103,38 @@ class TestBuildLevel1:
         write_csv(d1, path, header=True)
         again = load_csv(path, d1.schema, has_header=True)
         np.testing.assert_allclose(again.features, d1.features)
+
+
+class TestNaiveRefits:
+    """Naive level 1 fits every base on the full training set, which is the
+    prediction-time refit; the stack keeps those fits."""
+
+    def test_naive_base_models_are_the_refits(self):
+        ds = random_ds(80, seed=12)
+        bases = (TREE, KNN1, LearnerSpec("random_forest", {"n_estimators": 5}, 4))
+        model = train_stack(StackSpec(bases, LOGIT, "naive"), ds)
+        for base, fitted in zip(bases, model.base_models):
+            # a fit arrives from `run_tasks` through one pickle round trip
+            fresh = pickle.loads(pickle.dumps(train(base, ds)))
+            assert pickle.dumps(fitted) == pickle.dumps(fresh)
+
+    def test_paper_faithful_fit_trains_each_model_once(self, pima_csv, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # count in this process
+        calls = []
+
+        def counting_train(spec, ds):
+            calls.append(spec.algorithm)
+            return learners.train(spec, ds)
+
+        monkeypatch.setattr(stacking, "train", counting_train)
+        config = shipped_config("pima_paper_faithful", pima_csv)
+        fit_ds, _ = holdout_partitions(config)
+        spec = stack_spec_from_config(config)
+        assert spec.level1_mode == "naive"
+        model = train_stack(spec, fit_ds)
+        assert sorted(calls) == sorted([b.algorithm for b in spec.base_specs]
+                                       + [spec.meta_spec.algorithm])
+        assert len(calls) == 10 and len(model.base_models) == 9
 
 
 class TestTrainPredict:
