@@ -60,8 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override a config key (repeatable)")
     common.add_argument("--out", default="out", help="output directory (default: out)")
     common.add_argument("-v", "--verbose", action="store_true",
-                        help="print the time of each training step (train) "
-                             "or report row (eval, xval)")
+                        help="print the GA's search statistics (select, train) and "
+                             "the time of each training step (train) or report row "
+                             "(eval, xval)")
     common.add_argument("-q", "--quiet", action="store_true", help="errors only")
 
     parser = argparse.ArgumentParser(
@@ -118,6 +119,18 @@ def _say_timings(args, timings: dict) -> None:
             _say(args, f"{key}: {seconds:.3f}s")
 
 
+def _say_ga_search(args, cfg: ExperimentConfig, run) -> None:
+    """With -v, one line of the GA's search statistics: every fitness request
+    that was not an evaluation was a memo-cache hit, and a run that ended
+    before `maxgen` was stopped by the stall rule."""
+    if args.verbose:
+        generations = len(run.history)
+        requests = cfg.ga.nind * cfg.ga.subpop * (1 + generations)
+        _say(args, f"ga search: generations={generations} evaluations={run.evaluations} "
+                   f"requests={requests} cache_hits={requests - run.evaluations} "
+                   f"stall_stop={'yes' if generations < cfg.ga.maxgen else 'no'}")
+
+
 def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
@@ -158,6 +171,7 @@ def cmd_select(args) -> int:
     ds = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header)
     cleaned, _, _ = preprocess_pair(ds, ds, cfg.preprocessing)
     run = ga_mask(cfg, cleaned, ("select",))
+    _say_ga_search(args, cfg, run)
     out = Path(args.out)
     mask = {
         "selected": mask_to_names(run.best_chromosome, cleaned),
@@ -201,6 +215,7 @@ def cmd_train(args) -> int:
         mask_indices = np.flatnonzero(ga_run.best_chromosome)
         _say(args, f"GA selected {len(mask_indices)} features: "
                    f"{', '.join(mask_to_names(ga_run.best_chromosome, fit_ds))}")
+        _say_ga_search(args, cfg, ga_run)
     t0 = time.perf_counter()
     stack = train_masked_stack(stack_spec_from_config(cfg), fit_ds, mask_indices)
     timings["stack"] = time.perf_counter() - t0

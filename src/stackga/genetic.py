@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, FoldPlan, make_folds, select_features
+from .dataset import Dataset, FoldPlan, make_folds, select_schema
 from .errors import ConfigError
 from .learners import LearnerSpec, predict, train
 from .rng import child_rng, derive_seed
@@ -324,20 +324,37 @@ def evolve(config: GaConfig, fitness_fn, memoize: bool = True) -> GaRun:
     )
 
 
+def _wrapper_folds(ds: Dataset, plan: FoldPlan) -> list:
+    """(fit part, held part) of every fold of `plan`, each taken once."""
+    return [(ds.take(plan.train_indices(fold)), ds.take(plan.test_indices(fold)))
+            for fold in range(plan.k)]
+
+
+def _folds_accuracy(folds, wrapper: LearnerSpec, columns) -> float:
+    """Mean held-fold accuracy of `wrapper` on the given ascending predictor
+    columns (None: all of them) over folds from `_wrapper_folds`.
+
+    `take` copies the columns in C order, the layout of rows taken from a
+    masked table, so every fit and prediction sees the same bits as one
+    that masks the table first and then takes each fold's rows.
+    """
+    schema = None if columns is None else select_schema(folds[0][0].schema, columns)
+    correct = total = 0
+    for fit_part, held in folds:
+        X = held.features
+        if columns is not None:
+            fit_part = Dataset(fit_part.features.take(columns, axis=1), fit_part.labels,
+                               schema, fit_part.row_ids)
+            X = X.take(columns, axis=1)
+        model = train(wrapper, fit_part)
+        correct += int((predict(model, X) == held.labels).sum())
+        total += held.n_samples
+    return correct / total
+
+
 def wrapper_cv_accuracy(ds: Dataset, wrapper: LearnerSpec, plan: FoldPlan) -> float:
     """Mean held-fold accuracy of `wrapper` over a fixed fold plan."""
-    correct = 0
-    for fold in range(plan.k):
-        fit_part = ds.take(plan.train_indices(fold))
-        held = ds.take(plan.test_indices(fold))
-        model = train(wrapper, fit_part)
-        correct += int((predict(model, held.features) == held.labels).sum())
-    return correct / ds.n_samples
-
-
-def _mask_fitness(bits: Chromosome, ds: Dataset, wrapper: LearnerSpec,
-                  plan: FoldPlan) -> float:
-    return wrapper_cv_accuracy(select_features(ds, np.flatnonzero(bits)), wrapper, plan)
+    return _folds_accuracy(_wrapper_folds(ds, plan), wrapper, None)
 
 
 def wrapper_plan(ds: Dataset, cv_k: int, seed: int) -> FoldPlan:
@@ -353,7 +370,8 @@ def fitness(ch: Chromosome, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5,
         raise ValueError("fitness needs at least one selected feature")
     if bits.size != ds.n_features:
         raise ValueError(f"mask length {bits.size} != {ds.n_features} features")
-    return _mask_fitness(bits, ds, wrapper, wrapper_plan(ds, cv_k, seed))
+    folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, seed))
+    return _folds_accuracy(folds, wrapper, np.flatnonzero(bits))
 
 
 def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec,
@@ -364,8 +382,9 @@ def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec,
         raise ConfigError(
             f"GA n_bits={config.n_bits} but the dataset has {ds.n_features} features"
         )
-    plan = wrapper_plan(ds, cv_k, config.seed)
-    return evolve(config, lambda bits: _mask_fitness(bits, ds, wrapper, plan), memoize=memoize)
+    folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, config.seed))
+    return evolve(config, lambda bits: _folds_accuracy(folds, wrapper, np.flatnonzero(bits)),
+                  memoize=memoize)
 
 
 def mask_to_names(bits: Chromosome, ds_or_names) -> list:

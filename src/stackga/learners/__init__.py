@@ -7,6 +7,7 @@ are rejected outright. Labels are argmax of the probability output with
 exact 0.5 ties resolving to class 0, uniformly across algorithms.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,22 @@ __all__ = [
 ]
 
 
+def _check_count(algorithm, key, value):
+    """`value` must be an int of at least 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{algorithm} {key} must be an integer of at least 1, "
+                          f"got {value!r}")
+
+
+def _check_number(algorithm, key, value, positive):
+    """`value` must be a finite number, > 0 if `positive` else >= 0."""
+    ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+          and math.isfinite(value) and (value > 0 if positive else value >= 0))
+    if not ok:
+        rule = "greater than 0" if positive else "of at least 0"
+        raise ConfigError(f"{algorithm} {key} must be a finite number {rule}, got {value!r}")
+
+
 class _DecisionTreeLearner(ClassificationTree):
     """Single CART tree with the library-shorthand `splitter` knob accepted."""
 
@@ -55,9 +72,7 @@ class _KnnLearner(KNeighbors):
             raise ConfigError("knn supports only the minkowski (p=2) metric")
         if algorithm not in ("auto", "brute"):
             raise ConfigError(f"unknown knn algorithm {algorithm!r}")
-        if isinstance(n_neighbors, bool) or not isinstance(n_neighbors, int) or n_neighbors < 1:
-            raise ConfigError(f"knn n_neighbors must be an integer of at least 1, "
-                              f"got {n_neighbors!r}")
+        _check_count("knn", "n_neighbors", n_neighbors)
         super().__init__(n_neighbors=n_neighbors)
 
 
@@ -71,6 +86,10 @@ class _MlpLearner(MlpClassifier):
             raise ConfigError("mlp supports only the adam solver")
         if learning_rate not in ("adaptive", "constant"):
             raise ConfigError(f"unknown mlp learning_rate mode {learning_rate!r}")
+        for key, value in (("hidden_units", hidden_units), ("batch_size", batch_size),
+                           ("max_iter", max_iter)):
+            _check_count("mlp", key, value)
+        _check_number("mlp", "learning_rate_init", learning_rate_init, positive=True)
         super().__init__(
             hidden_units=hidden_units,
             batch_size=batch_size,
@@ -134,7 +153,13 @@ def make_impl(algorithm: str, hyperparameters: dict):
         raise ConfigError(
             f"{algorithm}: unknown hyperparameters {unknown}; known: {sorted(known)}"
         )
-    return cls(**hyperparameters)
+    impl = cls(**hyperparameters)
+    if algorithm == "logistic_regression":
+        # no wrapper class here: one would change the class pickled in model.pkl
+        _check_count(algorithm, "max_iter", impl.max_iter)
+        _check_number(algorithm, "reg_strength", impl.reg_strength, positive=False)
+        _check_number(algorithm, "tol", impl.tol, positive=True)
+    return impl
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ import numpy as np
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) elsewhere, both from
+    e = exp(-|z|), which never overflows. `minimum(z, -z)` is -|z| that
+    keeps a NaN's sign bit, so NaN in gives the same NaN out."""
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 class LogisticRegression:
@@ -33,25 +33,29 @@ class LogisticRegression:
         w = np.zeros(d)
         b = 0.0
         lam = self.reg_strength
+        # the full (d+1) Newton system, the intercept last, and its ridge
+        A = np.empty((d + 1, d + 1))
+        g = np.empty(d + 1)
+        ridge = 1e-10 * np.eye(d + 1)
         for _ in range(self.max_iter):
             p = _sigmoid(Z @ w + b)
-            grad_w = Z.T @ (p - y) + lam * w
-            grad_b = np.sum(p - y)
+            resid = p - y
+            grad_w = Z.T @ resid + lam * w
+            grad_b = np.sum(resid)
             if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < self.tol * n:
                 break
             r = np.maximum(p * (1.0 - p), 1e-10)
             H = (Z * r[:, None]).T @ Z
             H[np.diag_indices(d)] += lam
-            hb = float(r.sum())
             hwb = Z.T @ r
-            # full (d+1) Newton system including the intercept row
-            A = np.empty((d + 1, d + 1))
             A[:d, :d] = H
             A[:d, d] = hwb
             A[d, :d] = hwb
-            A[d, d] = hb
-            g = np.append(grad_w, grad_b)
-            step = np.linalg.solve(A + 1e-10 * np.eye(d + 1), g)
+            A[d, d] = float(r.sum())
+            A += ridge
+            g[:d] = grad_w
+            g[d] = grad_b
+            step = np.linalg.solve(A, g)
             w -= step[:d]
             b -= step[d]
         self.coef_ = w

@@ -4,15 +4,67 @@ The step size adapts by halving whenever two consecutive epochs fail to
 reduce the full-set training loss. `loss_and_grads` is the exact analytic
 gradient used by the optimizer, kept as a standalone method so it can be
 checked against finite differences.
+
+`fit` keeps W1, b1, W2 and b2 as views into one flat parameter vector and
+writes each batch's gradients into views of one flat gradient vector, so
+each Adam operation is one in-place call over every parameter. The
+operations and their order are those of a per-parameter Adam step, so the
+fitted weights are the same bits.
 """
 
 import numpy as np
+
+_NAMES = ("W1", "b1", "W2", "b2")
 
 
 def _softmax(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _views(flat, shapes):
+    """Consecutive views of `flat` with the given shapes."""
+    views, at = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+def _grads_into(params, X, y, rows, grads):
+    """`loss_and_grads`' gradients for one batch, written into `grads`.
+
+    `params` and `grads` are (W1, b1, W2, b2); `rows` is `arange(len(X))`.
+    The loss itself is not computed.
+    """
+    W1, b1, W2, b2 = params
+    gW1, gb1, gW2, gb2 = grads
+    a = X @ W1
+    a += b1
+    h = np.maximum(a, 0.0)
+    dlogits = h @ W2
+    dlogits += b2
+    dlogits -= dlogits.max(axis=1, keepdims=True)  # softmax, in place
+    np.exp(dlogits, out=dlogits)
+    dlogits /= dlogits.sum(axis=1, keepdims=True)
+    dlogits[rows, y] -= 1.0
+    dlogits /= X.shape[0]
+    np.matmul(h.T, dlogits, out=gW2)
+    dlogits.sum(axis=0, out=gb2)
+    dh = dlogits @ W2.T
+    dh[a <= 0] = 0.0
+    np.matmul(X.T, dh, out=gW1)
+    dh.sum(axis=0, out=gb1)
+
+
+def _loss(params, X, y, rows):
+    """`loss_and_grads`' loss alone: a forward pass, no gradients."""
+    W1, b1, W2, b2 = params
+    h = np.maximum(X @ W1 + b1, 0.0)
+    probs = _softmax(h @ W2 + b2)
+    return -np.mean(np.log(probs[rows, y] + 1e-12))
 
 
 class MlpClassifier:
@@ -66,29 +118,44 @@ class MlpClassifier:
         self.scale_ = np.maximum(X.std(axis=0), 1e-12)
         Z = (X - self.mean_) / self.scale_
         n = Z.shape[0]
-        self.params_ = self._init_params(Z.shape[1], rng)
-        m = {k: np.zeros_like(v) for k, v in self.params_.items()}
-        v = {k: np.zeros_like(v) for k, v in self.params_.items()}
+        init = self._init_params(Z.shape[1], rng)
+        shapes = [init[k].shape for k in _NAMES]
+        theta = np.concatenate([init[k].ravel() for k in _NAMES])
+        grad = np.empty_like(theta)
+        params, grads = _views(theta, shapes), _views(grad, shapes)
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        mhat, denom = np.empty_like(theta), np.empty_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         lr = self.learning_rate
         step = 0
         prev_loss = np.inf
         bad_epochs = 0
         batch = min(self.batch_size, n)
+        rows = np.arange(n)
         for _ in range(self.max_epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
-                _, grads = self.loss_and_grads(self.params_, Z[idx], y[idx])
+                _grads_into(params, Z[idx], y[idx], rows[:len(idx)], grads)
                 step += 1
-                for k in self.params_:
-                    m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
-                    v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
-                    mhat = m[k] / (1 - beta1**step)
-                    vhat = v[k] / (1 - beta2**step)
-                    self.params_[k] -= lr * mhat / (np.sqrt(vhat) + eps)
-            epoch_loss, _ = self.loss_and_grads(self.params_, Z, y)
+                # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g**2
+                np.multiply(m, beta1, out=m)
+                np.multiply(grad, 1 - beta1, out=mhat)
+                m += mhat
+                np.multiply(v, beta2, out=v)
+                np.square(grad, out=denom)
+                denom *= 1 - beta2
+                v += denom
+                # theta -= lr*mhat / (sqrt(vhat)+eps)
+                np.divide(m, 1 - beta1**step, out=mhat)
+                np.divide(v, 1 - beta2**step, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += eps
+                mhat *= lr
+                mhat /= denom
+                theta -= mhat
             if self.adaptive:
+                epoch_loss = _loss(params, Z, y, rows)
                 if epoch_loss >= prev_loss:
                     bad_epochs += 1
                     if bad_epochs >= 2:
@@ -96,7 +163,8 @@ class MlpClassifier:
                         bad_epochs = 0
                 else:
                     bad_epochs = 0
-            prev_loss = epoch_loss
+                prev_loss = epoch_loss
+        self.params_ = {k: p.copy() for k, p in zip(_NAMES, params)}
         return self
 
     def predict_proba(self, X):

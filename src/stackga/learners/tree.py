@@ -40,20 +40,37 @@ _INF = np.inf
 _MAX_CELLS = 1 << 16
 
 
+def _share(w1, w):
+    """w1/w elementwise, 0 where w is not positive."""
+    return np.divide(w1, w, out=np.zeros(np.shape(w)), where=w > 0)
+
+
+def _xlog2x(p):
+    """p * log2(p) elementwise where p > 0, and p * 0 (a signed zero) elsewhere."""
+    out = np.zeros(p.shape)
+    np.log2(p, out=out, where=p > 0)
+    out *= p
+    return out
+
+
 def _entropy_sum(w1, w):
-    """w * H(w1/w) elementwise, with 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(w > 0, w1 / np.where(w > 0, w, 1.0), 0.0)
-        q = 1.0 - p
-        plog = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        qlog = np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
-    return -w * (plog + qlog)
+    """w * H(w1/w) elementwise, with 0 log 0 = 0.
+
+    Wherever p = w1/w is finite (in a split 0 <= w1 <= w) these are the
+    bits of the masked form `where(p > 0, p * log2(p), 0) + where(q > 0,
+    q * log2(q), 0)` with q = 1 - p: a term is -0 only where its share is
+    negative or -0, and then the other share exceeds 1 or is 1, so the other
+    term is nonzero or +0 and the sum is unchanged.
+    """
+    p = _share(w1, w)
+    h = _xlog2x(p)
+    h += _xlog2x(1.0 - p)
+    return np.multiply(np.negative(w), h, out=h)
 
 
 def _gini_sum(w1, w):
     """w * gini(w1/w) elementwise; binary gini is 2p(1-p)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(w > 0, w1 / np.where(w > 0, w, 1.0), 0.0)
+    p = _share(w1, w)
     return w * 2.0 * p * (1.0 - p)
 
 

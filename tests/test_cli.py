@@ -92,6 +92,50 @@ class TestSelect:
                 "in_best_mask"} <= set(table[0])
 
 
+def _ga_search_line(text):
+    lines = [ln for ln in text.splitlines() if ln.startswith("ga search:")]
+    assert len(lines) <= 1
+    return dict(kv.split("=") for kv in lines[0].split(": ", 1)[1].split()) if lines else None
+
+
+class TestGaSearchStatistics:
+    def test_select_verbose_prints_the_search_statistics(self, cfg_path, tmp_path, capsys):
+        quiet, loud = tmp_path / "q", tmp_path / "v"
+        assert run_cli("select", "--config", cfg_path, "--out", quiet) == 0
+        assert _ga_search_line(capsys.readouterr().out) is None
+        assert run_cli("select", "--config", cfg_path, "--out", loud, "-v") == 0
+        stats = _ga_search_line(capsys.readouterr().out)
+        ga = json.loads(cfg_path.read_text())["ga"]
+        mask = json.loads((loud / "mask.json").read_text())
+        generations = int(stats["generations"])
+        requests = ga["nind"] * ga["subpop"] * (1 + generations)
+        assert generations == mask["generations"]
+        assert int(stats["evaluations"]) == mask["evaluations"]
+        assert int(stats["requests"]) == requests
+        assert int(stats["cache_hits"]) == requests - mask["evaluations"]
+        assert stats["stall_stop"] == ("yes" if generations < ga["maxgen"] else "no")
+        for name in ("mask.json", "ga_history.csv", "feature_table.json"):
+            assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+
+    @pytest.mark.parametrize("maxgen,stopped", [(1, "no"), (200, "yes")])
+    def test_stall_stop_is_read_from_the_generation_count(self, cfg_path, tmp_path, capsys,
+                                                         maxgen, stopped):
+        assert run_cli("select", "--config", cfg_path, "--out", tmp_path, "-v",
+                       "--set", f"ga.maxgen={maxgen}", "--set", "ga.stall_generations=2") == 0
+        stats = _ga_search_line(capsys.readouterr().out)
+        assert stats["stall_stop"] == stopped
+        assert (int(stats["generations"]) == 1) == (maxgen == 1)
+
+    def test_train_verbose_prints_the_search_statistics(self, cfg_path, tmp_path, capsys):
+        assert run_cli("train", "--config", cfg_path, "--out", tmp_path / "a") == 0
+        assert _ga_search_line(capsys.readouterr().out) is None
+        assert run_cli("train", "--config", cfg_path, "--out", tmp_path / "b", "-v") == 0
+        stats = _ga_search_line(capsys.readouterr().out)
+        assert int(stats["requests"]) - int(stats["evaluations"]) == int(stats["cache_hits"])
+        assert (tmp_path / "a" / "model.pkl").read_bytes() == \
+            (tmp_path / "b" / "model.pkl").read_bytes()
+
+
 class TestTrainEval:
     def test_train_then_eval(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -231,6 +275,26 @@ def test_bad_knn_n_neighbors_exits_2_naming_it(pima_csv, tmp_path, capsys, k):
     cfg.write_text(json.dumps(d))
     assert run_cli("train", "--config", cfg, "--out", tmp_path / "out", "-q") == 2
     assert "n_neighbors" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.pkl").exists()
+
+
+@pytest.mark.parametrize("learner,key,value", [
+    ("mlp", "batch_size", 0),
+    ("mlp", "hidden_units", 0),
+    ("mlp", "max_iter", -1),
+    ("mlp", "learning_rate_init", 0),
+    ("logistic_regression", "max_iter", 0),
+    ("logistic_regression", "reg_strength", -1),
+    ("logistic_regression", "tol", 0),
+])
+def test_bad_learner_value_exits_2_naming_it(pima_csv, tmp_path, capsys, learner, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(light_config_dict(pima_csv)))
+    entry = json.dumps([{"algorithm": learner, "hyperparameters": {key: value}}])
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "out", "-q",
+                   "--set", f"learners={entry}", "--set", "ga.enabled=false") == 2
+    err = capsys.readouterr().err
+    assert key in err and learner in err
     assert not (tmp_path / "out" / "model.pkl").exists()
 
 

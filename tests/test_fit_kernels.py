@@ -1,0 +1,353 @@
+"""The fit kernels against the code they replaced, bit for bit.
+
+The references below are that code: the MLP's per-parameter Adam loop over
+`loss_and_grads`, the split criteria's nested `np.where` masks, the
+two-branch sigmoid and the logistic regression's Newton loop as it was
+written, and the GA wrapper fitness that re-takes every fold from the masked
+table for each mask. Hypothesis properties compare them with the fast
+kernels on small inputs.
+"""
+
+import pickle
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from stackga import genetic
+from stackga.dataset import Dataset, Schema, select_features
+from stackga.genetic import GaConfig, evolve, run_ga, wrapper_cv_accuracy, wrapper_plan
+from stackga.learners import LearnerSpec, predict, train
+from stackga.learners import linear, mlp
+from stackga.learners import tree as tree_module
+from stackga.learners.linear import LogisticRegression
+from stackga.learners.mlp import MlpClassifier
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- reference kernels --------------------------------------------------------
+
+def mlp_fit_reference(clf, X, y, rng):
+    """`MlpClassifier.fit` with Adam run per parameter over `loss_and_grads`
+    and the full-set loss taken from a full forward and backward pass."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    mean = X.mean(axis=0)
+    scale = np.maximum(X.std(axis=0), 1e-12)
+    Z = (X - mean) / scale
+    n = Z.shape[0]
+    params = clf._init_params(Z.shape[1], rng)
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(v) for k, v in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = clf.learning_rate
+    step = 0
+    prev_loss = np.inf
+    bad_epochs = 0
+    batch = min(clf.batch_size, n)
+    for _ in range(clf.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            _, grads = MlpClassifier.loss_and_grads(params, Z[idx], y[idx])
+            step += 1
+            for k in params:
+                m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
+                v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
+                mhat = m[k] / (1 - beta1**step)
+                vhat = v[k] / (1 - beta2**step)
+                params[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+        epoch_loss, _ = MlpClassifier.loss_and_grads(params, Z, y)
+        if clf.adaptive:
+            if epoch_loss >= prev_loss:
+                bad_epochs += 1
+                if bad_epochs >= 2:
+                    lr *= 0.5
+                    bad_epochs = 0
+            else:
+                bad_epochs = 0
+        prev_loss = epoch_loss
+    return params
+
+
+def entropy_sum_reference(w1, w):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(w > 0, w1 / np.where(w > 0, w, 1.0), 0.0)
+        q = 1.0 - p
+        plog = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+        qlog = np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0)
+    return -w * (plog + qlog)
+
+
+def gini_sum_reference(w1, w):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(w > 0, w1 / np.where(w > 0, w, 1.0), 0.0)
+    return w * 2.0 * p * (1.0 - p)
+
+
+def sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logistic_fit_reference(X, y, reg_strength=1.0, max_iter=1000, tol=1e-6):
+    """(coef, intercept) of the Newton loop with per-step allocations."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    Z = (X - X.mean(axis=0)) / np.maximum(X.std(axis=0), 1e-12)
+    n, d = Z.shape
+    w = np.zeros(d)
+    b = 0.0
+    lam = reg_strength
+    for _ in range(max_iter):
+        p = sigmoid_reference(Z @ w + b)
+        grad_w = Z.T @ (p - y) + lam * w
+        grad_b = np.sum(p - y)
+        if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) < tol * n:
+            break
+        r = np.maximum(p * (1.0 - p), 1e-10)
+        H = (Z * r[:, None]).T @ Z
+        H[np.diag_indices(d)] += lam
+        hb = float(r.sum())
+        hwb = Z.T @ r
+        A = np.empty((d + 1, d + 1))
+        A[:d, :d] = H
+        A[:d, d] = hwb
+        A[d, :d] = hwb
+        A[d, d] = hb
+        g = np.append(grad_w, grad_b)
+        step = np.linalg.solve(A + 1e-10 * np.eye(d + 1), g)
+        w -= step[:d]
+        b -= step[d]
+    return w, b
+
+
+def wrapper_cv_accuracy_reference(ds, wrapper, plan):
+    correct = 0
+    for fold in range(plan.k):
+        fit_part = ds.take(plan.train_indices(fold))
+        held = ds.take(plan.test_indices(fold))
+        model = train(wrapper, fit_part)
+        correct += int((predict(model, held.features) == held.labels).sum())
+    return correct / ds.n_samples
+
+
+def run_ga_reference(config, ds, wrapper, cv_k):
+    plan = wrapper_plan(ds, cv_k, config.seed)
+    return evolve(config, lambda bits: wrapper_cv_accuracy_reference(
+        select_features(ds, np.flatnonzero(bits)), wrapper, plan))
+
+
+# -- inputs ---------------------------------------------------------------------
+
+@st.composite
+def tables(draw, max_rows=40, max_features=8):
+    """A small real table with both classes, columns on unlike scales."""
+    n = draw(st.integers(4, max_rows))
+    d = draw(st.integers(1, max_features))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 50, size=d) + rng.normal(0, 20, size=d)
+    if draw(st.booleans()):
+        X = np.round(X)  # ties and repeated rows
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    return X, y
+
+
+# -- MLP ------------------------------------------------------------------------
+
+@given(data=tables(), hidden=st.integers(1, 12), batch=st.integers(1, 50),
+       epochs=st.integers(1, 6), adaptive=st.booleans(), seed=st.integers(0, 99))
+def test_mlp_fit_equals_the_per_parameter_adam_loop(data, hidden, batch, epochs,
+                                                    adaptive, seed):
+    X, y = data  # batch ranges over sizes that divide n, do not, and exceed it
+    clf = MlpClassifier(hidden_units=hidden, batch_size=batch, max_epochs=epochs,
+                        learning_rate=0.01, adaptive=adaptive)
+    clf.fit(X, y, rng=np.random.default_rng(seed))
+    want = mlp_fit_reference(clf, X, y, np.random.default_rng(seed))
+    assert list(clf.params_) == list(want)
+    for k in want:
+        assert same_bits(clf.params_[k], want[k]), k
+        assert clf.params_[k].flags.c_contiguous and clf.params_[k].base is None
+    assert pickle.dumps(clf.params_) == pickle.dumps(want)
+    ref = MlpClassifier(hidden_units=hidden)
+    ref.mean_, ref.scale_, ref.params_ = clf.mean_, clf.scale_, want
+    Q = np.vstack([X, X * 1.5 + 0.25])
+    assert same_bits(clf.predict_proba(Q), ref.predict_proba(Q))
+
+
+@given(data=tables(), hidden=st.integers(1, 12), seed=st.integers(0, 99))
+def test_fused_gradients_equal_loss_and_grads(data, hidden, seed):
+    X, y = data
+    params = MlpClassifier(hidden_units=hidden)._init_params(X.shape[1],
+                                                             np.random.default_rng(seed))
+    shapes = [params[k].shape for k in ("W1", "b1", "W2", "b2")]
+    flat = np.concatenate([params[k].ravel() for k in ("W1", "b1", "W2", "b2")])
+    grad = np.full_like(flat, np.nan)
+    grads = mlp._views(grad, shapes)
+    mlp._grads_into(mlp._views(flat, shapes), X, y, np.arange(len(y)), grads)
+    loss, want = MlpClassifier.loss_and_grads(params, X, y)
+    for k, got in zip(("W1", "b1", "W2", "b2"), grads):
+        assert same_bits(got, want[k]), k
+    assert same_bits(mlp._loss(mlp._views(flat, shapes), X, y, np.arange(len(y))), loss)
+
+
+# -- split criteria ---------------------------------------------------------
+
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 0.5, 1e-300, 7.25]),
+    st.floats(-5, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def criterion_cells(draw):
+    """(w1, w) cells: zero and negative totals, shares of exactly 0 and 1,
+    signed zeros, and shares anywhere in [0, 1] or beyond."""
+    cells = draw(st.lists(st.tuples(_WEIGHTS, st.sampled_from(
+        ["zero", "negzero", "all", "half", "third", "free"]), st.floats(-3, 3)),
+        min_size=1, max_size=30))
+    w1, w = [], []
+    for total, kind, free in cells:
+        w.append(total)
+        w1.append({"zero": 0.0, "negzero": -0.0, "all": total, "half": total / 2,
+                   "third": total / 3, "free": free}[kind])
+    return np.array(w1), np.array(w)
+
+
+@given(cells=criterion_cells())
+def test_criteria_equal_the_masked_reference(cells):
+    w1, w = cells
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        finite = np.isfinite(np.where(w > 0, w1 / np.where(w > 0, w, 1.0), 0.0))
+    w1, w = w1[finite], w[finite]  # the documented domain: a finite share
+    got = tree_module._entropy_sum(w1, w)
+    want = entropy_sum_reference(w1, w)
+    assert same_bits(got, want)
+    assert (np.signbit(got) == np.signbit(want)).all()
+    assert same_bits(tree_module._gini_sum(w1, w), gini_sum_reference(w1, w))
+
+
+def test_criteria_on_the_edge_cells():
+    w = np.array([0.0, -0.0, 4.0, 4.0, 4.0, 1.0, -2.0, 3.0])
+    w1 = np.array([1.0, 0.0, 0.0, 4.0, -0.0, 0.5, 1.0, 3.5])
+    for got, want in ((tree_module._entropy_sum(w1, w), entropy_sum_reference(w1, w)),
+                      (tree_module._gini_sum(w1, w), gini_sum_reference(w1, w))):
+        assert same_bits(got, want)
+
+
+# -- logistic regression ---------------------------------------------------
+
+def test_sigmoid_equals_the_two_branch_reference_at_the_extremes():
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308,
+                  5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8, np.inf, -np.inf])
+    with np.errstate(over="ignore"):
+        assert same_bits(linear._sigmoid(z), sigmoid_reference(z))
+    nan = np.array([np.nan, -np.nan])
+    assert same_bits(linear._sigmoid(nan), sigmoid_reference(nan))
+
+
+@given(z=st.lists(st.floats(allow_nan=False), max_size=40))
+def test_sigmoid_equals_the_two_branch_reference(z):
+    z = np.array(z, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        assert same_bits(linear._sigmoid(z), sigmoid_reference(z))
+
+
+@given(data=tables(max_rows=60), reg=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+       max_iter=st.integers(1, 30))
+def test_logistic_fit_equals_the_reference_newton_loop(data, reg, max_iter):
+    X, y = data
+    lr = LogisticRegression(reg_strength=reg, max_iter=max_iter).fit(X, y)
+    w, b = logistic_fit_reference(X, y, reg_strength=reg, max_iter=max_iter)
+    assert same_bits(lr.coef_, w)
+    assert same_bits(np.float64(lr.intercept_), np.float64(b))
+    assert type(lr.intercept_) is type(b)
+
+
+# -- GA wrapper fitness ------------------------------------------------------
+
+def _dataset(X, y):
+    d = X.shape[1]
+    schema = Schema(tuple(f"c{i}" for i in range(d)) + ("label",), d,
+                    frozenset(range(0, d, 2)))
+    return Dataset(X, y, schema)
+
+
+# on a table this small the held rows sit on P = 0.5, so a fold fit that
+# sees its columns in another memory layout (a mean summed in another order)
+# changes the fitness
+_TIE_TABLE = (np.array([[-45.0, -22, 23, 18], [-93, -14, 2, 2], [-91, -2, 10, 46],
+                        [2, 10, -6, 66]]), np.zeros(4, dtype=np.int64))
+
+
+@given(data=tables(max_rows=36), seed=st.integers(0, 50), cv_k=st.integers(2, 4),
+       nind=st.integers(2, 5), subpop=st.integers(1, 3))
+@example(data=_TIE_TABLE, seed=1, cv_k=2, nind=2, subpop=3)
+def test_run_ga_equals_the_per_mask_fold_reference(data, seed, cv_k, nind, subpop):
+    X, y = data
+    y = np.arange(len(y)) % 2  # both classes in every fold's fit part
+    ds = _dataset(X, y)
+    config = GaConfig(n_bits=ds.n_features, nind=nind, subpop=subpop, maxgen=3, miggen=2,
+                      stall_generations=2, seed=seed)
+    wrapper = LearnerSpec("logistic_regression", {"max_iter": 20}, seed)
+    got = run_ga(config, ds, wrapper, cv_k=cv_k)
+    want = run_ga_reference(config, ds, wrapper, cv_k)
+    assert same_bits(got.best_chromosome, want.best_chromosome)
+    assert got.best_fitness == want.best_fitness
+    assert got.history == want.history
+    assert got.evaluations == want.evaluations
+    assert same_bits(got.final_population, want.final_population)
+
+
+@given(data=tables(max_rows=30), seed=st.integers(0, 50))
+def test_wrapper_cv_accuracy_equals_the_reference(data, seed):
+    X, _ = data
+    y = np.arange(len(X)) % 2
+    ds = _dataset(X, y)
+    plan = wrapper_plan(ds, 3, seed)
+    wrapper = LearnerSpec("logistic_regression", {}, seed)
+    assert wrapper_cv_accuracy(ds, wrapper, plan) == \
+        wrapper_cv_accuracy_reference(ds, wrapper, plan)
+
+
+def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean):
+    """Each fold fit and prediction gets the rows, columns, bytes and memory
+    layout that masking the table first and then taking the fold gives."""
+    ds, _ = pima_split_clean
+    bits = np.array([1, 0, 1, 1, 0, 0, 1, 1], dtype=np.uint8)
+    wrapper = LearnerSpec("logistic_regression", {}, 4)
+    fits, scored = [], []
+
+    def train_spy(spec, part):
+        fits.append(part)
+        return train(spec, part)
+
+    def predict_spy(model, X):
+        scored.append(X)
+        return predict(model, X)
+
+    with mock.patch.object(genetic, "train", train_spy), \
+            mock.patch.object(genetic, "predict", predict_spy):
+        got = genetic.fitness(bits, ds, wrapper, cv_k=5, seed=3)
+    plan = wrapper_plan(ds, 5, 3)
+    masked = select_features(ds, np.flatnonzero(bits))
+    assert got == wrapper_cv_accuracy_reference(masked, wrapper, plan)
+    assert len(fits) == len(scored) == 5
+    for fold, (part, X) in enumerate(zip(fits, scored)):
+        want = masked.take(plan.train_indices(fold))
+        held = masked.take(plan.test_indices(fold))
+        for a, b in ((part.features, want.features), (X, held.features),
+                     (part.labels, want.labels), (part.row_ids, want.row_ids)):
+            assert same_bits(a, b) and a.strides == b.strides
+        assert part.schema == want.schema

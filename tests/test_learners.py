@@ -49,6 +49,32 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="n_neighbors"):
             LearnerSpec("knn", {"n_neighbors": k})
 
+    @pytest.mark.parametrize("key", ["hidden_units", "batch_size", "max_iter"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "8", None])
+    def test_mlp_counts_must_be_positive_ints(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            LearnerSpec("mlp", {key: value})
+
+    @pytest.mark.parametrize("value", [0, -1e-3, float("nan"), float("inf"), True, "0.1"])
+    def test_mlp_learning_rate_init_must_be_positive(self, value):
+        with pytest.raises(ConfigError, match="learning_rate_init"):
+            LearnerSpec("mlp", {"learning_rate_init": value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_iter", 0), ("max_iter", -5), ("max_iter", 10.0), ("max_iter", False),
+        ("reg_strength", -0.5), ("reg_strength", float("nan")), ("reg_strength", "1"),
+        ("tol", 0), ("tol", -1e-6), ("tol", float("inf")), ("tol", None),
+    ])
+    def test_logistic_regression_values_checked(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            LearnerSpec("logistic_regression", {key: value})
+
+    def test_boundary_values_accepted(self):
+        LearnerSpec("mlp", {"hidden_units": 1, "batch_size": 1, "max_iter": 1,
+                            "learning_rate_init": 1e-9})
+        LearnerSpec("logistic_regression", {"max_iter": 1, "reg_strength": 0, "tol": 1e-12})
+        LearnerSpec("logistic_regression", {"reg_strength": 0.0})
+
     def test_fixed_value_knobs(self):
         with pytest.raises(ConfigError):
             LearnerSpec("mlp", {"solver": "sgd"})
