@@ -8,8 +8,9 @@ sha256 of each output is compared with the table in this file. The script
 lists every mismatch and exits 1, or exits 0 when every digest matches.
 
     python3 scripts/check_digests.py           # about 30 s on a 2-CPU host
-    python3 scripts/check_digests.py --all-ks  # adds the full k in {5, 10, 15}
-                                               # xval run, about a minute more
+    python3 scripts/check_digests.py --all-ks  # adds the clean full k in
+                                               # {5, 10, 15} xval run, about
+                                               # a minute more
 
 A change that alters output bytes on purpose updates the table and says why
 in CHANGES.md.
@@ -65,6 +66,10 @@ CASES = {
           "protocol=paper_faithful", "--out", "{out}", "-q"]],
         {"report.json": "74c987de1d89eaecada28b28d5066e4d05ab3109f553f7b704ab1639fa092978"},
     ),
+    "xval_all_ks_paper_faithful": (
+        [["xval", "--config", XVAL, "--set", "protocol=paper_faithful", "--out", "{out}", "-q"]],
+        {"report.json": "a92f90ee1f58cca7c1fee9941d86590ca0652e303998f95dbd8f07d25c285c8b"},
+    ),
     "select": (
         [["select", "--config", HOLDOUT, "--out", "{out}", "-q"]],
         {
@@ -75,7 +80,7 @@ CASES = {
     ),
 }
 
-#: the full xval run, only with --all-ks
+#: the clean full xval run, only with --all-ks
 ALL_KS = {
     "xval_all_ks": (
         [["xval", "--config", XVAL, "--out", "{out}", "-q"]],
@@ -123,7 +128,7 @@ def run_case(commands, outputs, cpu, workdir):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--all-ks", action="store_true",
-                        help="also run the full k in {5, 10, 15} xval config")
+                        help="also run the clean full k in {5, 10, 15} xval config")
     args = parser.parse_args(argv)
     cases = dict(CASES, **(ALL_KS if args.all_ks else {}))
     one_cpu = min(os.sched_getaffinity(0))

@@ -252,8 +252,8 @@ def cmd_eval(args) -> int:
         )
     _banner(args, cfg)
     fit_ds, eval_ds = holdout_partitions(cfg)
-    rows, curves, timings = evaluate_partition(cfg, fit_ds, eval_ds, bundle["mask"],
-                                               stack=bundle["stack_model"])
+    [(rows, curves, timings)] = evaluate_partition(cfg, fit_ds, [eval_ds], bundle["mask"],
+                                                   stack=bundle["stack_model"])
     report = experiment_report(cfg, timings, rows=rows, ga=bundle["ga_summary"])
     _say_timings(args, timings)
     out = Path(args.out)

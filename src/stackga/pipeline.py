@@ -10,8 +10,9 @@ Two protocols:
   inflated headline numbers such leaky protocols yield; reports carry a note
   saying so.
 
-Holdout, k-fold and `stackga eval` all score a (fit, eval) partition through
-one routine, `evaluate_partition`.
+`training_groups` is the protocol's one decision point: holdout, k-fold and
+`stackga eval` read their fit set and eval parts from it, and
+`evaluate_partition` trains each model once per group and scores every part.
 """
 
 import time
@@ -73,6 +74,11 @@ GA_REFERENCE_NOTE = (
     "features has been reported for this method; shown for context, not "
     "asserted by this run."
 )
+#: where a k-fold run's GA ran, by protocol
+KFOLD_GA_NOTES = {
+    "clean": "GA placement: re-run inside every fold's training part.",
+    "paper_faithful": "GA placement: one global run on the full dataset (leaky).",
+}
 
 
 @dataclass
@@ -83,6 +89,18 @@ class RunDetails:
     curves: dict
     provenance: dict
     ga_run: GaRun = None
+
+
+@dataclass(frozen=True)
+class TrainingGroup:
+    """Models trained once on `fit_ds` and scored on each of `parts`, a
+    tuple of (k, eval dataset) with k None in holdout. The group's GA seed
+    comes from `ga_tags` and its seconds go to `timings[ga_key]`."""
+
+    fit_ds: Dataset
+    ga_tags: tuple
+    ga_key: str
+    parts: tuple
 
 
 def _display_name(algorithm: str, taken) -> str:
@@ -96,22 +114,18 @@ def _display_name(algorithm: str, taken) -> str:
 
 
 def preprocess_pair(train_ds: Dataset, test_ds: Dataset, prep) -> tuple:
-    """Clean both partitions using statistics from the training part only."""
+    """Clean both partitions using statistics from the training part only;
+    returns them and the training part's "imputed_train" and "clipped_train"
+    counts per column."""
     stats = {}
     if prep.impute and train_ds.schema.missing_as_zero_columns:
         medians = nonzero_medians(train_ds)
-        stats["impute_medians"] = medians
-        train_ds, train_counts = apply_imputation(train_ds, medians)
-        test_ds, test_counts = apply_imputation(test_ds, medians)
-        stats["imputed_train"] = train_counts
-        stats["imputed_test"] = test_counts
+        train_ds, stats["imputed_train"] = apply_imputation(train_ds, medians)
+        test_ds, _ = apply_imputation(test_ds, medians)
     if prep.clip:
         fences = outlier_fences(train_ds, prep.iqr_multiplier)
-        stats["clip_fences"] = fences
-        train_ds, c_train = apply_clip(train_ds, fences)
-        test_ds, c_test = apply_clip(test_ds, fences)
-        stats["clipped_train"] = c_train
-        stats["clipped_test"] = c_test
+        train_ds, stats["clipped_train"] = apply_clip(train_ds, fences)
+        test_ds, _ = apply_clip(test_ds, fences)
     return train_ds, test_ds, stats
 
 
@@ -119,20 +133,31 @@ def _error_text(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _timed_proba(proba_fn) -> tuple:
-    """(`proba_fn()`, seconds, None), or (None, seconds, error text) if it raises."""
+def _timed_probas(fit, proba, parts) -> list:
+    """(probabilities, seconds, error text or None) on each of `parts`, from
+    `proba(model, part)` with the one model `fit()` returns. A failed fit
+    fails every part and a failed score only its own; the fit's seconds
+    count in the first part."""
     t0 = time.perf_counter()
     try:
-        proba = proba_fn()
+        model = fit()
     except Exception as e:  # one bad model must not sink the benchmark table
-        return None, time.perf_counter() - t0, _error_text(e)
-    return proba, time.perf_counter() - t0, None
+        seconds, error = time.perf_counter() - t0, _error_text(e)
+        return [(None, seconds if i == 0 else 0.0, error) for i in range(len(parts))]
+    outcomes = []
+    for part in parts:
+        try:
+            outcomes.append((proba(model, part), time.perf_counter() - t0, None))
+        except Exception as e:  # one bad model must not sink the benchmark table
+            outcomes.append((None, time.perf_counter() - t0, _error_text(e)))
+        t0 = time.perf_counter()
+    return outcomes
 
 
-def _single_proba(spec: LearnerSpec, fit_ds: Dataset, eval_X) -> tuple:
-    """One single learner trained on `fit_ds` and scored on `eval_X`, as
-    `_timed_proba` returns it; one task of `evaluate_partition`."""
-    return _timed_proba(lambda: predict_proba(train(spec, fit_ds), eval_X))
+def _single_probas(spec: LearnerSpec, fit_ds: Dataset, eval_Xs) -> list:
+    """One single learner trained on `fit_ds` and scored on each of `eval_Xs`,
+    as `_timed_probas` returns it; one task of `evaluate_partition`."""
+    return _timed_probas(lambda: train(spec, fit_ds), predict_proba, eval_Xs)
 
 
 def _scored_row(name: str, y_true, proba, error: str) -> tuple:
@@ -171,10 +196,9 @@ def ga_mask(config: ExperimentConfig, ds: Dataset, seed_tags) -> GaRun:
     return run_ga(ga_config, ds, ga_wrapper_spec(config), cv_k=config.ga.cv_folds)
 
 
-def _guarded_ga(config: ExperimentConfig, fit_ds: Dataset, seed_tags,
-                timings: dict, key: str) -> tuple:
-    """(GaRun, selected column indices, error text) for one training part,
-    adding the search's seconds to `timings[key]`.
+def _guarded_ga(config: ExperimentConfig, group: TrainingGroup, timings: dict) -> tuple:
+    """(GaRun, selected column indices, error text) for `group`'s fit set,
+    adding the search's seconds to `timings[group.ga_key]`.
 
     All three are None when the GA is disabled. A failed search returns only
     its error, which fails the stack row and nothing else.
@@ -183,11 +207,11 @@ def _guarded_ga(config: ExperimentConfig, fit_ds: Dataset, seed_tags,
         return None, None, None
     t0 = time.perf_counter()
     try:
-        ga_run = ga_mask(config, fit_ds, seed_tags)
+        ga_run = ga_mask(config, group.fit_ds, group.ga_tags)
     except Exception as e:  # selection failure downgrades only the stack row
         return None, None, _error_text(e)
     finally:
-        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+        timings[group.ga_key] = timings.get(group.ga_key, 0.0) + time.perf_counter() - t0
     return ga_run, np.flatnonzero(ga_run.best_chromosome), None
 
 
@@ -196,52 +220,54 @@ def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None):
     return train_stack(spec, select_features(fit_ds, mask))
 
 
-def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_ds: Dataset,
-                       mask=None, stack=None, ga_error: str = None) -> tuple:
-    """Train every configured model on `fit_ds` and score it on `eval_ds`.
+def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_parts,
+                       mask=None, stack=None, ga_error: str = None) -> list:
+    """Train every configured model once on `fit_ds` and score it on each
+    dataset in `eval_parts`, one `predict_proba` call per part.
 
-    Returns (rows, curves, timings): one ModelRow per single learner and then
-    the stack row, ROC curves keyed by row name, and seconds per row. The
-    stack sees only the `mask` columns. It is trained here unless an already
-    trained `stack` is given; a `ga_error` fails the stack row instead. The
-    single learners, and then the stack's fits, are shared by the usable
-    CPUs (see `parallel.run_tasks`); only the timings depend on their number.
+    Returns one (rows, curves, timings) per part: a ModelRow per single
+    learner and then the stack row, ROC curves keyed by row name, and
+    seconds per row, a model's fit counted in the first part. The stack sees
+    only the `mask` columns. It is trained here unless an already trained
+    `stack` is given; a `ga_error` fails the stack row instead. The single
+    learners, and then the stack's fits, are shared by the usable CPUs (see
+    `parallel.run_tasks`); only the timings depend on their number.
     """
-    rows, curves, timings = [], {}, {}
+    results = [([], {}, {}) for _ in eval_parts]
 
-    def score(name, outcome):
-        proba, seconds, error = outcome
-        t0 = time.perf_counter()
-        row, curve = _scored_row(name, eval_ds.labels, proba, error)
-        timings[name] = seconds + time.perf_counter() - t0
-        rows.append(row)
-        if curve is not None:
-            curves[name] = curve
+    def score(name, outcomes):
+        for part, (proba, seconds, error), (rows, curves, timings) in zip(
+                eval_parts, outcomes, results):
+            t0 = time.perf_counter()
+            row, curve = _scored_row(name, part.labels, proba, error)
+            timings[name] = seconds + time.perf_counter() - t0
+            rows.append(row)
+            if curve is not None:
+                curves[name] = curve
 
     taken, names, tasks = set(), [], []
+    eval_Xs = [part.features for part in eval_parts]
     for i, entry in enumerate(config.learners):
         spec = learner_spec(entry, derive_seed(config.master_seed, "bench", i))
         names.append(_display_name(spec.algorithm, taken))
         taken.add(names[-1])
-        tasks.append((spec, fit_ds, eval_ds.features))
-    for name, outcome in zip(names, run_tasks(_single_proba, tasks)):
-        score(name, outcome)
+        tasks.append((spec, fit_ds, eval_Xs))
+    for name, outcomes in zip(names, run_tasks(_single_probas, tasks)):
+        score(name, outcomes)
 
     if config.stack.enabled:
         name = STACK_ROW_GA if config.ga.enabled else STACK_ROW_PLAIN
         if ga_error is not None:
-            rows.append(ModelRow(name=name, status="failed", error=ga_error))
-            timings[name] = 0.0
+            score(name, [(None, 0.0, ga_error)] * len(eval_parts))
         else:
             # built outside the scored call: a config error stops the run
             spec = None if stack is not None else stack_spec_from_config(config)
-
-            def stack_proba():
-                model = stack if spec is None else train_masked_stack(spec, fit_ds, mask)
-                return predict_proba_stack(model, select_features(eval_ds, mask).features)
-
-            score(name, _timed_proba(stack_proba))
-    return rows, curves, timings
+            score(name, _timed_probas(
+                lambda: stack if spec is None else train_masked_stack(spec, fit_ds, mask),
+                lambda model, part: predict_proba_stack(
+                    model, select_features(part, mask).features),
+                eval_parts))
+    return results
 
 
 def ga_summary(ga_run: GaRun, ds: Dataset) -> GaSummary:
@@ -255,12 +281,12 @@ def ga_summary(ga_run: GaRun, ds: Dataset) -> GaSummary:
 
 
 def experiment_report(config: ExperimentConfig, timings: dict, rows=(), kfold_rows=(),
-                      ga: GaSummary = None, ga_note: str = None) -> Report:
+                      ga: GaSummary = None) -> Report:
     """The report of a run of `config`, its kind the split mode, with the
     protocol's notes."""
     notes = [FAITHFUL_NOTE if config.protocol == "paper_faithful" else CLEAN_NOTE]
-    if ga_note:
-        notes.append(ga_note)
+    if config.ga.enabled and config.split.mode == "kfold":
+        notes.append(KFOLD_GA_NOTES[config.protocol])
     if config.ga.enabled:
         notes.append(GA_REFERENCE_NOTE)
     return Report(kind=config.split.mode, protocol=config.protocol,
@@ -269,35 +295,62 @@ def experiment_report(config: ExperimentConfig, timings: dict, rows=(), kfold_ro
                   config_echo=config_to_dict(config), timings=timings)
 
 
-def holdout_partitions(config: ExperimentConfig) -> tuple:
-    """(fit, eval) datasets for the configured holdout protocol.
-
-    Clean mode cleans the test part with train-derived statistics; the
-    paper_faithful mode fits everything (statistics included) on the full
-    table and evaluates on rows the models trained on.
+def training_groups(config: ExperimentConfig):
+    """The configured splits (the shuffled holdout split, or every fold of
+    every k) as training groups, in split order; the one place that reads the
+    protocol. Clean: one group per split, its parts cleaned by
+    `preprocess_pair` with the split's training statistics. paper_faithful:
+    one group for the whole run, fitted (statistics included) on the full
+    table and scored on each split's test rows, which it trained on.
     """
-    ds_raw = load_csv(config.dataset.path, config.dataset.schema(), config.dataset.has_header)
-    split_seed = derive_seed(config.master_seed, "split")
-    train_raw, test_raw = shuffle_split(ds_raw, config.split.train_fraction, split_seed)
-    if config.protocol == "paper_faithful":
-        full, _, _ = preprocess_pair(ds_raw, ds_raw, config.preprocessing)
-        fit_ds = full
-        eval_ds = full.take(np.flatnonzero(np.isin(full.row_ids, test_raw.row_ids)))
+    ds = load_csv(config.dataset.path, config.dataset.schema(), config.dataset.has_header)
+    if config.split.mode == "holdout":
+        train_raw, test_raw = shuffle_split(ds, config.split.train_fraction,
+                                            derive_seed(config.master_seed, "split"))
+        # `load_csv` numbers rows by position, so these ids are positions in `ds`
+        splits = [(None, ("holdout",), "ga", train_raw.row_ids, test_raw.row_ids)]
     else:
-        fit_ds, eval_ds, _ = preprocess_pair(train_raw, test_raw, config.preprocessing)
-    return fit_ds, eval_ds
+        splits = []
+        for k in config.split.ks:
+            plan = make_folds(ds, k, config.split.stratified,
+                              seed=derive_seed(config.master_seed, "kfold", k))
+            splits += [(k, ("kfold", k, fold), f"ga (k={k})", plan.train_indices(fold),
+                        plan.test_indices(fold)) for fold in range(k)]
+    if config.protocol == "paper_faithful":
+        full, _, _ = preprocess_pair(ds, ds, config.preprocessing)
+        tags = ("holdout",) if config.split.mode == "holdout" else ("global",)
+        yield TrainingGroup(full, tags, "ga",
+                            tuple((k, full.take(np.sort(test))) for k, *_, test in splits))
+        return
+    for k, tags, ga_key, train, test in splits:
+        fit_ds, eval_ds, _ = preprocess_pair(ds.take(train), ds.take(test), config.preprocessing)
+        yield TrainingGroup(fit_ds, tags, ga_key, ((k, eval_ds),))
+
+
+def holdout_partitions(config: ExperimentConfig) -> tuple:
+    """(fit, eval) datasets of the configured holdout split."""
+    (group,) = training_groups(config)
+    return group.fit_ds, group.parts[0][1]
+
+
+def _scored_groups(config: ExperimentConfig, timings: dict):
+    """(group, GaRun or None, `evaluate_partition` results) per training
+    group, adding the GA's seconds to `timings`."""
+    for group in training_groups(config):
+        ga_run, mask, ga_error = _guarded_ga(config, group, timings)
+        yield group, ga_run, evaluate_partition(
+            config, group.fit_ds, [eval_ds for _, eval_ds in group.parts], mask,
+            ga_error=ga_error)
 
 
 def run_holdout_detailed(config: ExperimentConfig) -> tuple:
     """Full holdout benchmark; returns (Report, RunDetails)."""
     if config.split.mode != "holdout":
         raise ConfigError("run_holdout needs split.mode = 'holdout'")
-    fit_ds, eval_ds = holdout_partitions(config)
     timings = {}
-    ga_run, mask, ga_error = _guarded_ga(config, fit_ds, ("holdout",), timings, "ga")
-    rows, curves, row_timings = evaluate_partition(config, fit_ds, eval_ds, mask,
-                                                   ga_error=ga_error)
+    [(group, ga_run, [(rows, curves, row_timings)])] = _scored_groups(config, timings)
     timings.update(row_timings)
+    fit_ds, eval_ds = group.fit_ds, group.parts[0][1]
 
     provenance = {"preprocess_stat_rows": fit_ds.row_ids}
     if config.ga.enabled:
@@ -314,88 +367,35 @@ def run_holdout(config: ExperimentConfig) -> Report:
     return report
 
 
-def _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings):
-    """Per-fold accuracies for every configured model at one k; adds the
-    seconds each row took over all folds to `timings`."""
-    accs = {}
-    errors = {}
-    for fold in range(k):
-        ga_error = None
-        if full_ds is not None:  # paper_faithful: every fold trains on everything
-            fit_ds = full_ds
-            eval_ds = full_ds.take(plan.test_indices(fold))
-            mask = global_mask
-        else:
-            train_raw = ds_raw.take(plan.train_indices(fold))
-            test_raw = ds_raw.take(plan.test_indices(fold))
-            fit_ds, eval_ds, _ = preprocess_pair(train_raw, test_raw, config.preprocessing)
-            _, mask, ga_error = _guarded_ga(config, fit_ds, ("kfold", k, fold),
-                                            timings, f"ga (k={k})")
-
-        rows, _, fold_timings = evaluate_partition(config, fit_ds, eval_ds, mask,
-                                                   ga_error=ga_error)
-        for row in rows:
-            accs.setdefault(row.name, []).append(row.accuracy)
-            if row.error is not None:
-                errors[row.name] = row.error
-            key = f"{row.name} (k={k})"
-            timings[key] = timings.get(key, 0.0) + fold_timings[row.name]
-
-    rows = []
-    for name, fold_accs in accs.items():
-        valid = [a for a in fold_accs if a is not None]
-        if not valid:
-            rows.append(KfoldRow(name=name, k=k, status="failed", error=errors.get(name)))
-            continue
-        rows.append(
-            KfoldRow(
-                name=name,
-                k=k,
-                mean_accuracy=float(np.mean(valid)),
-                std=float(np.std(valid)),
-                fold_accuracies=tuple(fold_accs),
-                status="ok" if len(valid) == len(fold_accs) else "partial",
-                error=errors.get(name),
-            )
-        )
-    return rows
-
-
 def run_kfold(config: ExperimentConfig) -> Report:
     """Rotating k-fold benchmark for every configured k in one report.
 
     `Report.timings` holds each row's seconds summed over its folds, keyed
-    "<row name> (k=<k>)", plus the GA's time. The folds run one after
-    another; each fold's model fits are shared by the usable CPUs.
+    "<row name> (k=<k>)", plus the GA's time. The training groups run one
+    after another; each group's model fits are shared by the usable CPUs.
     """
     if config.split.mode != "kfold":
         raise ConfigError("run_kfold needs split.mode = 'kfold'")
-    ds_raw = load_csv(config.dataset.path, config.dataset.schema(), config.dataset.has_header)
-
-    timings = {}
-    full_ds = None
-    global_mask = None
-    ga_note = None
-    if config.protocol == "paper_faithful":
-        full_ds, _, _ = preprocess_pair(ds_raw, ds_raw, config.preprocessing)
-        if config.ga.enabled:
-            t0 = time.perf_counter()
-            ga_run = ga_mask(config, full_ds, ("global",))
-            timings["ga"] = time.perf_counter() - t0
-            global_mask = np.flatnonzero(ga_run.best_chromosome)
-            ga_note = "GA placement: one global run on the full dataset (leaky)."
-    elif config.ga.enabled:
-        ga_note = "GA placement: re-run inside every fold's training part."
+    timings, accs, errors = {}, {}, {}
+    for group, _, results in _scored_groups(config, timings):
+        for (k, _), (rows, _, row_timings) in zip(group.parts, results):
+            for row in rows:
+                accs.setdefault((row.name, k), []).append(row.accuracy)
+                if row.error is not None:
+                    errors[row.name, k] = row.error
+                key = f"{row.name} (k={k})"
+                timings[key] = timings.get(key, 0.0) + row_timings[row.name]
 
     kfold_rows = []
-    for k in config.split.ks:
-        plan = make_folds(ds_raw, k, config.split.stratified,
-                          seed=derive_seed(config.master_seed, "kfold", k))
-        kfold_rows.extend(
-            _kfold_model_rows(config, ds_raw, k, plan, full_ds, global_mask, timings)
-        )
-
-    return experiment_report(config, timings, kfold_rows=kfold_rows, ga_note=ga_note)
+    for (name, k), fold_accs in accs.items():
+        valid = [a for a in fold_accs if a is not None]
+        scores = {} if not valid else {"mean_accuracy": float(np.mean(valid)),
+                                       "std": float(np.std(valid)),
+                                       "fold_accuracies": tuple(fold_accs)}
+        status = "failed" if not valid else "ok" if len(valid) == len(fold_accs) else "partial"
+        kfold_rows.append(KfoldRow(name=name, k=k, status=status,
+                                   error=errors.get((name, k)), **scores))
+    return experiment_report(config, timings, kfold_rows=kfold_rows)
 
 
 def feature_report(ds: Dataset, wrapper: LearnerSpec, ga_run: GaRun,

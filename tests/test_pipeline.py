@@ -6,19 +6,25 @@ import warnings
 import numpy as np
 import pytest
 
+from stackga import parallel, pipeline, stacking
+from stackga.cli import main
 from stackga.config import (
     apply_overrides,
     config_from_dict,
     config_hash,
     config_to_dict,
     load_config,
+    stack_spec_from_config,
 )
-from stackga.dataset import write_csv
+from stackga.dataset import load_csv, make_folds, write_csv
 from stackga.errors import ConfigError
 from stackga.genetic import GaConfig, run_ga
 from stackga.learners import LearnerSpec
 from stackga.pipeline import (
+    evaluate_partition,
     feature_report,
+    ga_mask,
+    preprocess_pair,
     run_holdout,
     run_holdout_detailed,
     run_kfold,
@@ -33,7 +39,7 @@ from stackga.report import (
     parse_report,
     render_report,
 )
-from stackga.rng import child_rng
+from stackga.rng import child_rng, derive_seed
 from stackga.synth import make_single_informative
 
 
@@ -238,14 +244,15 @@ class TestKfold:
             assert r.std == pytest.approx(np.std(r.fold_accuracies))
 
     def test_timings_per_row_and_k(self, pima_csv):
-        d = light_config_dict(pima_csv)
-        d["split"] = {"mode": "kfold", "ks": [3, 4], "stratified": True}
-        report = run_kfold(config_from_dict(d))
-        expected = {f"{r.name} (k={r.k})" for r in report.kfold_rows}
-        expected |= {"ga (k=3)", "ga (k=4)"}
-        assert set(report.timings) == expected
-        assert all(v >= 0 for v in report.timings.values())
-        assert "timings" not in json.loads(render_report(report, "json"))
+        for protocol, ga_keys in (("clean", {"ga (k=3)", "ga (k=4)"}),
+                                  ("paper_faithful", {"ga"})):
+            d = light_config_dict(pima_csv, protocol=protocol)
+            d["split"] = {"mode": "kfold", "ks": [3, 4], "stratified": True}
+            report = run_kfold(config_from_dict(d))
+            expected = {f"{r.name} (k={r.k})" for r in report.kfold_rows} | ga_keys
+            assert set(report.timings) == expected
+            assert all(v >= 0 for v in report.timings.values())
+            assert "timings" not in json.loads(render_report(report, "json"))
 
     def test_leave_one_out_small(self, tmp_path):
         ds = make_single_informative(n=10, n_features=2, seed=0)
@@ -287,6 +294,102 @@ class TestKfold:
             gap = abs(hold_acc[name] - fold_acc[name])
             if gap >= 0.15:
                 warnings.warn(f"{name}: holdout/kfold gap {gap:.3f} exceeds 0.15")
+
+
+def paper_faithful_kfold_dict(csv_path, ks):
+    d = light_config_dict(csv_path, protocol="paper_faithful")
+    d["split"] = {"mode": "kfold", "ks": ks, "stratified": True}
+    return d
+
+
+class TestSharedModels:
+    """A paper_faithful run trains every model once and scores every split's
+    test rows with it; a clean run trains per split."""
+
+    @pytest.fixture
+    def count_fits(self, monkeypatch):
+        """Pins the run to one CPU and returns the list that collects every
+        learner spec trained through `pipeline` and `stacking`."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        fits = []
+        for module in (pipeline, stacking):
+            def counted(spec, ds, _train=module.train):
+                fits.append(spec)
+                return _train(spec, ds)
+            monkeypatch.setattr(module, "train", counted)
+        return fits
+
+    def test_paper_faithful_kfold_fits_each_distinct_model_once(self, pima_csv, count_fits):
+        cfg = config_from_dict(paper_faithful_kfold_dict(pima_csv, [3, 4]))
+        run_kfold(cfg)
+        bases = stack_spec_from_config(cfg).base_specs
+        assert len(count_fits) == len(cfg.learners) + len(bases) + 1
+        assert len({repr(spec) for spec in count_fits}) == len(count_fits)
+
+    def test_clean_kfold_fits_every_fold(self, pima_csv, count_fits):
+        d = light_config_dict(pima_csv)
+        d["split"] = {"mode": "kfold", "ks": [3, 4], "stratified": True}
+        cfg = config_from_dict(d)
+        run_kfold(cfg)
+        n_bases = len(stack_spec_from_config(cfg).base_specs)
+        # per fold: the singles, level-1 fits, base refits and the meta fit
+        per_fold = len(cfg.learners) + cfg.stack.level1_folds * n_bases + n_bases + 1
+        assert len(count_fits) == sum(cfg.split.ks) * per_fold
+
+    def test_shipped_paper_faithful_xval_fits_19_models(self, pima_csv, count_fits):
+        raw = config_to_dict(load_config("configs/pima_xval.json"))
+        raw["dataset"]["path"] = str(pima_csv)
+        raw["protocol"] = "paper_faithful"
+        run_kfold(config_from_dict(raw))
+        assert len(count_fits) == 19
+
+    def test_rows_match_a_per_fold_reference(self, pima_csv):
+        cfg = config_from_dict(paper_faithful_kfold_dict(pima_csv, [3, 4]))
+        ds = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header)
+        full, _, _ = preprocess_pair(ds, ds, cfg.preprocessing)
+        mask = np.flatnonzero(ga_mask(cfg, full, ("global",)).best_chromosome)
+        expected = []
+        for k in cfg.split.ks:
+            plan = make_folds(ds, k, cfg.split.stratified,
+                              seed=derive_seed(cfg.master_seed, "kfold", k))
+            # the models retrained for every fold, each scoring one part
+            per_fold = [evaluate_partition(cfg, full, [full.take(plan.test_indices(f))],
+                                           mask)[0][0] for f in range(k)]
+            for i, row in enumerate(per_fold[0]):
+                accs = tuple(rows[i].accuracy for rows in per_fold)
+                expected.append(KfoldRow(name=row.name, k=k, mean_accuracy=float(np.mean(accs)),
+                                         std=float(np.std(accs)), fold_accuracies=accs))
+        assert list(run_kfold(cfg).kfold_rows) == expected
+
+    def test_failed_fit_fails_its_row_in_every_part(self, pima_csv):
+        d = light_config_dict(pima_csv, learners=[
+            {"algorithm": "knn", "hyperparameters": {"n_neighbors": 100000}}, "gaussian_nb"])
+        d["stack"]["enabled"] = False
+        cfg = config_from_dict(d)
+        ds = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header)
+        parts = evaluate_partition(cfg, ds, [ds.take(range(10)), ds.take(range(10, 30))])
+        for rows, _, timings in parts:
+            assert [r.status for r in rows] == ["failed", "ok"]
+            assert "n_neighbors" in rows[0].error
+            assert set(timings) == {"KNN", "NB"}
+
+    def test_failed_paper_faithful_ga_fails_only_the_stack_rows(self, pima_csv, tmp_path,
+                                                                monkeypatch):
+        def broken_ga(*args, **kwargs):
+            raise RuntimeError("no GA today")
+
+        monkeypatch.setattr(pipeline, "run_ga", broken_ga)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(paper_faithful_kfold_dict(pima_csv, [3, 4, 5])))
+        assert main(["xval", "--config", str(cfg), "--out", str(tmp_path), "-q"]) == 1
+        rows = json.loads((tmp_path / "report.json").read_text())["kfold_rows"]
+        singles = [r for r in rows if r["name"] != STACK_ROW_GA]
+        stacks = [r for r in rows if r["name"] == STACK_ROW_GA]
+        assert len(singles) == 9 and all(r["status"] == "ok" for r in singles)
+        assert [r["k"] for r in stacks] == [3, 4, 5]
+        for r in stacks:
+            assert r["status"] == "failed"
+            assert r["error"] == "RuntimeError: no GA today"
 
 
 class TestFeatureReport:
