@@ -47,14 +47,14 @@ CASES = {
         {
             "report.json": "922bae63e439214dd186a24788dbcceee25c9cd956d54627c0e6e8e0a27e57ab",
             "report.md": "be3dcc168e1b9b1315b8b58000fcfadfb8e9826715274f9d906b506d41a743a1",
-            "model.pkl": "3339f987ae1623f64e2dcb9396a6cbdd9cea7ae0ac01dcda43321768d02fe118",
+            "model.pkl": "4b1d335bd829f7d489e2f3d32f58cd9c5e89a0666e81946bfe45fa32fa416c36",
         },
     ),
     "paper_faithful": (
         _train_eval(PAPER_FAITHFUL),
         {
             "report.json": "d32052ea3a3f896f1eb368553b852b1f99e9072375a57f5806142aced9870704",
-            "model.pkl": "a46561b373197ba4e02356eb78ecddd065ae605de268df83d98affc94e70e642",
+            "model.pkl": "88ee599d1d98975d495b22c422482d9e3344bed6c14975c0af40f1f861284703",
         },
     ),
     "xval_k5": (

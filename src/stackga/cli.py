@@ -39,7 +39,9 @@ from .pipeline import (
     holdout_partitions,
     preprocess_pair,
     run_kfold,
+    single_names,
     stack_spec_from_config,
+    train_group,
     train_masked_stack,
 )
 from .report import parse_report, render_report
@@ -75,13 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("select", parents=[common],
                    help="run GA feature selection; write mask JSON + history CSV")
     sub.add_parser("train", parents=[common],
-                   help="train the stacked model on the holdout training part")
+                   help="train the stacked model and the single benchmark learners "
+                        "on the holdout training part")
     p_eval = sub.add_parser(
         "eval", parents=[common],
         help="evaluate a trained model; write report + ROC CSVs",
-        description="Score the stacked model from --model on the holdout test part. "
-                    "Only the stack comes from the artifact: the single benchmark "
-                    "learners are retrained on the training part on every call.",
+        description="Score the stacked model and the single benchmark learners from "
+                    "--model on the holdout test part. Nothing is trained: every model, "
+                    "or the error that stopped its training, comes from the artifact.",
     )
     p_eval.add_argument("--model", required=True, help="model artifact from `train`")
     sub.add_parser("xval", parents=[common],
@@ -205,17 +208,22 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs stack.enabled = true")
     _banner(args, cfg)
     fit_ds, _ = holdout_partitions(cfg)
+    singles, ga = train_group(cfg, fit_ds, ("holdout",))
     ga_run = None
     mask_indices = None
     timings = {}
-    if cfg.ga.enabled:
-        t0 = time.perf_counter()
-        ga_run = ga_mask(cfg, fit_ds, ("holdout",))
-        timings["ga"] = time.perf_counter() - t0
+    if ga is not None:
+        ga_run, timings["ga"], ga_error = ga
+        if ga_error is not None:
+            # the search is deterministic, so running it again raises its
+            # exception, whose type sets the exit code
+            ga_mask(cfg, fit_ds, ("holdout",))
         mask_indices = np.flatnonzero(ga_run.best_chromosome)
         _say(args, f"GA selected {len(mask_indices)} features: "
                    f"{', '.join(mask_to_names(ga_run.best_chromosome, fit_ds))}")
         _say_ga_search(args, cfg, ga_run)
+    timings.update((f"{name} fit", seconds)
+                   for name, (_, seconds, _) in zip(single_names(cfg), singles))
     t0 = time.perf_counter()
     stack = train_masked_stack(stack_spec_from_config(cfg), fit_ds, mask_indices)
     timings["stack"] = time.perf_counter() - t0
@@ -231,6 +239,8 @@ def cmd_train(args) -> int:
             "mask": None if mask_indices is None else [int(i) for i in mask_indices],
             "ga_summary": None if ga_run is None else ga_summary(ga_run, fit_ds),
             "stack_model": stack,
+            # (model or None, error text or None) per configured learner
+            "singles": [(model, error) for model, _, error in singles],
         },
     )
     _say(args, f"wrote {model_path}")
@@ -252,8 +262,9 @@ def cmd_eval(args) -> int:
         )
     _banner(args, cfg)
     fit_ds, eval_ds = holdout_partitions(cfg)
-    [(rows, curves, timings)] = evaluate_partition(cfg, fit_ds, [eval_ds], bundle["mask"],
-                                                   stack=bundle["stack_model"])
+    singles = [(model, 0.0, error) for model, error in bundle["singles"]]
+    [(rows, curves, timings)] = evaluate_partition(cfg, fit_ds, [eval_ds], singles,
+                                                   bundle["mask"], stack=bundle["stack_model"])
     report = experiment_report(cfg, timings, rows=rows, ga=bundle["ga_summary"])
     _say_timings(args, timings)
     out = Path(args.out)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, FoldPlan, make_folds, select_schema
 from .errors import ConfigError
-from .learners import LearnerSpec, predict, train
+from .learners import LearnerSpec, check_labels, predict, train
 from .rng import child_rng, derive_seed
 
 Chromosome = np.ndarray  # 1-d uint8 vector of 0/1 genes
@@ -324,10 +324,14 @@ def evolve(config: GaConfig, fitness_fn, memoize: bool = True) -> GaRun:
     )
 
 
-def _wrapper_folds(ds: Dataset, plan: FoldPlan) -> list:
-    """(fit part, held part) of every fold of `plan`, each taken once."""
-    return [(ds.take(plan.train_indices(fold)), ds.take(plan.test_indices(fold)))
-            for fold in range(plan.k)]
+def _wrapper_folds(ds: Dataset, plan: FoldPlan, wrapper: LearnerSpec) -> list:
+    """(fit part, held part) of every fold of `plan`, each taken once, with
+    every fit part's labels checked for `wrapper` here, once per run."""
+    folds = [(ds.take(plan.train_indices(fold)), ds.take(plan.test_indices(fold)))
+             for fold in range(plan.k)]
+    for fit_part, _ in folds:
+        check_labels(wrapper, fit_part.labels)
+    return folds
 
 
 def _folds_accuracy(folds, wrapper: LearnerSpec, columns) -> float:
@@ -336,17 +340,17 @@ def _folds_accuracy(folds, wrapper: LearnerSpec, columns) -> float:
 
     `take` copies the columns in C order, the layout of rows taken from a
     masked table, so every fit and prediction sees the same bits as one
-    that masks the table first and then takes each fold's rows.
+    that masks the table first and then takes each fold's rows. The fold's
+    labels were checked when the folds were taken, so no fit checks them.
     """
     schema = None if columns is None else select_schema(folds[0][0].schema, columns)
     correct = total = 0
     for fit_part, held in folds:
         X = held.features
         if columns is not None:
-            fit_part = Dataset(fit_part.features.take(columns, axis=1), fit_part.labels,
-                               schema, fit_part.row_ids)
+            fit_part = fit_part.with_features(fit_part.features.take(columns, axis=1), schema)
             X = X.take(columns, axis=1)
-        model = train(wrapper, fit_part)
+        model = train(wrapper, fit_part, checked=True)
         correct += int((predict(model, X) == held.labels).sum())
         total += held.n_samples
     return correct / total
@@ -354,7 +358,7 @@ def _folds_accuracy(folds, wrapper: LearnerSpec, columns) -> float:
 
 def wrapper_cv_accuracy(ds: Dataset, wrapper: LearnerSpec, plan: FoldPlan) -> float:
     """Mean held-fold accuracy of `wrapper` over a fixed fold plan."""
-    return _folds_accuracy(_wrapper_folds(ds, plan), wrapper, None)
+    return _folds_accuracy(_wrapper_folds(ds, plan, wrapper), wrapper, None)
 
 
 def wrapper_plan(ds: Dataset, cv_k: int, seed: int) -> FoldPlan:
@@ -370,7 +374,7 @@ def fitness(ch: Chromosome, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5,
         raise ValueError("fitness needs at least one selected feature")
     if bits.size != ds.n_features:
         raise ValueError(f"mask length {bits.size} != {ds.n_features} features")
-    folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, seed))
+    folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, seed), wrapper)
     return _folds_accuracy(folds, wrapper, np.flatnonzero(bits))
 
 
@@ -382,7 +386,7 @@ def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec,
         raise ConfigError(
             f"GA n_bits={config.n_bits} but the dataset has {ds.n_features} features"
         )
-    folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, config.seed))
+    folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, config.seed), wrapper)
     return evolve(config, lambda bits: _folds_accuracy(folds, wrapper, np.flatnonzero(bits)),
                   memoize=memoize)
 

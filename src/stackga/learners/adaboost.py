@@ -9,7 +9,7 @@ the training prior.
 
 import numpy as np
 
-from .tree import ClassificationTree, apply_trees, node_values, presort
+from .tree import ClassificationTree, StumpGrower, apply_trees, node_values, presort
 
 _CLIP = 1e-12
 
@@ -38,11 +38,15 @@ class AdaBoost:
         self.stumps_ = []
         y_sign = np.where(y == 1, 1.0, -1.0)
         order = presort(X)
+        stumps = StumpGrower(self.criterion, X, y, order) if self.max_depth == 1 else None
         for _ in range(self.n_estimators):
-            stump = ClassificationTree(self.criterion, max_depth=self.max_depth).fit(
-                X, y, sample_weight=w, rng=rng, order=order
-            )
-            leaf = stump.apply(X)
+            if stumps is not None:
+                stump, leaf = stumps.fit(w)
+            else:
+                stump = ClassificationTree(self.criterion, max_depth=self.max_depth).fit(
+                    X, y, sample_weight=w, rng=rng, order=order
+                )
+                leaf = stump.apply(X)
             hard = (stump.value[leaf, 1] > 0.5).astype(np.int64)
             err = float(w[hard != y].sum() / w.sum())
             if err >= 0.5:

@@ -18,9 +18,10 @@ _NAMES = ("W1", "b1", "W2", "b2")
 
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of two-column logits; the row max and sum are taken
+    column against column, the same bits as `max`/`sum` over axis 1."""
+    e = np.exp(z - np.maximum(z[:, :1], z[:, 1:]))
+    return e / (e[:, :1] + e[:, 1:])
 
 
 def _views(flat, shapes):
@@ -46,15 +47,20 @@ def _grads_into(params, X, y, rows, grads):
     h = np.maximum(a, 0.0)
     dlogits = h @ W2
     dlogits += b2
-    dlogits -= dlogits.max(axis=1, keepdims=True)  # softmax, in place
+    dlogits -= np.maximum(dlogits[:, :1], dlogits[:, 1:])  # softmax, in place
     np.exp(dlogits, out=dlogits)
-    dlogits /= dlogits.sum(axis=1, keepdims=True)
+    dlogits /= dlogits[:, :1] + dlogits[:, 1:]
     dlogits[rows, y] -= 1.0
     dlogits /= X.shape[0]
     np.matmul(h.T, dlogits, out=gW2)
     dlogits.sum(axis=0, out=gb2)
     dh = dlogits @ W2.T
-    dh[a <= 0] = 0.0
+    # The multiply leaves -0.0 where `dh[a <= 0] = 0.0` left +0.0, which can
+    # only flip the sign of a gradient entry that is exactly zero. Such an
+    # entry moves no weight: Adam's v adds its square, +0.0 either way, and
+    # beta1 * m + (1 - beta1) * g is beta1 * m, because m is never -0.0 (it
+    # starts at +0.0, and a sum is -0.0 only when both terms are).
+    dh *= a > 0
     np.matmul(X.T, dh, out=gW1)
     dh.sum(axis=0, out=gb1)
 
@@ -105,7 +111,7 @@ class MlpClassifier:
             "b2": dlogits.sum(axis=0),
         }
         dh = dlogits @ W2.T
-        dh[a <= 0] = 0.0
+        dh *= a > 0
         grads["W1"] = X.T @ dh
         grads["b1"] = dh.sum(axis=0)
         return loss, grads

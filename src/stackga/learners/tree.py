@@ -416,6 +416,84 @@ def fit_trees(trees, X, y, sample_weight=None, samples=None, rngs=None, order=No
     return trees
 
 
+class StumpGrower:
+    """Depth-1 classification trees on one table under changing sample
+    weights, as a booster fits them round after round.
+
+    The sorted values and the candidate boundaries do not depend on the
+    weights, so they are found once; `fit` then costs a few cumulative sums.
+    Its stump, and the leaf of every training row, are the bits that
+    `ClassificationTree(criterion, max_depth=1)` fitted and applied on the
+    same rows give: the same sums in the same order, the same first-minimum
+    rule, and leaf sums in row order. Weights that are all integers, or not
+    all finite, take that general path itself.
+    """
+
+    def __init__(self, criterion, X, y, order=None):
+        self.criterion = criterion
+        self.X = np.asarray(X, dtype=np.float64)
+        self.y = np.asarray(y, dtype=np.float64)
+        n = self.X.shape[0]
+        self.order = presort(self.X) if order is None else order
+        xs = np.take_along_axis(self.X.T, self.order, axis=1)
+        valid = np.zeros(xs.shape, dtype=bool)
+        np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+        self.flat = valid.ravel().nonzero()[0]  # by feature, then sorted position
+        self.xs = xs.ravel()
+        n1 = self.y.sum()
+        self.pure = n1 == 0 or n1 == n
+
+    def fit(self, w) -> tuple:
+        """(stump, leaf node of every row) under sample weights `w`."""
+        w = np.asarray(w, dtype=np.float64)
+        wy = w * self.y
+        if not np.isfinite(wy).all() or (_is_integral(w) and _is_integral(wy)):
+            tree = ClassificationTree(self.criterion, max_depth=1).fit(
+                self.X, self.y, sample_weight=w, order=self.order)
+            return tree, tree.apply(self.X)
+        tree = ClassificationTree(self.criterion, max_depth=1)
+        n, d = self.X.shape
+        go_left = None
+        if not self.pure and len(self.flat):
+            cw = w.take(self.order).cumsum(axis=1)
+            cw1 = wy.take(self.order).cumsum(axis=1)
+            wl, w1l = cw.ravel()[self.flat], cw1.ravel()[self.flat]
+            wr, w1r = cw[0, -1] - wl, cw1[0, -1] - w1l
+            keep = (wl > 0) & (wr > 0)
+            flat = self.flat[keep]
+            if len(flat):
+                wl, w1l, wr, w1r = wl[keep], w1l[keep], wr[keep], w1r[keep]
+                both = tree._impurity(np.concatenate((w1l, w1r)), np.concatenate((wl, wr)))
+                score = both[:len(wl)] + both[len(wl):]
+                best = np.argmin(score)  # the first minimum: lowest feature, then threshold
+                if np.isfinite(score[best]):
+                    q = flat[best]
+                    feature = q // n
+                    threshold = 0.5 * (self.xs[q] + self.xs[q + 1])
+                    go_left = self.X[:, feature] <= threshold
+                    if not 0 < go_left.sum() < n:  # midpoint collapsed onto a data value
+                        go_left = None
+        if go_left is None:  # the root is a leaf
+            sides, leaf = [np.ones(n, dtype=bool)], np.zeros(n, dtype=np.intp)
+            arrays = ([-1], [0.0], [-1], [-1])
+        else:
+            sides, leaf = [go_left, ~go_left], np.where(go_left, 1, 2)
+            arrays = ([feature, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1], [2, -1, -1])
+        w1 = np.array([np.sum(wy[side]) for side in sides])
+        total = np.array([np.sum(w[side]) for side in sides])
+        mean = np.divide(w1, total, out=np.zeros(len(sides)), where=total > 0)
+        value = np.stack((1.0 - mean, mean), axis=1)
+        feature, threshold, left, right = arrays
+        # set in `fit_trees`' order, so a pickled stump has the same bytes
+        tree.feature = np.array(feature, dtype=np.int32)
+        tree.threshold = np.array(threshold, dtype=np.float64)
+        tree.value = value if go_left is None else np.concatenate((np.zeros((1, 2)), value))
+        tree.left = np.array(left, dtype=np.int32)
+        tree.right = np.array(right, dtype=np.int32)
+        tree.n_features_ = d
+        return tree, leaf
+
+
 def _routing_table(trees):
     """The trees' nodes as one routing table: (feature, threshold, kids,
     roots, levels), node n of the table at `kids[2n]` and `kids[2n + 1]`.

@@ -13,8 +13,9 @@ import pickle
 from .errors import ConfigError
 
 FORMAT_PREFIX = "stackga."
-#: 2: trees are flat node arrays (version 1 pickled node objects)
-ARTIFACT_VERSION = 2
+#: 3: a stack bundle also holds the trained single learners
+#: (2: trees are flat node arrays; version 1 pickled node objects)
+ARTIFACT_VERSION = 3
 #: protocol 4 pickles arrays through `_reconstruct`, which the loader allows
 #: (protocol 5 would name `numpy._core.numeric._frombuffer`)
 PICKLE_PROTOCOL = 4
@@ -75,6 +76,6 @@ def load_artifact(path, kind: str) -> dict:
     if envelope.get("version") != ARTIFACT_VERSION:
         raise ConfigError(
             f"{path}: artifact version {envelope.get('version')!r} unsupported "
-            f"(expected {ARTIFACT_VERSION})"
+            f"(expected {ARTIFACT_VERSION}); retrain it with this version of stackga"
         )
     return envelope["payload"]

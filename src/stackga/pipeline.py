@@ -11,8 +11,9 @@ Two protocols:
   saying so.
 
 `training_groups` is the protocol's one decision point: holdout, k-fold and
-`stackga eval` read their fit set and eval parts from it, and
-`evaluate_partition` trains each model once per group and scores every part.
+`stackga eval` read their fit set and eval parts from it. `train_group` fits
+a group's single learners beside its GA, and `evaluate_partition` scores them
+and the stack on every part.
 """
 
 import time
@@ -113,6 +114,14 @@ def _display_name(algorithm: str, taken) -> str:
     return name
 
 
+def single_names(config: ExperimentConfig) -> list:
+    """The report row name of every configured single learner, in config order."""
+    names = []
+    for entry in config.learners:
+        names.append(_display_name(entry["algorithm"], names))
+    return names
+
+
 def preprocess_pair(train_ds: Dataset, test_ds: Dataset, prep) -> tuple:
     """Clean both partitions using statistics from the training part only;
     returns them and the training part's "imputed_train" and "clipped_train"
@@ -133,31 +142,32 @@ def _error_text(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _timed_probas(fit, proba, parts) -> list:
-    """(probabilities, seconds, error text or None) on each of `parts`, from
-    `proba(model, part)` with the one model `fit()` returns. A failed fit
-    fails every part and a failed score only its own; the fit's seconds
-    count in the first part."""
+def _timed(fn, *args) -> tuple:
+    """(`fn(*args)` or None, seconds, error text or None): a failure is
+    returned, not raised. Also the dispatcher of a group's `run_tasks` list,
+    whose tasks are `(fn, *args)`."""
     t0 = time.perf_counter()
     try:
-        model = fit()
+        return fn(*args), time.perf_counter() - t0, None
     except Exception as e:  # one bad model must not sink the benchmark table
-        seconds, error = time.perf_counter() - t0, _error_text(e)
-        return [(None, seconds if i == 0 else 0.0, error) for i in range(len(parts))]
+        return None, time.perf_counter() - t0, _error_text(e)
+
+
+def _timed_probas(fitted, proba, parts) -> list:
+    """(probabilities, seconds, error text or None) on each of `parts`, from
+    `proba(model, part)` with the model of `fitted`, a `_timed` fit. A failed
+    fit fails every part and a failed score only its own; the fit's seconds
+    count in the first part."""
+    model, seconds, error = fitted
     outcomes = []
     for part in parts:
-        try:
-            outcomes.append((proba(model, part), time.perf_counter() - t0, None))
-        except Exception as e:  # one bad model must not sink the benchmark table
-            outcomes.append((None, time.perf_counter() - t0, _error_text(e)))
-        t0 = time.perf_counter()
+        if error is None:
+            probas, score_seconds, score_error = _timed(proba, model, part)
+            outcomes.append((probas, seconds + score_seconds, score_error))
+        else:
+            outcomes.append((None, seconds, error))
+        seconds = 0.0
     return outcomes
-
-
-def _single_probas(spec: LearnerSpec, fit_ds: Dataset, eval_Xs) -> list:
-    """One single learner trained on `fit_ds` and scored on each of `eval_Xs`,
-    as `_timed_probas` returns it; one task of `evaluate_partition`."""
-    return _timed_probas(lambda: train(spec, fit_ds), predict_proba, eval_Xs)
 
 
 def _scored_row(name: str, y_true, proba, error: str) -> tuple:
@@ -196,23 +206,21 @@ def ga_mask(config: ExperimentConfig, ds: Dataset, seed_tags) -> GaRun:
     return run_ga(ga_config, ds, ga_wrapper_spec(config), cv_k=config.ga.cv_folds)
 
 
-def _guarded_ga(config: ExperimentConfig, group: TrainingGroup, timings: dict) -> tuple:
-    """(GaRun, selected column indices, error text) for `group`'s fit set,
-    adding the search's seconds to `timings[group.ga_key]`.
+def train_group(config: ExperimentConfig, fit_ds: Dataset, ga_tags) -> tuple:
+    """(singles, ga): the `_timed` fits on `fit_ds` of the configured single
+    learners, in config order, and of the GA seeded from `ga_tags` (None when
+    the GA is disabled).
 
-    All three are None when the GA is disabled. A failed search returns only
-    its error, which fails the stack row and nothing else.
+    They are one `run_tasks` list: the singles first, so the workers take
+    them, and the GA last, so this process starts with it. A failed fit or
+    search is returned as its error text.
     """
-    if not config.ga.enabled:
-        return None, None, None
-    t0 = time.perf_counter()
-    try:
-        ga_run = ga_mask(config, group.fit_ds, group.ga_tags)
-    except Exception as e:  # selection failure downgrades only the stack row
-        return None, None, _error_text(e)
-    finally:
-        timings[group.ga_key] = timings.get(group.ga_key, 0.0) + time.perf_counter() - t0
-    return ga_run, np.flatnonzero(ga_run.best_chromosome), None
+    tasks = [(train, learner_spec(entry, derive_seed(config.master_seed, "bench", i)), fit_ds)
+             for i, entry in enumerate(config.learners)]
+    if config.ga.enabled:
+        tasks.append((ga_mask, config, fit_ds, ga_tags))
+    fits = run_tasks(_timed, tasks)
+    return fits[:len(config.learners)], fits[-1] if config.ga.enabled else None
 
 
 def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None):
@@ -220,18 +228,18 @@ def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None):
     return train_stack(spec, select_features(fit_ds, mask))
 
 
-def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_parts,
+def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_parts, singles,
                        mask=None, stack=None, ga_error: str = None) -> list:
-    """Train every configured model once on `fit_ds` and score it on each
-    dataset in `eval_parts`, one `predict_proba` call per part.
+    """Score the trained single learners and the stack on each dataset in
+    `eval_parts`, one `predict_proba` call per model and part.
 
-    Returns one (rows, curves, timings) per part: a ModelRow per single
-    learner and then the stack row, ROC curves keyed by row name, and
-    seconds per row, a model's fit counted in the first part. The stack sees
-    only the `mask` columns. It is trained here unless an already trained
-    `stack` is given; a `ga_error` fails the stack row instead. The single
-    learners, and then the stack's fits, are shared by the usable CPUs (see
-    `parallel.run_tasks`); only the timings depend on their number.
+    `singles` holds one `_timed` fit per configured learner, in config order,
+    as `train_group` returns them. Returns one (rows, curves, timings) per
+    part: a ModelRow per single learner and then the stack row, ROC curves
+    keyed by row name, and seconds per row, a model's fit counted in the
+    first part. The stack sees only the `mask` columns. It is trained on
+    `fit_ds` here unless an already trained `stack` is given; a `ga_error`
+    fails the stack row instead.
     """
     results = [([], {}, {}) for _ in eval_parts]
 
@@ -245,15 +253,9 @@ def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_parts,
             if curve is not None:
                 curves[name] = curve
 
-    taken, names, tasks = set(), [], []
-    eval_Xs = [part.features for part in eval_parts]
-    for i, entry in enumerate(config.learners):
-        spec = learner_spec(entry, derive_seed(config.master_seed, "bench", i))
-        names.append(_display_name(spec.algorithm, taken))
-        taken.add(names[-1])
-        tasks.append((spec, fit_ds, eval_Xs))
-    for name, outcomes in zip(names, run_tasks(_single_probas, tasks)):
-        score(name, outcomes)
+    for name, fitted in zip(single_names(config), singles):
+        score(name, _timed_probas(fitted, lambda model, part: predict_proba(
+            model, part.features), eval_parts))
 
     if config.stack.enabled:
         name = STACK_ROW_GA if config.ga.enabled else STACK_ROW_PLAIN
@@ -262,11 +264,10 @@ def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_parts,
         else:
             # built outside the scored call: a config error stops the run
             spec = None if stack is not None else stack_spec_from_config(config)
-            score(name, _timed_probas(
-                lambda: stack if spec is None else train_masked_stack(spec, fit_ds, mask),
-                lambda model, part: predict_proba_stack(
-                    model, select_features(part, mask).features),
-                eval_parts))
+            fitted = (stack, 0.0, None) if spec is None else _timed(
+                train_masked_stack, spec, fit_ds, mask)
+            score(name, _timed_probas(fitted, lambda model, part: predict_proba_stack(
+                model, select_features(part, mask).features), eval_parts))
     return results
 
 
@@ -335,11 +336,17 @@ def holdout_partitions(config: ExperimentConfig) -> tuple:
 
 def _scored_groups(config: ExperimentConfig, timings: dict):
     """(group, GaRun or None, `evaluate_partition` results) per training
-    group, adding the GA's seconds to `timings`."""
+    group, adding the GA's seconds to `timings`. A failed search fails only
+    the stack row."""
     for group in training_groups(config):
-        ga_run, mask, ga_error = _guarded_ga(config, group, timings)
+        singles, ga = train_group(config, group.fit_ds, group.ga_tags)
+        ga_run, mask, ga_error = None, None, None
+        if ga is not None:
+            ga_run, seconds, ga_error = ga
+            timings[group.ga_key] = timings.get(group.ga_key, 0.0) + seconds
+            mask = None if ga_run is None else np.flatnonzero(ga_run.best_chromosome)
         yield group, ga_run, evaluate_partition(
-            config, group.fit_ds, [eval_ds for _, eval_ds in group.parts], mask,
+            config, group.fit_ds, [eval_ds for _, eval_ds in group.parts], singles, mask,
             ga_error=ga_error)
 
 

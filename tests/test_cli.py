@@ -1,8 +1,10 @@
 import json
+import pickle
 import re
 
 import pytest
 
+from stackga import genetic, learners, pipeline, stacking
 from stackga.cli import main
 from stackga.config import config_from_dict
 from stackga.dataset import PIMA_SCHEMA, load_csv
@@ -182,10 +184,69 @@ class TestTrainEval:
         assert run_cli("train", "--config", cfg_path, "--out", out, "-v") == 0
         text = capsys.readouterr().out
         assert re.findall(r"^(\w+): \d+\.\d{3}s$", text, re.M) == ["ga", "stack"]
+        assert re.findall(r"^(.+) fit: \d+\.\d{3}s$", text, re.M) == \
+            ["KNN", "D tree Classifier", "NB"]  # the singles, fitted beside the GA
         assert run_cli("train", "--config", cfg_path, "--out", out, "-v",
                        "--set", "ga.enabled=false") == 0
         text = capsys.readouterr().out
         assert re.findall(r"^(\w+): \d+\.\d{3}s$", text, re.M) == ["stack"]
+
+    def test_eval_trains_nothing(self, cfg_path, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(args[0])
+            return learners.train(*args, **kwargs)
+
+        for module in (learners, pipeline, stacking, genetic):
+            monkeypatch.setattr(module, "train", counted)
+        assert run_cli("eval", "--config", cfg_path, "--model", out / "model.pkl",
+                       "--out", out, "-q") == 0
+        assert fits == []
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["rows"]) == 4 and all(r["status"] == "ok" for r in report["rows"])
+
+    def test_single_failed_in_train_is_the_same_failed_row_in_eval(self, pima_csv,
+                                                                   tmp_path, capsys):
+        d = light_config_dict(pima_csv)
+        d["learners"] = [{"algorithm": "knn", "hyperparameters": {"n_neighbors": 100000}},
+                         "gaussian_nb"]
+        d["stack"]["base"] = ["gaussian_nb", "decision_tree"]  # a stack that trains
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--out", out, "-q") == 0
+        assert run_cli("eval", "--config", cfg, "--model", out / "model.pkl",
+                       "--out", out, "-q") == 1
+        rows = {r["name"]: r for r in json.loads((out / "report.json").read_text())["rows"]}
+        direct = {r.name: r for r in run_holdout(config_from_dict(d)).rows}
+        assert rows["KNN"]["status"] == "failed"
+        assert "n_neighbors=100000 exceeds" in rows["KNN"]["error"]
+        assert rows["KNN"]["error"] == direct["KNN"].error
+        assert rows["NB"]["status"] == "ok"
+
+    def test_train_exits_with_the_failed_searchs_own_code(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-q",
+                       "--set", "ga.cv_folds=1000") == 3
+        assert "cannot make 1000 folds" in capsys.readouterr().err
+        assert not (out / "model.pkl").exists()
+
+    def test_eval_refuses_a_version_2_artifact(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
+        envelope = pickle.loads((out / "model.pkl").read_bytes())
+        envelope["version"] = 2
+        del envelope["payload"]["singles"]  # what version 2 held
+        old = tmp_path / "old.pkl"
+        old.write_bytes(pickle.dumps(envelope, protocol=4))
+        assert run_cli("eval", "--config", cfg_path, "--model", old,
+                       "--out", tmp_path / "eval", "-q") == 2
+        err = capsys.readouterr().err
+        assert "artifact version 2 unsupported" in err and "retrain" in err
+        assert not (tmp_path / "eval").exists()
 
     def test_eval_mismatched_config_exits_2(self, cfg_path, pima_csv, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,7 +1,8 @@
 """The fit kernels against the code they replaced, bit for bit.
 
 The references below are that code: the MLP's per-parameter Adam loop over
-`loss_and_grads`, the split criteria's nested `np.where` masks, the
+`loss_and_grads` as it was written (softmax by axis reductions, relu
+gradient zeroed by a mask), the split criteria's nested `np.where` masks, the
 two-branch sigmoid and the logistic regression's Newton loop as it was
 written, and the GA wrapper fitness that re-takes every fold from the masked
 table for each mask. Hypothesis properties compare them with the fast
@@ -32,9 +33,38 @@ def same_bits(a, b):
 
 # -- reference kernels --------------------------------------------------------
 
+def softmax_reference(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def loss_and_grads_reference(params, X, y):
+    W1, b1, W2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
+    n = X.shape[0]
+    a = X @ W1 + b1
+    h = np.maximum(a, 0.0)
+    probs = softmax_reference(h @ W2 + b2)
+    eps = 1e-12
+    loss = -np.mean(np.log(probs[np.arange(n), y] + eps))
+    dlogits = probs.copy()
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    grads = {
+        "W2": h.T @ dlogits,
+        "b2": dlogits.sum(axis=0),
+    }
+    dh = dlogits @ W2.T
+    dh[a <= 0] = 0.0
+    grads["W1"] = X.T @ dh
+    grads["b1"] = dh.sum(axis=0)
+    return loss, grads
+
+
 def mlp_fit_reference(clf, X, y, rng):
-    """`MlpClassifier.fit` with Adam run per parameter over `loss_and_grads`
-    and the full-set loss taken from a full forward and backward pass."""
+    """`MlpClassifier.fit` with Adam run per parameter over
+    `loss_and_grads_reference` and the full-set loss taken from a full
+    forward and backward pass."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     mean = X.mean(axis=0)
@@ -54,7 +84,7 @@ def mlp_fit_reference(clf, X, y, rng):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            _, grads = MlpClassifier.loss_and_grads(params, Z[idx], y[idx])
+            _, grads = loss_and_grads_reference(params, Z[idx], y[idx])
             step += 1
             for k in params:
                 m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
@@ -62,7 +92,7 @@ def mlp_fit_reference(clf, X, y, rng):
                 mhat = m[k] / (1 - beta1**step)
                 vhat = v[k] / (1 - beta2**step)
                 params[k] -= lr * mhat / (np.sqrt(vhat) + eps)
-        epoch_loss, _ = MlpClassifier.loss_and_grads(params, Z, y)
+        epoch_loss, _ = loss_and_grads_reference(params, Z, y)
         if clf.adaptive:
             if epoch_loss >= prev_loss:
                 bad_epochs += 1
@@ -180,10 +210,9 @@ def test_mlp_fit_equals_the_per_parameter_adam_loop(data, hidden, batch, epochs,
         assert same_bits(clf.params_[k], want[k]), k
         assert clf.params_[k].flags.c_contiguous and clf.params_[k].base is None
     assert pickle.dumps(clf.params_) == pickle.dumps(want)
-    ref = MlpClassifier(hidden_units=hidden)
-    ref.mean_, ref.scale_, ref.params_ = clf.mean_, clf.scale_, want
     Q = np.vstack([X, X * 1.5 + 0.25])
-    assert same_bits(clf.predict_proba(Q), ref.predict_proba(Q))
+    h = np.maximum((Q - clf.mean_) / clf.scale_ @ want["W1"] + want["b1"], 0.0)
+    assert same_bits(clf.predict_proba(Q), softmax_reference(h @ want["W2"] + want["b2"]))
 
 
 @given(data=tables(), hidden=st.integers(1, 12), seed=st.integers(0, 99))
@@ -200,6 +229,31 @@ def test_fused_gradients_equal_loss_and_grads(data, hidden, seed):
     for k, got in zip(("W1", "b1", "W2", "b2"), grads):
         assert same_bits(got, want[k]), k
     assert same_bits(mlp._loss(mlp._views(flat, shapes), X, y, np.arange(len(y))), loss)
+
+
+@given(data=tables(), hidden=st.integers(1, 12), seed=st.integers(0, 99))
+def test_loss_and_grads_equal_the_masked_reference_but_for_zero_signs(data, hidden, seed):
+    """The multiply that zeroes the relu gradient may leave -0.0 where the
+    mask left +0.0; only the sign of an exactly zero entry can differ."""
+    X, y = data
+    params = MlpClassifier(hidden_units=hidden)._init_params(X.shape[1],
+                                                             np.random.default_rng(seed))
+    loss, got = MlpClassifier.loss_and_grads(params, X, y)
+    want_loss, want = loss_and_grads_reference(params, X, y)
+    assert same_bits(loss, want_loss)
+    for k in want:
+        assert same_bits(got[k] + 0.0, want[k] + 0.0), k  # + 0.0 turns -0.0 into +0.0
+
+
+_LOGITS = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
+
+
+@given(z=st.lists(st.tuples(_LOGITS, _LOGITS), min_size=1, max_size=30))
+@example(z=[(0.0, -0.0), (-0.0, 0.0), (745.0, -745.0), (1e300, 1e300), (5e-324, 0.0)])
+def test_two_column_softmax_equals_the_axis_reductions(z):
+    z = np.array(z, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(mlp._softmax(z), softmax_reference(z))
 
 
 # -- split criteria ---------------------------------------------------------
@@ -329,9 +383,9 @@ def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean):
     wrapper = LearnerSpec("logistic_regression", {}, 4)
     fits, scored = [], []
 
-    def train_spy(spec, part):
+    def train_spy(spec, part, **kwargs):
         fits.append(part)
-        return train(spec, part)
+        return train(spec, part, **kwargs)
 
     def predict_spy(model, X):
         scored.append(X)

@@ -15,6 +15,7 @@ import pytest
 
 from stackga import parallel
 from stackga.cli import main
+from stackga.persist import load_artifact
 from stackga.config import config_from_dict
 from stackga.errors import ConfigError
 from stackga.learners import LearnerSpec
@@ -180,6 +181,27 @@ def test_train_eval_bytes_do_not_depend_on_cpus(cpus, pima_csv, tmp_path):
         models.append((out / "model.pkl").read_bytes())
     assert reports[0] == reports[1] == reports[2]
     assert models[0] == models[1] == models[2]
+
+
+def test_model_with_its_singles_same_bytes_on_one_and_two_cpus(cpus, pima_csv, tmp_path):
+    d = light_config_dict(pima_csv)
+    d["learners"] = ["decision_tree", {"algorithm": "knn",
+                                       "hyperparameters": {"n_neighbors": 100000}},
+                     "gaussian_nb", "mlp"]
+    d["stack"]["base"] = ["gaussian_nb", "decision_tree"]
+    cfg = _cfg(tmp_path, d)
+    models = []
+    for n in (1, 2):
+        cpus(n)
+        out = tmp_path / f"cpus{n}"
+        assert main(["train", "--config", cfg, "--out", str(out), "-q"]) == 0
+        models.append((out / "model.pkl").read_bytes())
+    assert models[0] == models[1]
+    singles = load_artifact(tmp_path / "cpus2" / "model.pkl", "stack-bundle")["singles"]
+    assert [None if m is None else m.spec.algorithm for m, _ in singles] == \
+        ["decision_tree", None, "gaussian_nb", "mlp"]
+    assert [e is None for _, e in singles] == [True, False, True, True]
+    assert "n_neighbors" in singles[1][1]
 
 
 def test_xval_report_bytes_do_not_depend_on_cpus(cpus, pima_csv, tmp_path):

@@ -28,6 +28,7 @@ from stackga.pipeline import (
     run_holdout,
     run_holdout_detailed,
     run_kfold,
+    train_group,
 )
 from stackga.report import (
     STACK_ROW_GA,
@@ -296,6 +297,14 @@ class TestKfold:
                 warnings.warn(f"{name}: holdout/kfold gap {gap:.3f} exceeds 0.15")
 
 
+def trained_singles(cfg, ds):
+    """The configured single learners trained on `ds`, as `train_group`
+    returns them, with no GA run."""
+    no_ga = dataclasses.replace(cfg, ga=dataclasses.replace(cfg.ga, enabled=False))
+    singles, _ = train_group(no_ga, ds, None)
+    return singles
+
+
 def paper_faithful_kfold_dict(csv_path, ks):
     d = light_config_dict(csv_path, protocol="paper_faithful")
     d["split"] = {"mode": "kfold", "ks": ks, "stratified": True}
@@ -354,7 +363,8 @@ class TestSharedModels:
                               seed=derive_seed(cfg.master_seed, "kfold", k))
             # the models retrained for every fold, each scoring one part
             per_fold = [evaluate_partition(cfg, full, [full.take(plan.test_indices(f))],
-                                           mask)[0][0] for f in range(k)]
+                                           trained_singles(cfg, full), mask)[0][0]
+                        for f in range(k)]
             for i, row in enumerate(per_fold[0]):
                 accs = tuple(rows[i].accuracy for rows in per_fold)
                 expected.append(KfoldRow(name=row.name, k=k, mean_accuracy=float(np.mean(accs)),
@@ -367,7 +377,8 @@ class TestSharedModels:
         d["stack"]["enabled"] = False
         cfg = config_from_dict(d)
         ds = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header)
-        parts = evaluate_partition(cfg, ds, [ds.take(range(10)), ds.take(range(10, 30))])
+        parts = evaluate_partition(cfg, ds, [ds.take(range(10)), ds.take(range(10, 30))],
+                                   trained_singles(cfg, ds))
         for rows, _, timings in parts:
             assert [r.status for r in rows] == ["failed", "ok"]
             assert "n_neighbors" in rows[0].error
@@ -390,6 +401,35 @@ class TestSharedModels:
         for r in stacks:
             assert r["status"] == "failed"
             assert r["error"] == "RuntimeError: no GA today"
+
+
+class TestTrainGroup:
+    def test_singles_first_and_the_ga_last_in_one_task_list(self, light_config, pima_csv,
+                                                            monkeypatch):
+        lists = []
+
+        def recorded(fn, tasks):
+            lists.append([t[0] for t in tasks])
+            return parallel.run_tasks(fn, tasks)
+
+        monkeypatch.setattr(pipeline, "run_tasks", recorded)
+        d = light_config_dict(pima_csv)
+        d["split"] = {"mode": "kfold", "ks": [3], "stratified": True}
+        run_kfold(config_from_dict(d))
+        n = len(light_config.learners)
+        assert lists == [[pipeline.train] * n + [pipeline.ga_mask]] * 3  # one per fold
+
+    def test_a_failed_ga_returns_its_error_beside_the_singles(self, light_config,
+                                                              monkeypatch):
+        def broken_ga(*args, **kwargs):
+            raise RuntimeError("no GA today")
+
+        monkeypatch.setattr(pipeline, "run_ga", broken_ga)
+        fit_ds, _ = pipeline.holdout_partitions(light_config)
+        singles, (ga_run, seconds, error) = train_group(light_config, fit_ds, ("holdout",))
+        assert ga_run is None and seconds >= 0 and error == "RuntimeError: no GA today"
+        assert [m.spec.algorithm for m, _, e in singles if e is None] == \
+            [e["algorithm"] for e in light_config.learners]
 
 
 class TestFeatureReport:

@@ -1,6 +1,7 @@
 """Flat-array trees: group growth, a brute-force split oracle, presorting."""
 
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from stackga.learners import tree as tree_module
 from stackga.learners.adaboost import AdaBoost
 from stackga.learners.boosting import GradientBoosting
 from stackga.learners.forest import ExtraTrees, RandomForest
-from stackga.learners.tree import ClassificationTree, RegressionTree, presort
+from stackga.learners.tree import ClassificationTree, RegressionTree, StumpGrower, presort
 from stackga.rng import child_rng
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -132,6 +133,29 @@ def test_presorted_order_gives_the_same_trees():
         sorted_once = make().fit(*fit_args, order=presort(X))
         for name in NODE_ARRAYS:
             np.testing.assert_array_equal(getattr(plain, name), getattr(sorted_once, name))
+
+
+_STUMP_WEIGHTS = st.sampled_from(["unit", "integers", "zeros", "tiny", "random", "nan"])
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@given(data=tied_data(), kind=_STUMP_WEIGHTS, seed=st.integers(0, 20))
+def test_stump_grower_equals_the_general_tree(criterion, data, kind, seed):
+    X, y = data
+    rng = child_rng(seed, "stump")
+    w = {"unit": np.ones(len(y)), "integers": rng.integers(0, 3, len(y)).astype(float),
+         "zeros": rng.random(len(y)) * (rng.random(len(y)) < 0.5),
+         "tiny": rng.random(len(y)) * 1e-300, "random": rng.random(len(y)) / len(y),
+         "nan": np.where(rng.random(len(y)) < 0.2, np.nan, 1.0 / len(y))}[kind]
+    grower = StumpGrower(criterion, X, y)
+    for weights in (w, w[::-1].copy()):  # two rounds of one grower
+        got, leaf = grower.fit(weights)
+        want = ClassificationTree(criterion, max_depth=1).fit(X, y, sample_weight=weights)
+        for name in NODE_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert pickle.dumps(got) == pickle.dumps(want)
+        np.testing.assert_array_equal(leaf, want.apply(X))
 
 
 def test_boosters_predict_in_round_order():
