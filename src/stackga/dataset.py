@@ -6,6 +6,7 @@ Pima diabetes data: declared columns treat a literal 0 as a missing
 measurement, imputed with the median of the nonzero values.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -191,11 +192,19 @@ def load_csv(path, schema: Schema, has_header: bool = False) -> Dataset:
     Every row must have exactly the schema's column count and only finite
     numbers; the label column must parse to 0 or 1. Row order is preserved.
 
-    Clean files are parsed a block of lines at a time. A file the block
-    parse does not accept as clean is read again line by line, which raises
-    the error of the first bad line with its line and column.
+    Lines are what `str.splitlines` makes of the file. A clean file is read
+    and parsed a block of lines at a time. A file the block parse does not
+    accept as clean is read again whole and parsed line by line, which
+    raises the error of the first bad line with its line and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
+        lines = _file_lines(fh)
+        header = next(lines, "") if has_header else None
+        if header is None or tuple(c.strip() for c in header.split(",")) == schema.column_names:
+            parsed = _parse_blocks(lines, schema)
+            if parsed is not None:
+                return Dataset(*parsed, schema)
+        fh.seek(0)
         lines = fh.read().splitlines()
     first = 1
     if has_header:
@@ -208,9 +217,16 @@ def load_csv(path, schema: Schema, has_header: bool = False) -> Dataset:
             )
         lines = lines[1:]
         first = 2
-    parsed = _parse_blocks(lines, schema)
-    X, y = _parse_lines(path, lines, first, schema) if parsed is None else parsed
+    X, y = _parse_lines(path, lines, first, schema)
     return Dataset(X, y, schema)
+
+
+def _file_lines(fh):
+    """The lines of an open text file as `fh.read().splitlines()` gives them,
+    read `_BLOCK_LINES` lines at a time. Every block ends at a line break that
+    the file's newline translation keeps, so no line spans two blocks."""
+    while block := list(itertools.islice(fh, _BLOCK_LINES)):
+        yield from "".join(block).splitlines()
 
 
 def _parse_block(lines, n_cols: int):
@@ -234,24 +250,25 @@ def _parse_block(lines, n_cols: int):
 
 
 def _parse_blocks(lines, schema: Schema):
-    """(features, labels) of a clean file's data lines, parsed a block at a
-    time into preallocated arrays; None if a line is not clean (a field
+    """(features, labels) of a clean file's data lines, parsed a block of
+    `_BLOCK_LINES` lines at a time; None if a line is not clean (a field
     count, an unparsable cell, a label other than 0/1, a non-finite value)
     or there is no data row."""
     n_cols, label = schema.n_columns, schema.label_column
-    X = np.empty((len(lines), n_cols - 1))
-    y = np.empty(len(lines), dtype=np.int64)
-    n = 0
-    for a in range(0, len(lines), _BLOCK_LINES):
-        block = _parse_block(lines[a:a + _BLOCK_LINES], n_cols)
+    lines = iter(lines)
+    features, labels = [], []
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        block = _parse_block(block, n_cols)
         if block is None:
             return None
-        labels, features = block[:, label], np.delete(block, label, axis=1)
-        if not (((labels == 0.0) | (labels == 1.0)).all() and np.isfinite(features).all()):
+        y, X = block[:, label], np.delete(block, label, axis=1)
+        if not (((y == 0.0) | (y == 1.0)).all() and np.isfinite(X).all()):
             return None
-        X[n:n + len(block)], y[n:n + len(block)] = features, labels
-        n += len(block)
-    return (X[:n], y[:n]) if n else None
+        features.append(X)
+        labels.append(y.astype(np.int64))
+    if not sum(map(len, labels)):
+        return None
+    return np.concatenate(features), np.concatenate(labels)
 
 
 def _parse_lines(path, lines, first: int, schema: Schema) -> tuple:

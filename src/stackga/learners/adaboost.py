@@ -9,7 +9,7 @@ the training prior.
 
 import numpy as np
 
-from .tree import ClassificationTree, StumpGrower, apply_trees, node_values, presort
+from .tree import ClassificationTree, ScoredTrees, StumpGrower, fit_trees, node_values, presort
 
 _CLIP = 1e-12
 
@@ -20,7 +20,7 @@ def _scores(value):
                   - np.log(np.clip(value[:, 0], _CLIP, None)))
 
 
-class AdaBoost:
+class AdaBoost(ScoredTrees):
     def __init__(self, n_estimators=100, learning_rate=1.0, criterion="gini",
                  max_depth=1):
         self.n_estimators = n_estimators
@@ -43,10 +43,8 @@ class AdaBoost:
             if stumps is not None:
                 stump, leaf = stumps.fit(w)
             else:
-                stump = ClassificationTree(self.criterion, max_depth=self.max_depth).fit(
-                    X, y, sample_weight=w, rng=rng, order=order
-                )
-                leaf = stump.apply(X)
+                stump = ClassificationTree(self.criterion, max_depth=self.max_depth)
+                (leaf,) = fit_trees([stump], X, y, w, rngs=[rng], order=order)
             hard = (stump.value[leaf, 1] > 0.5).astype(np.int64)
             err = float(w[hard != y].sum() / w.sum())
             if err >= 0.5:
@@ -60,23 +58,28 @@ class AdaBoost:
         return self
 
     def _stump_scores(self, X):
-        """Per-round symmetric score s with class scores (-s, +s)."""
-        if not self.stumps_:
-            return np.empty((0, X.shape[0]))
-        # scored once per node, then gathered at each row's leaf, as
-        # (rounds, rows) in C order: the sum over rounds adds them in round order
-        return _scores(node_values(self.stumps_)).take(apply_trees(self.stumps_, X).T)
+        """Per-round symmetric score s with class scores (-s, +s), (rounds, rows)."""
+        # scored once per node, then gathered at each row's leaf
+        leaves = self.leaf_scorer(self.stumps_).apply(X)
+        return _scores(node_values(self.stumps_)).take(leaves.T)
 
     def staged_decision(self, X):
         """Cumulative aggregate score after each accepted round, shape (rounds, n)."""
         X = np.asarray(X, dtype=np.float64)
+        if not self.stumps_:
+            return np.empty((0, X.shape[0]))
         return np.cumsum(self._stump_scores(X), axis=0)
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=np.float64)
         if not self.stumps_:
             return np.tile([1.0 - self.prior1_, self.prior1_], (X.shape[0], 1))
-        s = self._stump_scores(X).sum(axis=0)
+        # round after round, as `staged_decision` adds them: `sum(axis=0)`
+        # pairs the terms up when there is one row
+        first, *rest = self._stump_scores(X)
+        s = first.copy()
+        for scores in rest:
+            s += scores
         # softmax over the symmetric class scores (-s, +s)
         p1 = 1.0 / (1.0 + np.exp(-2.0 * np.clip(s, -250, 250)))
         return np.column_stack([1.0 - p1, p1])

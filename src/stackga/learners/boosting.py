@@ -7,7 +7,7 @@ what makes the per-stage training loss reliably non-increasing.
 
 import numpy as np
 
-from .tree import RegressionTree, apply_trees, presort
+from .tree import RegressionTree, ScoredTrees, fit_trees, presort
 
 
 def _sigmoid(z):
@@ -19,7 +19,7 @@ def _deviance(y, raw):
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
-class GradientBoosting:
+class GradientBoosting(ScoredTrees):
     def __init__(self, n_estimators=50, learning_rate=0.1, max_depth=3):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
@@ -37,8 +37,8 @@ class GradientBoosting:
         for _ in range(self.n_estimators):
             p = _sigmoid(raw)
             residual = y - p
-            tree = RegressionTree(max_depth=self.max_depth).fit(X, residual, order=order)
-            leaf_ids = tree.apply(X)
+            tree = RegressionTree(max_depth=self.max_depth)
+            (leaf_ids,) = fit_trees([tree], X, residual, order=order)
             hess = np.maximum(p * (1 - p), 1e-12)
             num = np.bincount(leaf_ids, weights=residual, minlength=len(tree.value))
             den = np.bincount(leaf_ids, weights=hess, minlength=len(tree.value))
@@ -53,10 +53,9 @@ class GradientBoosting:
         raw = np.full(X.shape[0], self.base_score_)
         if self.stages_:
             trees, gammas = zip(*self.stages_)
-            leaves = apply_trees(trees, X)
-            gamma = np.concatenate(gammas)
-            for m in range(len(trees)):
-                raw += self.learning_rate * gamma[leaves[:, m]]
+            leaves = self.leaf_scorer(trees).apply(X)
+            for step in self.learning_rate * np.concatenate(gammas).take(leaves.T):
+                raw += step  # stage after stage
         return raw
 
     def predict_proba(self, X):

@@ -5,7 +5,7 @@ shares, so argmax of the probabilities IS the majority vote.
 
 import numpy as np
 
-from .tree import ClassificationTree, apply_trees, fit_trees, node_values
+from .tree import ClassificationTree, ScoredTrees, fit_trees, node_values
 
 _SEED_BOUND = 2**63
 
@@ -16,16 +16,16 @@ def _vote_proba(p1):
     return np.column_stack([1.0 - votes1, votes1])
 
 
-def _tree_vote_proba(trees, X):
-    """Vote shares of trees: each votes with its leaf's P(class 1)."""
-    return _vote_proba(node_values(trees)[:, 1][apply_trees(trees, X)])
+def _tree_vote_proba(model, X):
+    """Vote shares of a model's trees: each votes with its leaf's P(class 1)."""
+    return _vote_proba(node_values(model.trees_)[:, 1][model.leaf_scorer(model.trees_).apply(X)])
 
 
 def _tree_rngs(rng, n):
     return [np.random.default_rng(rng.integers(_SEED_BOUND)) for _ in range(n)]
 
 
-class RandomForest:
+class RandomForest(ScoredTrees):
     def __init__(self, n_estimators=100, criterion="entropy", max_depth=10,
                  max_features="all"):
         self.n_estimators = n_estimators
@@ -48,10 +48,10 @@ class RandomForest:
         return self
 
     def predict_proba(self, X):
-        return _tree_vote_proba(self.trees_, X)
+        return _tree_vote_proba(self, X)
 
 
-class ExtraTrees:
+class ExtraTrees(ScoredTrees):
     """Like the forest but trained on the full sample with uniformly random
     split thresholds per candidate feature."""
 
@@ -76,7 +76,7 @@ class ExtraTrees:
         return self
 
     def predict_proba(self, X):
-        return _tree_vote_proba(self.trees_, X)
+        return _tree_vote_proba(self, X)
 
 
 class Bagging:

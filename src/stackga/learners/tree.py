@@ -27,16 +27,23 @@ The split scores are exactly those of a per-node search: a segment's prefix
 sum is the global cumulative sum minus the segment's offset when every
 weight and weighted target is integer-valued (then any summation order is
 exact); otherwise each segment is summed on its own, in sorted order, in a
-zero-padded block.
+zero-padded block. A fit also returns each training row's leaf.
+
+Prediction finds every row's leaf in every tree of a model at once from
+threshold ranks and leaf bitmasks (`LeafScorer`), built at the model's first
+prediction and kept on it, but not in its pickle (`ScoredTrees`).
 """
+
+import operator
 
 import numpy as np
 
 _INF = np.inf
 
-#: cap on rows x features that one pass of the split kernel or of
-#: prediction holds, which bounds the size of its temporaries; forests are
-#: grown in groups of trees under this cap
+#: cap on the cells one pass holds, which bounds the size of its
+#: temporaries: rows x features for the split kernel (forests are grown in
+#: groups of trees under it), rows x trees x mask words for a chunk of rows
+#: in `LeafScorer.apply`
 _MAX_CELLS = 1 << 16
 
 
@@ -318,11 +325,13 @@ class _Grower:
 
 
 def _grow_group(tree, X, y, w, samples, rngs, order):
-    """Grow one tree per sample; returns (feature, threshold, left, right, value)
-    per tree, nodes numbered in the order they were created."""
+    """Grow one tree per sample; returns (feature, threshold, left, right,
+    value, leaf of each sample row) per tree, nodes numbered in the order
+    they were created."""
     g = _Grower(tree, X, y, w, samples, rngs, order)
     T = len(samples)
     links, thresholds, values = [], [], []  # one entry per settled frontier
+    segments = []  # (id, start, size) of the leaves: no split moves their rows again
     next_id = T
 
     def settle(frontier):
@@ -339,6 +348,8 @@ def _grow_group(tree, X, y, w, samples, rngs, order):
         links.append(np.stack((ids, trees, feature, left, right)))
         thresholds.append(threshold)
         values.append(value)
+        leaf = feature < 0
+        segments.append(np.stack((ids[leaf], start[leaf], size[leaf])))
         next_id += 2 * n
         kids = frontier[:, np.concatenate((split, split))]
         kids[0] = np.arange(next_id - 2 * n, next_id)
@@ -353,6 +364,7 @@ def _grow_group(tree, X, y, w, samples, rngs, order):
             links.append(np.stack((kid_ids, kid_trees, none, none, none)))
             thresholds.append(np.zeros(len(kid_ids)))
             values.append(g.leaves(kid_start, kid_size))
+            segments.append(np.stack((kid_ids, kid_start, kid_size)))
             kids = kids[:, ~done]
         return kids
 
@@ -383,7 +395,14 @@ def _grow_group(tree, X, y, w, samples, rngs, order):
     arrays = [a[order_] for a in (feature.astype(np.int32), np.concatenate(thresholds),
                                   left.astype(np.int32), right.astype(np.int32),
                                   np.concatenate(values))]
-    return [tuple(a[hi - c:hi] for a in arrays) for c, hi in zip(counts, ends)]
+    # a leaf's rows are its segment of ord[0]
+    leaf_ids, start, size = np.concatenate(segments, axis=1)
+    offs = size.cumsum() - size
+    rows = g.ord[0, (start - offs).repeat(size) + np.arange(len(g.y))]
+    leaf_of = np.empty(len(g.y), dtype=np.intp)
+    leaf_of[rows] = local[leaf_ids].repeat(size)
+    return [(*(a[hi - c:hi] for a in arrays), leaf_of[s:s + n])
+            for c, hi, s, n in zip(counts, ends, g.starts, g.sizes)]
 
 
 def fit_trees(trees, X, y, sample_weight=None, samples=None, rngs=None, order=None):
@@ -392,6 +411,8 @@ def fit_trees(trees, X, y, sample_weight=None, samples=None, rngs=None, order=No
     A sample of None means every row in order. `rngs[t]` serves tree t's
     per-node draws; `order` is `presort(X)`, computed when not given. Trees
     are grown in groups whose rows x features stay under `_MAX_CELLS`.
+    Returns, per tree, the leaf (node index) of each row of its sample, the
+    leaf `apply` gives that row.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -402,18 +423,20 @@ def fit_trees(trees, X, y, sample_weight=None, samples=None, rngs=None, order=No
     if order is None and any(s is None for s in samples):
         order = presort(X)
     rows = [n if s is None else len(s) for s in samples]
+    leaves = []
     i = 0
     while i < len(trees):
         j = i + 1
         while j < len(trees) and sum(rows[i:j + 1]) * d <= _MAX_CELLS:
             j += 1
         arrays = _grow_group(trees[i], X, y, w, samples[i:j], rngs[i:j], order)
-        for tree, (feature, threshold, left, right, value) in zip(trees[i:j], arrays):
+        for tree, (feature, threshold, left, right, value, leaf) in zip(trees[i:j], arrays):
             tree.feature, tree.threshold, tree.value = feature, threshold, value
             tree.left, tree.right = left, right
             tree.n_features_ = d
+            leaves.append(leaf)
         i = j
-    return trees
+    return leaves
 
 
 class StumpGrower:
@@ -447,11 +470,10 @@ class StumpGrower:
         """(stump, leaf node of every row) under sample weights `w`."""
         w = np.asarray(w, dtype=np.float64)
         wy = w * self.y
-        if not np.isfinite(wy).all() or (_is_integral(w) and _is_integral(wy)):
-            tree = ClassificationTree(self.criterion, max_depth=1).fit(
-                self.X, self.y, sample_weight=w, order=self.order)
-            return tree, tree.apply(self.X)
         tree = ClassificationTree(self.criterion, max_depth=1)
+        if not np.isfinite(wy).all() or (_is_integral(w) and _is_integral(wy)):
+            (leaf,) = fit_trees([tree], self.X, self.y, w, order=self.order)
+            return tree, leaf
         n, d = self.X.shape
         go_left = None
         if not self.pure and len(self.flat):
@@ -494,54 +516,170 @@ class StumpGrower:
         return tree, leaf
 
 
-def _routing_table(trees):
-    """The trees' nodes as one routing table: (feature, threshold, kids,
-    roots, levels), node n of the table at `kids[2n]` and `kids[2n + 1]`.
+#: `_LOW[k]` has the k lowest bits of a 64-bit word set, k in 0..64
+_LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 
-    `kids[2n + (x[feature[n]] <= threshold[n])]` is inner node n's child
-    (right, then left). A leaf is both its own children, so whatever its
-    comparison gives (its feature -1 reads another cell of X), a row that
-    reaches a leaf stays there. `levels` is the trees' greatest depth: after
-    that many steps every row is at its leaf. The table is built per call,
-    so a fitted tree keeps only its node arrays.
+
+class LeafScorer:
+    """The leaf every row reaches in each of a list of trees, found from
+    threshold ranks and leaf bitmasks (QuickScorer: Lucchese et al., SIGIR
+    2015) instead of a walk from the root.
+
+    Number each tree's leaves left to right. A row goes right at inner node n
+    exactly when `x[feature[n]] > threshold[n]`, and then it cannot reach a
+    leaf of n's left subtree: n's *mask* has those leaves' bits clear. The
+    leaf a row reaches is the lowest set bit of the AND of the masks of every
+    node it goes right at: that leaf lies in the left subtree of none of them,
+    and each leaf to its left is cleared by the two leaves' lowest common
+    ancestor, where the row went right.
+
+    On one feature, the nodes of one tree that a row goes right at are those
+    with a threshold below its value, a prefix of the tree's nodes on that
+    feature in threshold order. So the scorer keeps, per feature, the sorted
+    distinct thresholds of all trees and a (thresholds + 1) x trees table
+    that maps a row's rank among them to an index into one flat array of
+    per-tree prefix ANDs (entry 0, every leaf, for a tree with no node on the
+    feature). A row's rank is one `searchsorted`;
+    NaN ranks last, so it goes right everywhere, as `x <= threshold` is false
+    (no split has a NaN threshold: it would send every row right, so growth
+    never makes one). A tree with more than 64 leaves takes several 64-bit
+    words per mask. A tree whose splits are all on one feature (a stump, for
+    one) has its leaf fixed by that feature's rank, so its table holds the
+    leaf itself, and a tree whose root is a leaf needs no table.
     """
-    if len(trees) == 1:
-        feature, threshold, left, right = (trees[0].feature, trees[0].threshold,
-                                           trees[0].left, trees[0].right)
-        roots = np.zeros(1, dtype=np.intp)
-    else:
-        counts = [len(t.feature) for t in trees]
-        roots = np.cumsum(counts) - counts
-        shift = np.repeat(roots, counts)
-        feature = np.concatenate([t.feature for t in trees])
+
+    def __init__(self, trees):
+        self.n_trees = T = len(trees)
+        counts = np.array([len(t.feature) for t in trees])
+        roots = counts.cumsum() - counts
+        shift = roots.repeat(counts)
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
         threshold = np.concatenate([t.threshold for t in trees])
         left = np.concatenate([t.left for t in trees]) + shift
         right = np.concatenate([t.right for t in trees]) + shift
-    inner = feature >= 0
-    kids = np.where(inner, np.array((right, left)), np.arange(len(feature))).T
-    levels, level = 0, roots
-    while len(level := level[inner[level]]):
-        level = kids[level].ravel()
-        levels += 1
-    return feature, threshold, kids.ravel(), roots, levels
+        tree_of = np.arange(T).repeat(counts)
+        inner = feature >= 0
+
+        # leaves under each node and the left-to-right rank of its first leaf
+        levels, level = [], roots
+        while len(level):
+            levels.append(level[inner[level]])
+            level = np.concatenate((left[levels[-1]], right[levels[-1]]))
+        size = np.ones(len(feature), dtype=np.intp)
+        for level in reversed(levels):
+            size[level] = size[left[level]] + size[right[level]]
+        first = np.zeros(len(feature), dtype=np.intp)
+        for level in levels:
+            first[left[level]] = first[level]
+            first[right[level]] = first[level] + size[left[level]]
+        width = size[roots]
+        self.words = W = int(-(-width.max() // 64))
+        # the narrowest word that holds every tree's leaves
+        word_type = np.min_scalar_type((1 << int(width.max())) - 1) if W == 1 else np.uint64
+        leaf_start = width.cumsum() - width
+        leaves = (~inner).nonzero()[0]
+        self.leaf_node = np.empty(width.sum(), dtype=np.intp)
+        self.leaf_node[leaf_start[tree_of[leaves]] + first[leaves]] = leaves
+
+        # masks of the inner nodes by (feature, tree, threshold), ANDed along
+        # each (feature, tree) run; entry 0 of `self.masks` keeps every leaf
+        nodes = inner.nonzero()[0]
+        nodes = nodes[np.lexsort((threshold[nodes], tree_of[nodes], feature[nodes]))]
+        a = first[nodes][:, None] - 64 * np.arange(W)
+        b = a + size[left[nodes]][:, None]
+        masks = ~_LOW[b.clip(0, 64)] | _LOW[a.clip(0, 64)]
+        run = feature[nodes] * T + tree_of[nodes]
+        step = 1
+        while step < len(run) and (same := run[step:] == run[:-step]).any():
+            masks[step:] = np.where(same[:, None], masks[step:] & masks[:-step], masks[step:])
+            step *= 2
+        self.masks = np.concatenate((np.full((1, W), ~np.uint64(0)), masks)).astype(word_type)
+
+        features_of = np.bincount(np.unique(run) % T, minlength=T)
+        multi = features_of > 1
+        constant = features_of == 0
+        self.constant = constant.nonzero()[0], roots[constant]
+        self.multi = slice(None) if multi.all() else multi.nonzero()[0]
+        self.multi_base = leaf_start[multi] - 1023  # see `_exit_leaves`
+        column = np.cumsum(multi) - 1  # a tree's column in the multi-feature tables
+        index_type = np.min_scalar_type(len(self.masks) - 1)
+        leaf_type = np.min_scalar_type(len(feature) - 1)
+        self.features = []  # (feature, thresholds, table, single-feature trees, their leaves)
+        bounds = np.searchsorted(feature[nodes], np.arange(feature.max(initial=-1) + 2))
+        for f in (bounds[1:] > bounds[:-1]).nonzero()[0]:  # the features some tree splits on
+            at = np.arange(bounds[f], bounds[f + 1])  # positions in `nodes`
+            thresholds = np.unique(threshold[nodes[at]])
+            rank = np.searchsorted(thresholds, threshold[nodes[at]])
+            trees_at = tree_of[nodes[at]]
+            m = multi[trees_at]
+            table = None
+            if m.any():
+                table = _prefix_table(len(thresholds), rank[m], column[trees_at[m]],
+                                      column[-1] + 1, at[m] + 1).astype(index_type)
+            single = np.unique(trees_at[~m])
+            leaf = self._exit_leaves(
+                self.masks[_prefix_table(len(thresholds), rank[~m],
+                                         np.searchsorted(single, trees_at[~m]), len(single),
+                                         at[~m] + 1)],
+                leaf_start[single] - 1023)
+            self.features.append((f, thresholds, table, single, leaf.astype(leaf_type)))
+
+    def _exit_leaves(self, acc, base):
+        """Leaf node of each (row, tree) from the AND of its masks, shape
+        (rows, trees, words); `base` is each tree's first entry of
+        `leaf_node`, minus 1023."""
+        if self.words == 1:
+            word = acc[..., 0]
+        else:  # the first nonzero word holds the lowest set bit
+            w = (acc != 0).argmax(axis=2)
+            word = np.take_along_axis(acc, w[..., None], axis=2)[..., 0]
+            base = base + 64 * w
+        low = np.negative(word)
+        low &= word  # the lowest set bit alone
+        # a power of two converts to float64 exactly, its exponent field 1023 + the bit
+        bit = low.astype(np.float64).view(np.int64)
+        bit >>= 52
+        bit += base
+        return self.leaf_node.take(bit)
+
+    def apply(self, X):
+        """Leaf of every row of X in every tree, (rows, trees), as indices
+        into the trees' node arrays concatenated in order."""
+        X = np.asarray(X, dtype=np.float64)
+        n = X.shape[0]
+        XT = np.ascontiguousarray(X.T)
+        out = np.empty((n, self.n_trees), dtype=np.intp)
+        if len(self.constant[0]):
+            out[:, self.constant[0]] = self.constant[1]
+        chunk = max(1, _MAX_CELLS // (self.n_trees * self.words))
+        for a in range(0, n, chunk):
+            rows = slice(a, min(n, a + chunk))
+            acc = None
+            for f, thresholds, table, single, leaf in self.features:
+                rank = np.searchsorted(thresholds, XT[f, rows])
+                if len(single):
+                    out[rows, single] = leaf.take(rank, axis=0)
+                if table is not None:
+                    masks = self.masks.take(table.take(rank, axis=0).astype(np.intp), axis=0)
+                    acc = masks if acc is None else np.bitwise_and(acc, masks, out=acc)
+            if acc is not None:
+                out[rows, self.multi] = self._exit_leaves(acc, self.multi_base)
+        return out
+
+
+def _prefix_table(n_thresholds, rank, column, n_columns, entry):
+    """The (n_thresholds + 1) x n_columns table whose cell (r, c) is the
+    largest `entry` of column c's nodes with a threshold rank below r, or 0:
+    a row of rank r goes right at exactly those nodes."""
+    table = np.zeros((n_thresholds + 1, n_columns), dtype=np.intp)
+    np.maximum.at(table, (rank + 1, column), entry)
+    return np.maximum.accumulate(table, axis=0)
 
 
 def apply_trees(trees, X):
     """Leaf of every row in every tree, (rows, trees), as indices into the
     trees' node arrays concatenated in order."""
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    feature, threshold, kids, roots, levels = _routing_table(trees)
-    out = np.empty((n, len(trees)), dtype=np.intp)
-    chunk = max(1, _MAX_CELLS // len(trees))
-    Xf = X.ravel()
-    for a in range(0, n, chunk):
-        rows = d * np.arange(a, min(n, a + chunk))[:, None]
-        at = np.broadcast_to(roots, (len(rows), len(trees)))
-        for _ in range(levels):
-            at = kids[2 * at + (Xf[rows + feature[at]] <= threshold[at])]
-        out[a:a + chunk] = at
-    return out
+    return LeafScorer(trees).apply(X)
 
 
 def node_values(trees):
@@ -550,12 +688,35 @@ def node_values(trees):
     return np.concatenate([t.value for t in trees])
 
 
-class _Tree:
+class ScoredTrees:
+    """Base of fitted models that score rows through their trees' leaves.
+
+    `leaf_scorer(trees)` is the `LeafScorer` of the model's trees, built at
+    its first prediction and kept until the trees change (a fit gives every
+    tree new node arrays). Pickles leave it out, so a model's bytes do not
+    depend on whether it has predicted.
+    """
+
+    def leaf_scorer(self, trees):
+        key = [t.feature for t in trees]
+        cached = self.__dict__.get("_scorer")
+        if (cached is None or len(cached[0]) != len(key)
+                or any(map(operator.is_not, cached[0], key))):
+            cached = self._scorer = key, LeafScorer(trees)
+        return cached[1]
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_scorer", None)
+        return state
+
+
+class _Tree(ScoredTrees):
     feature = threshold = left = right = value = None
 
     def apply(self, X):
         """Leaf node index of every row."""
-        return apply_trees([self], X)[:, 0]
+        return self.leaf_scorer([self]).apply(X)[:, 0]
 
     def depth(self):
         depth = np.zeros(len(self.feature), dtype=np.intp)

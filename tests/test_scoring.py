@@ -8,6 +8,7 @@ thresholds exactly; a stack trained here scores 5,000 rows in batches as
 the reference scorer does.
 """
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -193,10 +194,60 @@ def test_apply_trees_equals_a_per_row_walk(kind, n_trees, data, seed):
     trees = _trees_of(ENSEMBLES[kind](n_trees).fit(X, y, rng=child_rng(seed, "oracle")))
     if not trees:  # a booster whose first stump was rejected
         return
-    Q = _queries(X, trees, extra=X + 0.5)
+    infinite = np.array([[np.inf], [-np.inf]]).repeat(X.shape[1], axis=1)
+    Q = _queries(X, trees, extra=np.vstack([X + 0.5, infinite]))
     want = apply_reference(trees, Q)
     assert same_bits(apply_trees(trees, Q), want)
     with mock.patch.object(tree_module, "_MAX_CELLS", 2 * n_trees):  # 2-row chunks
+        assert same_bits(apply_trees(trees, Q), want)
+    for t in trees:
+        assert same_bits(t.apply(Q), apply_reference([t], Q)[:, 0])
+
+
+def _edge_trees():
+    """Trees that the small tables above do not make: more than 64 and more
+    than 128 leaves (several mask words), a root that is a leaf, a tree
+    split on one feature only, and a feature that no tree splits on."""
+    rng = child_rng(0, "edge-trees")
+    X = rng.normal(size=(600, 4)).round(2)
+    X[:, 3] = 1.0
+    y = rng.integers(0, 2, len(X))
+    only_0 = np.zeros_like(X)
+    only_0[:, 0] = X[:, 0]
+    trees = {
+        "leaves_over_128": ClassificationTree(max_depth=None).fit(X, y),
+        "leaves_over_64": ClassificationTree(max_depth=None).fit(X[:300], y[:300]),
+        "root_leaf": ClassificationTree().fit(X, np.zeros(len(X), dtype=int)),
+        "one_feature": ClassificationTree(max_depth=3).fit(only_0, y),
+        "depth_2": ClassificationTree(max_depth=2).fit(X, y),
+    }
+    n_leaves = {name: int((t.feature < 0).sum()) for name, t in trees.items()}
+    assert n_leaves["leaves_over_128"] > 128 and 64 < n_leaves["leaves_over_64"] <= 128
+    assert n_leaves["root_leaf"] == 1
+    assert set(trees["one_feature"].feature[trees["one_feature"].feature >= 0]) == {0}
+    assert not any((t.feature == 3).any() for t in trees.values())
+    return X, trees
+
+
+_EDGE_ENSEMBLES = {
+    "over_128": ["leaves_over_128"],
+    "over_64": ["leaves_over_64"],
+    "root_leaf": ["root_leaf"],
+    "mixed": ["depth_2", "root_leaf", "leaves_over_64", "one_feature", "leaves_over_128"],
+    "small_mixed": ["one_feature", "root_leaf", "depth_2"],
+}
+
+
+@pytest.mark.parametrize("names", sorted(_EDGE_ENSEMBLES))
+def test_apply_trees_equals_a_per_row_walk_on_edge_cases(names):
+    X, by_name = _edge_trees()
+    trees = [by_name[name] for name in _EDGE_ENSEMBLES[names]]
+    special = np.array([[np.inf, -np.inf, np.nan, np.inf], [-np.inf, np.inf, 0.0, -np.inf],
+                        [np.nan, np.nan, np.nan, np.nan]])
+    Q = _queries(X, trees, extra=np.vstack([X + 0.005, special]))
+    want = apply_reference(trees, Q)
+    assert same_bits(apply_trees(trees, Q), want)
+    with mock.patch.object(tree_module, "_MAX_CELLS", 3 * len(trees)):  # chunks of 1 to 3 rows
         assert same_bits(apply_trees(trees, Q), want)
     for t in trees:
         assert same_bits(t.apply(Q), apply_reference([t], Q)[:, 0])
@@ -253,6 +304,46 @@ def test_stack_scores_5000_rows_like_the_reference_scorer(pima_split_clean):
     want = np.vstack([reference_stack_proba(stack, X[a:a + 1000])
                       for a in range(0, 5000, 1000)])
     assert same_bits(got, want)
+
+
+TREE_LEARNERS = (
+    LearnerSpec("decision_tree", {}, 1),
+    LearnerSpec("decision_tree", {"max_depth": None}, 2),
+    LearnerSpec("random_forest", {"n_estimators": 10}, 3),
+    LearnerSpec("extra_trees", {"n_estimators": 10}, 4),
+    LearnerSpec("adaboost", {"n_estimators": 30}, 5),
+    LearnerSpec("gradient_boosting", {"n_estimators": 12}, 6),
+    LearnerSpec("bagging", {"n_estimators": 4}, 7),
+)
+
+
+@pytest.fixture(scope="module")
+def tree_models(pima_split_clean):
+    train_ds, test_ds = pima_split_clean
+    return [train(spec, train_ds) for spec in TREE_LEARNERS], test_ds.features
+
+
+@pytest.mark.parametrize("i", range(len(TREE_LEARNERS)),
+                         ids=[spec.algorithm for spec in TREE_LEARNERS])
+def test_tree_learners_score_a_row_alike_in_any_batch(tree_models, i):
+    models, X = tree_models
+    model = models[i]
+    whole = predict_proba(model, X)
+    for size in (1, 7):
+        parts = [predict_proba(model, X[a:a + size]) for a in range(0, len(X), size)]
+        assert same_bits(np.vstack(parts), whole), size
+
+
+def test_predicting_leaves_the_pickle_alone(tree_models, pima_split_clean):
+    train_ds, test_ds = pima_split_clean
+    stack = train_stack(StackSpec(LIGHT_BASES, LearnerSpec("logistic_regression", {}, 8),
+                                  level1_folds=3, seed=9), train_ds)
+    models, X = tree_models
+    for model, score in [(m, predict_proba) for m in models] + [(stack, predict_proba_stack)]:
+        before = pickle.dumps(model, protocol=4)
+        want = score(model, X)
+        assert pickle.dumps(model, protocol=4) == before
+        assert same_bits(score(pickle.loads(before), X), want)
 
 
 def test_knn_ties_beyond_k_keep_the_lower_training_index():
