@@ -116,10 +116,22 @@ def _banner(args, cfg: ExperimentConfig) -> None:
     _say(args, f"master_seed={cfg.master_seed} config_hash={config_hash(cfg)}")
 
 
-def _say_timings(args, timings: dict) -> None:
+def _say_timings(args, timings: dict, notes=None) -> None:
+    """With -v, one `<key>: <seconds>s` line per timing, followed by its
+    entry of `notes`, if any."""
     if args.verbose:
         for key, seconds in timings.items():
-            _say(args, f"{key}: {seconds:.3f}s")
+            _say(args, f"{key}: {seconds:.3f}s{(notes or {}).get(key, '')}")
+
+
+def _convergence_note(model) -> str:
+    """Why a trained single's solver stopped, when it stopped unconverged
+    (its iteration limit): the passes it made and its largest violation of
+    the optimality (KKT) conditions on the training rows."""
+    impl = None if model is None else model.impl
+    if getattr(impl, "converged_", True):
+        return ""
+    return f" (not converged: {impl.n_passes_} passes, KKT violation {impl._train_kkt:.4g})"
 
 
 def _say_ga_search(args, cfg: ExperimentConfig, run) -> None:
@@ -222,12 +234,14 @@ def cmd_train(args) -> int:
         _say(args, f"GA selected {len(mask_indices)} features: "
                    f"{', '.join(mask_to_names(ga_run.best_chromosome, fit_ds))}")
         _say_ga_search(args, cfg, ga_run)
-    timings.update((f"{name} fit", seconds)
-                   for name, (_, seconds, _) in zip(single_names(cfg), singles))
+    notes = {}
+    for name, (model, seconds, _) in zip(single_names(cfg), singles):
+        timings[f"{name} fit"] = seconds
+        notes[f"{name} fit"] = _convergence_note(model)
     t0 = time.perf_counter()
     stack = train_masked_stack(stack_spec_from_config(cfg), fit_ds, mask_indices)
     timings["stack"] = time.perf_counter() - t0
-    _say_timings(args, timings)
+    _say_timings(args, timings, notes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.pkl"

@@ -9,7 +9,7 @@ the training prior.
 
 import numpy as np
 
-from .tree import ClassificationTree, ScoredTrees, StumpGrower, fit_trees, node_values, presort
+from .tree import BoosterGrower, ClassificationTree, ScoredTrees, node_values
 
 _CLIP = 1e-12
 
@@ -29,7 +29,6 @@ class AdaBoost(ScoredTrees):
         self.max_depth = max_depth
 
     def fit(self, X, y, rng=None):
-        rng = rng or np.random.default_rng(0)
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n = len(y)
@@ -37,14 +36,10 @@ class AdaBoost(ScoredTrees):
         w = np.full(n, 1.0 / n)
         self.stumps_ = []
         y_sign = np.where(y == 1, 1.0, -1.0)
-        order = presort(X)
-        stumps = StumpGrower(self.criterion, X, y, order) if self.max_depth == 1 else None
+        grower = BoosterGrower(
+            lambda: ClassificationTree(self.criterion, max_depth=self.max_depth), X)
         for _ in range(self.n_estimators):
-            if stumps is not None:
-                stump, leaf = stumps.fit(w)
-            else:
-                stump = ClassificationTree(self.criterion, max_depth=self.max_depth)
-                (leaf,) = fit_trees([stump], X, y, w, rngs=[rng], order=order)
+            stump, leaf = grower.fit(y, w)
             hard = (stump.value[leaf, 1] > 0.5).astype(np.int64)
             err = float(w[hard != y].sum() / w.sum())
             if err >= 0.5:

@@ -7,7 +7,7 @@ what makes the per-stage training loss reliably non-increasing.
 
 import numpy as np
 
-from .tree import RegressionTree, ScoredTrees, fit_trees, presort
+from .tree import BoosterGrower, RegressionTree, ScoredTrees
 
 
 def _sigmoid(z):
@@ -33,12 +33,11 @@ class GradientBoosting(ScoredTrees):
         raw = np.full(len(y), self.base_score_)
         self.stages_ = []
         self.train_deviance_ = [_deviance(y, raw)]
-        order = presort(X)
+        grower = BoosterGrower(lambda: RegressionTree(max_depth=self.max_depth), X)
         for _ in range(self.n_estimators):
             p = _sigmoid(raw)
             residual = y - p
-            tree = RegressionTree(max_depth=self.max_depth)
-            (leaf_ids,) = fit_trees([tree], X, residual, order=order)
+            tree, leaf_ids = grower.fit(residual)
             hess = np.maximum(p * (1 - p), 1e-12)
             num = np.bincount(leaf_ids, weights=residual, minlength=len(tree.value))
             den = np.bincount(leaf_ids, weights=hess, minlength=len(tree.value))

@@ -39,12 +39,13 @@ class RandomForest(ScoredTrees):
         y = np.asarray(y, dtype=np.int64)
         n = len(y)
         rngs = _tree_rngs(rng, self.n_estimators)
-        samples = [tree_rng.integers(0, n, n) for tree_rng in rngs]  # bootstrap
+        # each bootstrap as the number of times it drew each row
+        counts = [np.bincount(tree_rng.integers(0, n, n), minlength=n) for tree_rng in rngs]
         self.trees_ = [
             ClassificationTree(self.criterion, self.max_depth, self.max_features)
             for _ in range(self.n_estimators)
         ]
-        fit_trees(self.trees_, X, y, samples=samples, rngs=rngs)
+        fit_trees(self.trees_, X, y, counts=counts, rngs=rngs)
         return self
 
     def predict_proba(self, X):

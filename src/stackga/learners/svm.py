@@ -61,22 +61,31 @@ class SmoSvm:
         b = 0.0
         E = -t.copy()  # f = 0 initially, so E = f - t
         C, tol = self.c, self.tol
+        # the loop reads its scalars as Python floats, the same IEEE doubles
+        # as numpy's scalars at a fraction of the cost; `al` and `tl` mirror
+        # alpha and t, and `non_bound` is kept until a step changes alpha
+        al, tl = alpha.tolist(), t.tolist()
+        non_bound = None
+        stepped = False
 
         def take_step(i1, i2):
-            nonlocal b
+            nonlocal b, non_bound, stepped
             if i1 == i2:
                 return False
-            a1o, a2o = alpha[i1], alpha[i2]
-            y1, y2 = t[i1], t[i2]
-            E1, E2 = E[i1], E[i2]
+            a1o, a2o = al[i1], al[i2]
+            y1, y2 = tl[i1], tl[i2]
             s = y1 * y2
+            # L = max(0, lo) and H = min(C, hi), as conditionals
             if s < 0:
-                L, H = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
+                lo, hi = a2o - a1o, C + a2o - a1o
             else:
-                L, H = max(0.0, a2o + a1o - C), min(C, a2o + a1o)
+                lo, hi = a2o + a1o - C, a2o + a1o
+            L = lo if lo > 0.0 else 0.0
+            H = hi if hi < C else C
             if L >= H:
                 return False
-            k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
+            E1, E2 = E.item(i1), E.item(i2)
+            k11, k12, k22 = K.item(i1, i1), K.item(i1, i2), K.item(i2, i2)
             eta = k11 + k22 - 2.0 * k12
             if eta > 0:
                 a2 = a2o + y2 * (E1 - E2) / eta
@@ -119,27 +128,35 @@ class SmoSvm:
             else:
                 b_new = 0.5 * (b1 + b2)
             E[:] += d1 * K[i1] + d2 * K[i2] + (b_new - b)
-            alpha[i1], alpha[i2] = a1, a2
+            alpha[i1], alpha[i2] = al[i1], al[i2] = a1, a2
             b = b_new
+            non_bound, stepped = None, True
             return True
 
         def examine(i2):
-            r2 = E[i2] * t[i2]
-            if not ((r2 < -tol and alpha[i2] < C) or (r2 > tol and alpha[i2] > 0)):
+            nonlocal non_bound
+            r2 = E.item(i2) * tl[i2]
+            a2 = al[i2]
+            if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0)):
                 return 0
-            non_bound = np.flatnonzero((alpha > _EPS) & (alpha < C - _EPS))
-            if non_bound.size > 1:
-                i1 = non_bound[np.argmax(np.abs(E[non_bound] - E[i2]))]
-                if take_step(int(i1), i2):
+            if non_bound is None:
+                non_bound = np.flatnonzero((alpha > _EPS) & (alpha < C - _EPS)).tolist()
+            size = len(non_bound)
+            if size > 1:
+                i1 = non_bound[np.argmax(np.abs(E[non_bound] - E.item(i2)))]
+                if take_step(i1, i2):
                     return 1
-            if non_bound.size:
-                start = rng.integers(non_bound.size)
-                for i1 in np.roll(non_bound, -start):
-                    if take_step(int(i1), i2):
+            if size:
+                start = rng.integers(size)
+                for i1 in non_bound[start:] + non_bound[:start]:
+                    if take_step(i1, i2):
                         return 1
-            start = rng.integers(n)
-            for i1 in np.roll(np.arange(n), -start):
-                if take_step(int(i1), i2):
+            start = int(rng.integers(n))
+            for i1 in range(start, n):
+                if take_step(i1, i2):
+                    return 1
+            for i1 in range(start):
+                if take_step(i1, i2):
                     return 1
             return 0
 
@@ -153,8 +170,8 @@ class SmoSvm:
                 for i2 in range(n):
                     changed += examine(i2)
             else:
-                for i2 in np.flatnonzero((alpha > _EPS) & (alpha < C - _EPS)):
-                    changed += examine(int(i2))
+                for i2 in np.flatnonzero((alpha > _EPS) & (alpha < C - _EPS)).tolist():
+                    changed += examine(i2)
             passes += 1
             if examine_all:
                 if changed == 0:
@@ -167,7 +184,9 @@ class SmoSvm:
         support = alpha > _EPS
         self.alpha_y_ = (alpha * t)[support]
         self.support_vectors_ = X[support]
-        self.b_ = b
+        # pickled with its type: an np.float64 once any step was accepted, as
+        # when the loop read numpy scalars, so `model.pkl` keeps its bytes
+        self.b_ = np.float64(b) if stepped else b
         self.n_passes_ = passes
         self._train_kkt = self._kkt_violations(alpha, t, E)
         return self

@@ -29,6 +29,11 @@ weight and weighted target is integer-valued (then any summation order is
 exact); otherwise each segment is summed on its own, in sorted order, in a
 zero-padded block. A fit also returns each training row's leaf.
 
+A booster fits one tree per round on the same table, so `BoosterGrower`
+keeps the presort, the transposed table and the root's candidate boundaries
+across rounds and grows each round's tree one node at a time, with the bits
+of `fit_trees`.
+
 Prediction finds every row's leaf in every tree of a model at once from
 threshold ranks and leaf bitmasks (`LeafScorer`), built at the model's first
 prediction and kept on it, but not in its pickle (`ScoredTrees`).
@@ -110,16 +115,28 @@ def _is_integral(a):
     return bool(np.all(a == np.floor(a)))
 
 
+def _split_scores(impurity, wl, w1l, wr, w1r):
+    """Score of each candidate split, lower is better, from its left and
+    right weight sums (wl, wr) and weighted target sums (w1l, w1r)."""
+    if impurity is not None:  # one call scores both sides
+        both = impurity(np.concatenate((w1l, w1r)), np.concatenate((wl, wr)))
+        return both[:len(wl)] + both[len(wl):]
+    # maximize the weighted mean separation wl*wr/(wl+wr)*(ml-mr)^2
+    diff = w1l / wl - w1r / wr
+    return -(wl * wr / (wl + wr) * diff * diff)
+
+
 class _Grower:
     """The shared state of a group of trees grown together.
 
-    Tree t trains on rows `samples[t]` of X (None: every row, in order,
-    presorted as `order`); its rows take a block of the group's sample index
-    space, and `ord[f]` lists sample indices by feature f with every open
-    node's samples in one contiguous segment.
+    Tree t trains on the rows of X with a nonzero `counts[t]` (None: every
+    row once), each weighted by its count; its rows take a block of the
+    group's sample index space, in row order, and `ord[f]` lists sample
+    indices by feature f with every open node's samples in one contiguous
+    segment. A tree's presort is `order` filtered to its rows.
     """
 
-    def __init__(self, tree, X, y, w, samples, rngs, order):
+    def __init__(self, tree, X, y, w, counts, rngs, order):
         n, self.d = X.shape
         self.impurity = tree._impurity
         self.max_depth = tree.max_depth
@@ -127,18 +144,25 @@ class _Grower:
         self.random_threshold = tree.random_threshold
         self.rngs = rngs
         self.per_node = self.random_threshold or self.k < self.d
-        blocks = [np.arange(n) if s is None else np.asarray(s) for s in samples]
+        blocks = [np.arange(n) if c is None else np.flatnonzero(c) for c in counts]
         self.sizes = np.array([len(b) for b in blocks])
         self.starts = np.cumsum(self.sizes) - self.sizes
         rows = np.concatenate(blocks)
         self.XT = np.ascontiguousarray(X[rows].T)
         self.row_offset = (np.arange(self.d) * len(rows))[:, None]  # flat index of (f, 0)
-        self.y, self.w = y[rows], w[rows]
+        self.y = y[rows]
+        self.w = np.concatenate([w[b] if c is None else w[b] * c[b]
+                                 for b, c in zip(blocks, counts)])
         self.wy = self.w * self.y
-        self.ord = np.concatenate([
-            (order if s is None else presort(X[s])) + start
-            for s, start in zip(samples, self.starts)
-        ], axis=1)
+        ords = []
+        for c, start in zip(counts, self.starts):
+            if c is None:
+                ords.append(order + start)
+            else:
+                keep = c > 0
+                position = np.cumsum(keep) - 1  # of each kept row in its block
+                ords.append(position[order[keep[order]].reshape(self.d, -1)] + start)
+        self.ord = np.concatenate(ords, axis=1)
         self.unit = bool(np.all(self.w == 1.0))
         self.integral = _is_integral(self.w) and _is_integral(self.wy)
 
@@ -257,13 +281,7 @@ class _Grower:
         keep = (wl > 0) & (wr > 0)
         if not keep.all():
             seg, flat, wl, w1l, wr, w1r = (a[keep] for a in (seg, flat, wl, w1l, wr, w1r))
-        if self.impurity is not None:  # one call scores both sides
-            both = self.impurity(np.concatenate((w1l, w1r)), np.concatenate((wl, wr)))
-            score = both[:len(wl)] + both[len(wl):]
-        else:
-            # maximize the weighted mean separation wl*wr/(wl+wr)*(ml-mr)^2
-            diff = w1l / wl - w1r / wr
-            score = -(wl * wr / (wl + wr) * diff * diff)
+        score = _split_scores(self.impurity, wl, w1l, wr, w1r)
 
         # first minimum of every (feature, node) segment, then of every node
         best = np.full(d * n_s, _INF)
@@ -290,22 +308,28 @@ class _Grower:
         go_left = (x <= threshold[node_of]) & ok[node_of]
         left_size = np.add.reduceat(go_left, offs, dtype=np.intp)
         ok &= (left_size > 0) & (left_size < size)  # midpoint collapsed onto a data value
-        if ok.any():
+        if ok.any():  # a node that does not split sends no row left and keeps its order
             self._partition(pos, sub if deeper else sub[:1], go_left & ok[node_of],
-                            offs, node_of, left_size)
+                            offs, size, left_size * ok)
         return feature, threshold, ok, left_size
 
-    def _partition(self, pos, sub, go_left, offs, node_of, left_size):
+    def _partition(self, pos, sub, go_left, offs, size, left_size):
         """Stable partition of every segment of the given feature orders: its
         left rows first, then its right rows, each side in order."""
         g = np.zeros(self.XT.shape[1], dtype=bool)
         g[sub[0]] = go_left
         g = g.take(sub)
-        lefts = g.cumsum(axis=1) - g  # left rows before each position
-        lefts -= lefts[:, offs][:, node_of]
-        new = np.where(g, offs[node_of] + lefts,
-                       np.arange(len(pos)) + left_size[node_of] - lefts)
-        self.ord[:len(sub)].ravel()[pos.take(new) + self.row_offset[:len(sub)]] = sub
+        # every feature order sends the same number of rows left from a segment,
+        # so one list of destinations serves all of them
+        right_size = size - left_size
+        to_left = np.arange(left_size.sum()) + \
+            (offs - (left_size.cumsum() - left_size)).repeat(left_size)
+        to_right = np.arange(right_size.sum()) + \
+            (offs + left_size - (right_size.cumsum() - right_size)).repeat(right_size)
+        parted = np.empty_like(sub)
+        parted[:, to_left] = sub[g].reshape(len(sub), -1)
+        parted[:, to_right] = sub[~g].reshape(len(sub), -1)
+        self.ord[:len(sub), pos] = parted
 
     def _leaf_values(self, s0, offs, size, leaf):
         """`value` of every node (zero at inner nodes) from the weighted sums
@@ -324,12 +348,12 @@ class _Grower:
         return np.stack((np.where(leaf, 1.0 - mean, 0.0), mean), axis=1)
 
 
-def _grow_group(tree, X, y, w, samples, rngs, order):
-    """Grow one tree per sample; returns (feature, threshold, left, right,
-    value, leaf of each sample row) per tree, nodes numbered in the order
-    they were created."""
-    g = _Grower(tree, X, y, w, samples, rngs, order)
-    T = len(samples)
+def _grow_group(tree, X, y, w, counts, rngs, order):
+    """Grow one tree per entry of `counts`; returns (feature, threshold,
+    left, right, value, leaf of each of its rows) per tree, nodes numbered in
+    the order they were created."""
+    g = _Grower(tree, X, y, w, counts, rngs, order)
+    T = len(counts)
     links, thresholds, values = [], [], []  # one entry per settled frontier
     segments = []  # (id, start, size) of the leaves: no split moves their rows again
     next_id = T
@@ -386,10 +410,10 @@ def _grow_group(tree, X, y, w, samples, rngs, order):
 
     ids, trees, feature, left, right = np.concatenate(links, axis=1)
     order_ = np.lexsort((ids, trees))
-    counts = np.bincount(trees, minlength=T)
-    ends = counts.cumsum()
+    n_nodes = np.bincount(trees, minlength=T)
+    ends = n_nodes.cumsum()
     local = np.empty(next_id, dtype=np.int32)
-    local[ids[order_]] = np.arange(len(ids)) - (ends - counts).repeat(counts)
+    local[ids[order_]] = np.arange(len(ids)) - (ends - n_nodes).repeat(n_nodes)
     left = np.where(left >= 0, local[left], -1)
     right = np.where(right >= 0, local[right], -1)
     arrays = [a[order_] for a in (feature.astype(np.int32), np.concatenate(thresholds),
@@ -402,118 +426,209 @@ def _grow_group(tree, X, y, w, samples, rngs, order):
     leaf_of = np.empty(len(g.y), dtype=np.intp)
     leaf_of[rows] = local[leaf_ids].repeat(size)
     return [(*(a[hi - c:hi] for a in arrays), leaf_of[s:s + n])
-            for c, hi, s, n in zip(counts, ends, g.starts, g.sizes)]
+            for c, hi, s, n in zip(n_nodes, ends, g.starts, g.sizes)]
 
 
-def fit_trees(trees, X, y, sample_weight=None, samples=None, rngs=None, order=None):
-    """Fit `trees` (one settings for all) together, tree t on rows samples[t].
+def _set_arrays(tree, feature, threshold, value, left, right, d):
+    """Store a grown tree's node arrays, always in this order, so that trees
+    grown by either grower pickle to the same bytes."""
+    tree.feature, tree.threshold, tree.value = feature, threshold, value
+    tree.left, tree.right = left, right
+    tree.n_features_ = d
 
-    A sample of None means every row in order. `rngs[t]` serves tree t's
-    per-node draws; `order` is `presort(X)`, computed when not given. Trees
-    are grown in groups whose rows x features stay under `_MAX_CELLS`.
-    Returns, per tree, the leaf (node index) of each row of its sample, the
-    leaf `apply` gives that row.
+
+def fit_trees(trees, X, y, sample_weight=None, counts=None, rngs=None, order=None):
+    """Fit `trees` (one settings for all) together.
+
+    Tree t trains on the rows of X whose `counts[t]` is nonzero, each
+    weighted by its count times its sample weight; a count array of None
+    means every row once. A bootstrap given as counts grows the trees its
+    duplicated rows would: a split never separates equal rows, so the
+    candidate boundaries are the same, and the integer sums at them are too.
+    `rngs[t]` serves tree t's per-node draws; `order` is `presort(X)`,
+    computed when not given. Trees are grown in groups whose rows (each
+    counted as often as its count) x features stay under `_MAX_CELLS`.
+    Returns, per tree, the leaf (node index) of each of its rows in row
+    order, the leaf `apply` gives that row.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    samples = [None] * len(trees) if samples is None else samples
+    counts = [None] * len(trees) if counts is None else counts
     rngs = [np.random.default_rng(0) for _ in trees] if rngs is None else rngs
-    if order is None and any(s is None for s in samples):
+    if order is None:
         order = presort(X)
-    rows = [n if s is None else len(s) for s in samples]
+    # a bootstrap tree counts its draws: as many candidate boundaries as its
+    # duplicated rows had, which size the split kernel's largest temporaries
+    rows = [n if c is None else int(c.sum()) for c in counts]
     leaves = []
     i = 0
     while i < len(trees):
         j = i + 1
         while j < len(trees) and sum(rows[i:j + 1]) * d <= _MAX_CELLS:
             j += 1
-        arrays = _grow_group(trees[i], X, y, w, samples[i:j], rngs[i:j], order)
+        arrays = _grow_group(trees[i], X, y, w, counts[i:j], rngs[i:j], order)
         for tree, (feature, threshold, left, right, value, leaf) in zip(trees[i:j], arrays):
-            tree.feature, tree.threshold, tree.value = feature, threshold, value
-            tree.left, tree.right = left, right
-            tree.n_features_ = d
+            _set_arrays(tree, feature, threshold, value, left, right, d)
             leaves.append(leaf)
         i = j
     return leaves
 
 
-class StumpGrower:
-    """Depth-1 classification trees on one table under changing sample
-    weights, as a booster fits them round after round.
+def _boundaries(xs):
+    """Flat (feature, position) index of every position of the sorted rows
+    xs (features, rows) whose value is below the next one's."""
+    valid = np.zeros(xs.shape, dtype=bool)
+    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+    return valid.ravel().nonzero()[0]
 
-    The sorted values and the candidate boundaries do not depend on the
-    weights, so they are found once; `fit` then costs a few cumulative sums.
-    Its stump, and the leaf of every training row, are the bits that
-    `ClassificationTree(criterion, max_depth=1)` fitted and applied on the
-    same rows give: the same sums in the same order, the same first-minimum
-    rule, and leaf sums in row order. Weights that are all integers, or not
-    all finite, take that general path itself.
+
+class BoosterGrower:
+    """One tree a round on one table under changing targets or weights, as
+    a booster fits them: gradient boosting's regression trees on each round's
+    residuals, AdaBoost's classification trees under each round's weights.
+
+    The presorted order, the transposed table and the root's candidate
+    boundaries do not depend on targets or weights, so they are found once
+    per fit. `fit` grows one node at a time, level by level, to any depth,
+    and returns the tree and the leaf of every training row. Its bits are
+    those of `fit_trees` on the same rows and a tree from `new_tree`:
+
+    - a node's rows are one segment of the presort, filtered to them, and
+      that segment's own cumulative sums are the zero-padded block sums;
+    - a node's totals are feature 0's segment sums;
+    - the split is the first minimum of the node's (feature, position)
+      scores, which is the lowest feature's lowest threshold;
+    - a level numbers its left children first, then its right children;
+    - leaf values are sums over the leaf's rows in row order.
+
+    Targets and weights that are all integers, or not all finite, take
+    `fit_trees` itself, whose sums are exact in any order.
     """
 
-    def __init__(self, criterion, X, y, order=None):
-        self.criterion = criterion
+    def __init__(self, new_tree, X, order=None):
+        self.new_tree = new_tree
         self.X = np.asarray(X, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        n = self.X.shape[0]
-        self.order = presort(self.X) if order is None else order
-        xs = np.take_along_axis(self.X.T, self.order, axis=1)
-        valid = np.zeros(xs.shape, dtype=bool)
-        np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
-        self.flat = valid.ravel().nonzero()[0]  # by feature, then sorted position
-        self.xs = xs.ravel()
-        n1 = self.y.sum()
-        self.pure = n1 == 0 or n1 == n
-
-    def fit(self, w) -> tuple:
-        """(stump, leaf node of every row) under sample weights `w`."""
-        w = np.asarray(w, dtype=np.float64)
-        wy = w * self.y
-        tree = ClassificationTree(self.criterion, max_depth=1)
-        if not np.isfinite(wy).all() or (_is_integral(w) and _is_integral(wy)):
-            (leaf,) = fit_trees([tree], self.X, self.y, w, order=self.order)
-            return tree, leaf
         n, d = self.X.shape
-        go_left = None
-        if not self.pure and len(self.flat):
-            cw = w.take(self.order).cumsum(axis=1)
-            cw1 = wy.take(self.order).cumsum(axis=1)
-            wl, w1l = cw.ravel()[self.flat], cw1.ravel()[self.flat]
-            wr, w1r = cw[0, -1] - wl, cw1[0, -1] - w1l
-            keep = (wl > 0) & (wr > 0)
-            flat = self.flat[keep]
-            if len(flat):
-                wl, w1l, wr, w1r = wl[keep], w1l[keep], wr[keep], w1r[keep]
-                both = tree._impurity(np.concatenate((w1l, w1r)), np.concatenate((wl, wr)))
-                score = both[:len(wl)] + both[len(wl):]
-                best = np.argmin(score)  # the first minimum: lowest feature, then threshold
-                if np.isfinite(score[best]):
-                    q = flat[best]
-                    feature = q // n
-                    threshold = 0.5 * (self.xs[q] + self.xs[q + 1])
-                    go_left = self.X[:, feature] <= threshold
-                    if not 0 < go_left.sum() < n:  # midpoint collapsed onto a data value
-                        go_left = None
-        if go_left is None:  # the root is a leaf
-            sides, leaf = [np.ones(n, dtype=bool)], np.zeros(n, dtype=np.intp)
-            arrays = ([-1], [0.0], [-1], [-1])
+        self.order = presort(self.X) if order is None else order
+        self.XT = np.ascontiguousarray(self.X.T)
+        self.row_offset = (np.arange(d) * n)[:, None]  # flat index of (f, 0)
+        self.root_xs = self.XT.take(self.order + self.row_offset)
+        self.root_flat = _boundaries(self.root_xs)
+        self.all_rows = np.arange(n)
+        self.go_left = np.zeros(n, dtype=bool)  # scratch, read only where written
+
+    def fit(self, y, w=None) -> tuple:
+        """(tree, leaf node of every row) for targets `y` under sample
+        weights `w` (None: every weight 1)."""
+        tree = self.new_tree()
+        y = np.asarray(y, dtype=np.float64)
+        n, d = self.X.shape
+        weight = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+        wy = weight * y
+        if not np.isfinite(wy).all() or (_is_integral(weight) and _is_integral(wy)):
+            (leaf,) = fit_trees([tree], self.X, y, w, order=self.order)
+            return tree, leaf
+        max_depth = np.inf if tree.max_depth is None else tree.max_depth
+        # only a split below the root's children partitions the presort
+        ord_ = self.order.copy() if max_depth > 1 else self.order
+        leaf_of = np.empty(n, dtype=np.intp)
+        # per node: its segment (start, size) of `ord_`, or, for a child at
+        # the depth limit, its rows in row order
+        parts = [(0, n)]
+        inner = 0.0 if tree._impurity is None else (0.0, 0.0)  # value of an inner node
+        feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [inner]
+        level, depth = [0], 0
+        while level:
+            split = []  # (node, left child's part, right child's part)
+            for node in level:
+                part = parts[node]
+                found = None
+                if depth < max_depth:
+                    found = self._split(tree, ord_, *part, y, weight, wy, unit=w is None,
+                                        last=depth + 1 >= max_depth)
+                if found is None:
+                    rows = part if isinstance(part, np.ndarray) else \
+                        np.sort(ord_[0, part[0]:part[0] + part[1]])
+                    leaf_of[rows] = node
+                    w1, total = wy[rows].sum(), weight[rows].sum()
+                    mean = w1 / total if total > 0 else 0.0
+                    value[node] = mean if tree._impurity is None else (1.0 - mean, mean)
+                else:
+                    feature[node], threshold[node], *children = found
+                    split.append((node, *children))
+            first = len(parts)
+            for j, (node, _, _) in enumerate(split):
+                left[node], right[node] = first + j, first + len(split) + j
+            parts += [lo for _, lo, _ in split] + [hi for _, _, hi in split]
+            for array, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1),
+                                 (value, inner)):
+                array += [blank] * (2 * len(split))
+            level, depth = range(first, len(parts)), depth + 1
+        _set_arrays(tree, np.array(feature, dtype=np.int32), np.array(threshold),
+                    np.array(value), np.array(left, dtype=np.int32),
+                    np.array(right, dtype=np.int32), d)
+        return tree, leaf_of
+
+    def _split(self, tree, ord_, start, size, y, w, wy, unit, last):
+        """(feature, threshold, left part, right part) of the best split of
+        the node on segment (start, size) of `ord_`, or None for a leaf.
+
+        A child's part is its segment, the node's segments partitioned
+        stably, or with `last` (the children are at the depth limit) its
+        rows in row order.
+        """
+        sub = ord_[:, start:start + size]
+        rows = sub[0]
+        root = size == len(self.all_rows)
+        if tree._impurity is not None:
+            n1 = (y if root else y.take(rows)).sum()
+            if n1 == 0 or n1 == size:
+                return None
+        elif size < 2:
+            return None
+        if root:
+            xs, flat = self.root_xs, self.root_flat
         else:
-            sides, leaf = [go_left, ~go_left], np.where(go_left, 1, 2)
-            arrays = ([feature, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1], [2, -1, -1])
-        w1 = np.array([np.sum(wy[side]) for side in sides])
-        total = np.array([np.sum(w[side]) for side in sides])
-        mean = np.divide(w1, total, out=np.zeros(len(sides)), where=total > 0)
-        value = np.stack((1.0 - mean, mean), axis=1)
-        feature, threshold, left, right = arrays
-        # set in `fit_trees`' order, so a pickled stump has the same bytes
-        tree.feature = np.array(feature, dtype=np.int32)
-        tree.threshold = np.array(threshold, dtype=np.float64)
-        tree.value = value if go_left is None else np.concatenate((np.zeros((1, 2)), value))
-        tree.left = np.array(left, dtype=np.int32)
-        tree.right = np.array(right, dtype=np.int32)
-        tree.n_features_ = d
-        return tree, leaf
+            xs = self.XT.take(sub + self.row_offset)
+            flat = _boundaries(xs)
+        if not len(flat):
+            return None
+        cw1 = wy.take(sub).cumsum(axis=1)
+        W1, w1l = cw1[0, -1], cw1.ravel().take(flat)
+        if unit:  # weights of 1 sum to the row counts
+            W, wl = float(size), (flat % size + 1).astype(np.float64)
+        else:
+            cw = w.take(sub).cumsum(axis=1)
+            W, wl = cw[0, -1], cw.ravel().take(flat)
+        wr, w1r = W - wl, W1 - w1l
+        keep = (wl > 0) & (wr > 0)
+        if not keep.all():
+            flat, wl, w1l, wr, w1r = (a[keep] for a in (flat, wl, w1l, wr, w1r))
+            if not len(flat):
+                return None
+        score = _split_scores(tree._impurity, wl, w1l, wr, w1r)
+        best = np.argmin(score)  # the first minimum: lowest feature, then threshold
+        # no boundary, or (regression) zero gain: targets constant across every boundary
+        if not (np.isfinite(score[best]) if tree._impurity is not None else score[best] < 0):
+            return None
+        q = flat[best]
+        f = int(q // size)
+        t = 0.5 * (xs.ravel()[q] + xs.ravel()[q + 1])
+        if last:  # children at the depth limit are leaves: they need their rows only
+            rows = self.all_rows if root else np.sort(rows)
+        go_left = (self.XT[f] if last and root else self.XT[f].take(rows)) <= t
+        nl = int(np.count_nonzero(go_left))
+        if not 0 < nl < size:  # midpoint collapsed onto a data value
+            return None
+        if last:
+            return f, t, rows[go_left], rows[~go_left]
+        self.go_left[rows] = go_left
+        g = self.go_left.take(sub)
+        sides = sub[g].reshape(len(sub), nl), sub[~g].reshape(len(sub), size - nl)
+        sub[:, :nl], sub[:, nl:] = sides
+        return f, t, (start, nl), (start + nl, size - nl)
 
 
 #: `_LOW[k]` has the k lowest bits of a 64-bit word set, k in 0..64

@@ -7,7 +7,8 @@ import pytest
 from stackga import genetic, learners, pipeline, stacking
 from stackga.cli import main
 from stackga.config import config_from_dict
-from stackga.dataset import PIMA_SCHEMA, load_csv
+from stackga.dataset import PIMA_SCHEMA, load_csv, write_csv
+from stackga.persist import load_artifact
 from stackga.pipeline import run_holdout
 from stackga.report import render_report
 
@@ -190,6 +191,30 @@ class TestTrainEval:
                        "--set", "ga.enabled=false") == 0
         text = capsys.readouterr().out
         assert re.findall(r"^(\w+): \d+\.\d{3}s$", text, re.M) == ["stack"]
+
+    def test_verbose_train_says_when_an_svm_did_not_converge(self, pima_like, tmp_path,
+                                                             capsys):
+        csv = tmp_path / "small.csv"
+        write_csv(pima_like.take(range(120)), csv, header=True)  # 84 fit rows
+        d = light_config_dict(csv)
+        # the linear kernel on raw-scale columns stops at its pass limit
+        d["learners"] = [
+            {"algorithm": "svm", "hyperparameters": {"kernel": "linear", "max_pass_factor": 1}},
+            {"algorithm": "svm", "hyperparameters": {"kernel": "rbf"}},
+        ]
+        d["ga"]["enabled"] = False
+        d["stack"]["base"] = ["gaussian_nb"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--out", out, "-v") == 0
+        lines = re.findall(r"^(.+) fit: \d+\.\d{3}s(.*)$", capsys.readouterr().out, re.M)
+        (linear, _), (rbf, _) = load_artifact(out / "model.pkl", "stack-bundle")["singles"]
+        assert not linear.impl.converged_ and linear.impl.n_passes_ == 84
+        assert rbf.impl.converged_
+        assert lines == [("SVM", f" (not converged: 84 passes, "
+                                 f"KKT violation {linear.impl._train_kkt:.4g})"),
+                         ("SVM (2)", "")]
 
     def test_eval_trains_nothing(self, cfg_path, tmp_path, monkeypatch):
         out = tmp_path / "run"

@@ -4,15 +4,18 @@ The references below are that code: the MLP's per-parameter Adam loop over
 `loss_and_grads` as it was written (softmax by axis reductions, relu
 gradient zeroed by a mask), the split criteria's nested `np.where` masks, the
 two-branch sigmoid and the logistic regression's Newton loop as it was
-written, and the GA wrapper fitness that re-takes every fold from the masked
-table for each mask. Hypothesis properties compare them with the fast
-kernels on small inputs.
+written, the GA wrapper fitness that re-takes every fold from the masked
+table for each mask, the random forest grown on duplicated bootstrap rows,
+both boosters fitting each round's tree with `fit_trees`, and the SMO loop
+on numpy scalars. Hypothesis properties compare them with the fast kernels
+on small inputs.
 """
 
 import pickle
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -20,10 +23,16 @@ from stackga import genetic
 from stackga.dataset import Dataset, Schema, select_features
 from stackga.genetic import GaConfig, evolve, run_ga, wrapper_cv_accuracy, wrapper_plan
 from stackga.learners import LearnerSpec, predict, train
-from stackga.learners import linear, mlp
+from stackga.learners import adaboost, boosting, linear, mlp
+from stackga.learners import svm as svm_module
 from stackga.learners import tree as tree_module
+from stackga.learners.adaboost import AdaBoost
+from stackga.learners.boosting import GradientBoosting
+from stackga.learners.forest import RandomForest
 from stackga.learners.linear import LogisticRegression
 from stackga.learners.mlp import MlpClassifier
+from stackga.learners.svm import SmoSvm
+from stackga.learners.tree import ClassificationTree, RegressionTree
 
 
 def same_bits(a, b):
@@ -175,6 +184,199 @@ def run_ga_reference(config, ds, wrapper, cv_k):
     plan = wrapper_plan(ds, cv_k, config.seed)
     return evolve(config, lambda bits: wrapper_cv_accuracy_reference(
         select_features(ds, np.flatnonzero(bits)), wrapper, plan))
+
+
+def smo_fit_reference(svm, X, y, rng=None):
+    """`SmoSvm.fit` as it was written, reading alpha, E and K as numpy
+    scalars and scanning candidates with `np.roll`; fits `svm` in place."""
+    eps = svm_module._EPS
+    rng = rng or np.random.default_rng(0)
+    X = np.asarray(X, dtype=np.float64)
+    t = np.where(np.asarray(y) == 1, 1.0, -1.0)
+    n = len(t)
+    svm.gamma_ = svm._gamma_value(X)
+    K = svm_module._KERNELS[svm.kernel](X, X, svm.gamma_, svm.coef0)
+    alpha = np.zeros(n)
+    b = 0.0
+    E = -t.copy()  # f = 0 initially, so E = f - t
+    C, tol = svm.c, svm.tol
+
+    def take_step(i1, i2):
+        nonlocal b
+        if i1 == i2:
+            return False
+        a1o, a2o = alpha[i1], alpha[i2]
+        y1, y2 = t[i1], t[i2]
+        E1, E2 = E[i1], E[i2]
+        s = y1 * y2
+        if s < 0:
+            L, H = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
+        else:
+            L, H = max(0.0, a2o + a1o - C), min(C, a2o + a1o)
+        if L >= H:
+            return False
+        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
+        eta = k11 + k22 - 2.0 * k12
+        if eta > 0:
+            a2 = a2o + y2 * (E1 - E2) / eta
+            a2 = min(max(a2, L), H)
+        else:
+            # indefinite direction: compare the dual objective at L and H
+            f1 = E1 + y1 - b
+            f2 = E2 + y2 - b
+            v1 = f1 - a1o * y1 * k11 - a2o * y2 * k12
+            v2 = f2 - a1o * y1 * k12 - a2o * y2 * k22
+
+            def dual(a2c):
+                a1c = a1o + s * (a2o - a2c)
+                return (
+                    a1c + a2c
+                    - 0.5 * k11 * a1c * a1c
+                    - 0.5 * k22 * a2c * a2c
+                    - s * k12 * a1c * a2c
+                    - y1 * a1c * v1
+                    - y2 * a2c * v2
+                )
+
+            wl, wh = dual(L), dual(H)
+            if wl > wh + eps:
+                a2 = L
+            elif wh > wl + eps:
+                a2 = H
+            else:
+                a2 = a2o
+        if abs(a2 - a2o) < eps * (a2 + a2o + eps):
+            return False
+        a1 = a1o + s * (a2o - a2)
+        d1, d2 = y1 * (a1 - a1o), y2 * (a2 - a2o)
+        b1 = b - E1 - d1 * k11 - d2 * k12
+        b2 = b - E2 - d1 * k12 - d2 * k22
+        if eps < a1 < C - eps:
+            b_new = b1
+        elif eps < a2 < C - eps:
+            b_new = b2
+        else:
+            b_new = 0.5 * (b1 + b2)
+        E[:] += d1 * K[i1] + d2 * K[i2] + (b_new - b)
+        alpha[i1], alpha[i2] = a1, a2
+        b = b_new
+        return True
+
+    def examine(i2):
+        r2 = E[i2] * t[i2]
+        if not ((r2 < -tol and alpha[i2] < C) or (r2 > tol and alpha[i2] > 0)):
+            return 0
+        non_bound = np.flatnonzero((alpha > eps) & (alpha < C - eps))
+        if non_bound.size > 1:
+            i1 = non_bound[np.argmax(np.abs(E[non_bound] - E[i2]))]
+            if take_step(int(i1), i2):
+                return 1
+        if non_bound.size:
+            start = rng.integers(non_bound.size)
+            for i1 in np.roll(non_bound, -start):
+                if take_step(int(i1), i2):
+                    return 1
+        start = rng.integers(n)
+        for i1 in np.roll(np.arange(n), -start):
+            if take_step(int(i1), i2):
+                return 1
+        return 0
+
+    max_passes = svm.max_pass_factor * n
+    examine_all = True
+    passes = 0
+    svm.converged_ = False
+    while passes < max_passes:
+        changed = 0
+        if examine_all:
+            for i2 in range(n):
+                changed += examine(i2)
+        else:
+            for i2 in np.flatnonzero((alpha > eps) & (alpha < C - eps)):
+                changed += examine(int(i2))
+        passes += 1
+        if examine_all:
+            if changed == 0:
+                svm.converged_ = True
+                break
+            examine_all = False
+        elif changed == 0:
+            examine_all = True
+
+    support = alpha > eps
+    svm.alpha_y_ = (alpha * t)[support]
+    svm.support_vectors_ = X[support]
+    svm.b_ = b
+    svm.n_passes_ = passes
+    svm._train_kkt = svm._kkt_violations(alpha, t, E)
+    return svm
+
+
+def forest_tree_pickles_reference(forest, X, y, rng):
+    """The pickled trees of `RandomForest.fit` as it grew each tree on its
+    bootstrap sample's duplicated rows, presorted by its own argsort."""
+    X = np.asarray(X, dtype=np.float64)
+    n = len(y)
+    rngs = [np.random.default_rng(rng.integers(2**63)) for _ in range(forest.n_estimators)]
+    samples = [tree_rng.integers(0, n, n) for tree_rng in rngs]
+    trees = []
+    for sample, tree_rng in zip(samples, rngs):
+        tree = ClassificationTree(forest.criterion, forest.max_depth, forest.max_features)
+        tree_module.fit_trees([tree], X[sample], y[sample], rngs=[tree_rng])
+        trees.append(pickle.dumps(tree))
+    return trees
+
+
+def gradient_boosting_fit_reference(model, X, y):
+    """`GradientBoosting.fit` with each stage's tree fitted on its own by
+    `fit_trees`; fits `model` in place."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    p0 = np.clip(y.mean(), 1e-12, 1 - 1e-12)
+    model.base_score_ = float(np.log(p0 / (1 - p0)))
+    raw = np.full(len(y), model.base_score_)
+    model.stages_ = []
+    model.train_deviance_ = [boosting._deviance(y, raw)]
+    order = tree_module.presort(X)
+    for _ in range(model.n_estimators):
+        p = boosting._sigmoid(raw)
+        residual = y - p
+        tree = RegressionTree(max_depth=model.max_depth)
+        (leaf_ids,) = tree_module.fit_trees([tree], X, residual, order=order)
+        hess = np.maximum(p * (1 - p), 1e-12)
+        num = np.bincount(leaf_ids, weights=residual, minlength=len(tree.value))
+        den = np.bincount(leaf_ids, weights=hess, minlength=len(tree.value))
+        gamma = num / np.maximum(den, 1e-12)
+        raw = raw + model.learning_rate * gamma[leaf_ids]
+        model.stages_.append((tree, gamma))
+        model.train_deviance_.append(boosting._deviance(y, raw))
+    return model
+
+
+def adaboost_fit_reference(model, X, y):
+    """`AdaBoost.fit` with each round's tree fitted on its own by
+    `fit_trees`; fits `model` in place."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = len(y)
+    model.prior1_ = float(y.mean())
+    w = np.full(n, 1.0 / n)
+    model.stumps_ = []
+    y_sign = np.where(y == 1, 1.0, -1.0)
+    order = tree_module.presort(X)
+    for _ in range(model.n_estimators):
+        stump = ClassificationTree(model.criterion, max_depth=model.max_depth)
+        (leaf,) = tree_module.fit_trees([stump], X, y, w, order=order)
+        hard = (stump.value[leaf, 1] > 0.5).astype(np.int64)
+        err = float(w[hard != y].sum() / w.sum())
+        if err >= 0.5:
+            break
+        model.stumps_.append(stump)
+        if err == 0.0:
+            break
+        w = w * np.exp(-model.learning_rate * y_sign * adaboost._scores(stump.value)[leaf])
+        w /= w.sum()
+    return model
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -405,3 +607,53 @@ def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean):
                      (part.labels, want.labels), (part.row_ids, want.row_ids)):
             assert same_bits(a, b) and a.strides == b.strides
         assert part.schema == want.schema
+
+
+# -- tree ensembles and boosters -------------------------------------------------
+
+@pytest.mark.parametrize("criterion", ["entropy", "gini"])
+@given(data=tables(), seed=st.integers(0, 99), max_features=st.sampled_from(["all", "sqrt"]),
+       depth=st.sampled_from([1, 3, 10, None]))
+def test_counts_forest_equals_the_duplicated_row_reference(criterion, data, seed,
+                                                          max_features, depth):
+    X, y = data
+    forest = RandomForest(n_estimators=6, criterion=criterion, max_depth=depth,
+                          max_features=max_features)
+    forest.fit(X, y, rng=np.random.default_rng(seed))
+    want = forest_tree_pickles_reference(forest, X, y, np.random.default_rng(seed))
+    assert [pickle.dumps(tree) for tree in forest.trees_] == want
+
+
+@given(data=tables(), depth=st.integers(1, 4), rounds=st.integers(1, 12))
+def test_gradient_boosting_equals_one_fit_trees_call_a_stage(data, depth, rounds):
+    X, y = data
+    got = GradientBoosting(n_estimators=rounds, max_depth=depth).fit(X, y)
+    want = gradient_boosting_fit_reference(
+        GradientBoosting(n_estimators=rounds, max_depth=depth), X, y)
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+@given(data=tables(), depth=st.integers(1, 3), criterion=st.sampled_from(["gini", "entropy"]),
+       rounds=st.integers(1, 20))
+def test_adaboost_equals_one_fit_trees_call_a_round(data, depth, criterion, rounds):
+    X, y = data
+    settings = dict(n_estimators=rounds, criterion=criterion, max_depth=depth)
+    got = AdaBoost(**settings).fit(X, y, rng=np.random.default_rng(0))
+    assert pickle.dumps(got) == pickle.dumps(adaboost_fit_reference(AdaBoost(**settings), X, y))
+
+
+# -- SMO ------------------------------------------------------------------------------
+
+@given(data=tables(max_rows=60), kernel=st.sampled_from(["sigmoid", "rbf", "linear"]),
+       c=st.sampled_from([0.05, 1.0, 20.0]), seed=st.integers(0, 99))
+def test_smo_equals_the_numpy_scalar_loop(data, kernel, c, seed):
+    X, y = data
+    got = SmoSvm(c=c, kernel=kernel, max_pass_factor=2).fit(X, y, rng=np.random.default_rng(seed))
+    want = smo_fit_reference(SmoSvm(c=c, kernel=kernel, max_pass_factor=2), X, y,
+                             rng=np.random.default_rng(seed))
+    assert same_bits(got.alpha_y_, want.alpha_y_)
+    assert same_bits(got.support_vectors_, want.support_vectors_)
+    assert type(got.b_) is type(want.b_) and same_bits(got.b_, want.b_)
+    assert (got.n_passes_, got.converged_) == (want.n_passes_, want.converged_)
+    assert same_bits(got._train_kkt, want._train_kkt)
+    assert pickle.dumps(got) == pickle.dumps(want)

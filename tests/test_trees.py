@@ -13,7 +13,8 @@ from stackga.learners import tree as tree_module
 from stackga.learners.adaboost import AdaBoost
 from stackga.learners.boosting import GradientBoosting
 from stackga.learners.forest import ExtraTrees, RandomForest
-from stackga.learners.tree import ClassificationTree, RegressionTree, StumpGrower, presort
+from stackga.learners.tree import (BoosterGrower, ClassificationTree, RegressionTree,
+                                   fit_trees, presort)
 from stackga.rng import child_rng
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -119,6 +120,26 @@ def test_node_arrays_layout():
     np.testing.assert_array_equal(tree.apply(X), [1, 1, 2, 2])
 
 
+def test_a_node_whose_midpoint_collapses_stays_a_leaf_beside_a_split():
+    """Between adjacent doubles a < b whose midpoint rounds to b, every row
+    of a node holding only a and b goes left, so the node is a leaf; a node
+    that splits in the same frontier still partitions only its own rows."""
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert 0.5 * (a + b) == b
+    X = np.array([[a, 0.0], [b, 0.0], [5.0, 1.0], [6.0, 1.0], [a, 2.0], [b, 2.0]])
+    y = np.array([0, 1, 0, 1, 0, 1])
+    for rows in (np.arange(6), np.arange(6)[::-1]):
+        tree = ClassificationTree("gini", max_depth=4)
+        (leaf,) = fit_trees([tree], X[rows], y[rows])
+        np.testing.assert_array_equal(tree.feature, [0, -1, 0, -1, -1])
+        np.testing.assert_array_equal(tree.threshold, [b, 0.0, 5.5, 0.0, 0.0])
+        np.testing.assert_array_equal(tree.value[1], [0.5, 0.5])
+        np.testing.assert_array_equal(leaf, tree.apply(X[rows]))
+        np.testing.assert_array_equal(leaf, np.where(X[rows, 0] < 2, 1, np.where(
+            X[rows, 0] == 5.0, 3, 4)))
+
+
 def test_presorted_order_gives_the_same_trees():
     rng = child_rng(3, "presort")
     X = rng.normal(size=(80, 3)).round(1)
@@ -138,24 +159,55 @@ def test_presorted_order_gives_the_same_trees():
 _STUMP_WEIGHTS = st.sampled_from(["unit", "integers", "zeros", "tiny", "random", "nan"])
 
 
+def _assert_same_tree(got, want, got_leaf, want_leaf, X):
+    for name in NODE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert got_leaf.dtype == want_leaf.dtype
+    np.testing.assert_array_equal(got_leaf, want_leaf)
+    np.testing.assert_array_equal(got_leaf, want.apply(X))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
 @given(data=tied_data(), kind=_STUMP_WEIGHTS, seed=st.integers(0, 20))
-def test_stump_grower_equals_the_general_tree(criterion, data, kind, seed):
+def test_booster_grower_equals_the_general_tree(criterion, depth, data, kind, seed):
     X, y = data
     rng = child_rng(seed, "stump")
     w = {"unit": np.ones(len(y)), "integers": rng.integers(0, 3, len(y)).astype(float),
          "zeros": rng.random(len(y)) * (rng.random(len(y)) < 0.5),
          "tiny": rng.random(len(y)) * 1e-300, "random": rng.random(len(y)) / len(y),
          "nan": np.where(rng.random(len(y)) < 0.2, np.nan, 1.0 / len(y))}[kind]
-    grower = StumpGrower(criterion, X, y)
+    grower = BoosterGrower(lambda: ClassificationTree(criterion, max_depth=depth), X)
     for weights in (w, w[::-1].copy()):  # two rounds of one grower
-        got, leaf = grower.fit(weights)
-        want = ClassificationTree(criterion, max_depth=1).fit(X, y, sample_weight=weights)
-        for name in NODE_ARRAYS:
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert pickle.dumps(got) == pickle.dumps(want)
-        np.testing.assert_array_equal(leaf, want.apply(X))
+        got, leaf = grower.fit(y, weights)
+        want = ClassificationTree(criterion, max_depth=depth)
+        (want_leaf,) = fit_trees([want], X, y, sample_weight=weights)
+        _assert_same_tree(got, want, leaf, want_leaf, X)
+
+
+@given(data=tied_data(), depth=st.integers(1, 4), seed=st.integers(0, 20),
+       kind=st.sampled_from(["residual", "integral", "weighted", "tiny"]))
+def test_booster_grower_equals_the_general_tree_on_residuals(data, depth, seed, kind):
+    """Gradient boosting's case: real-valued residual targets, a new tree a
+    round, rows in ties; integral targets take the general path itself."""
+    X, y = data
+    rng = child_rng(seed, "residual")
+    grower = BoosterGrower(lambda: RegressionTree(max_depth=depth), X)
+    for _ in range(2):
+        target = y - rng.random(len(y))
+        w = None
+        if kind == "integral":
+            target = np.round(target * 3)
+        elif kind == "weighted":
+            w = rng.random(len(y)) + (rng.random(len(y)) < 0.3)
+        elif kind == "tiny":
+            target = target * 1e-300
+        got, leaf = grower.fit(target, w)
+        want = RegressionTree(max_depth=depth)
+        (want_leaf,) = fit_trees([want], X, target, sample_weight=w)
+        _assert_same_tree(got, want, leaf, want_leaf, X)
 
 
 def test_boosters_predict_in_round_order():
