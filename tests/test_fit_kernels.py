@@ -6,12 +6,14 @@ gradient zeroed by a mask), the split criteria's nested `np.where` masks, the
 two-branch sigmoid and the logistic regression's Newton loop as it was
 written, the GA wrapper fitness that re-takes every fold from the masked
 table for each mask, the random forest grown on duplicated bootstrap rows,
-both boosters fitting each round's tree with `fit_trees`, and the SMO loop
-on numpy scalars. Hypothesis properties compare them with the fast kernels
-on small inputs.
+both boosters fitting each round's tree with `fit_trees`, the split's
+partition by a running count of left rows, and the SMO loop on numpy
+scalars. Hypothesis properties compare them with the fast kernels on small
+inputs.
 """
 
 import pickle
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -379,6 +381,20 @@ def adaboost_fit_reference(model, X, y):
     return model
 
 
+def partition_reference(ord_, pos, sub, go_left, offs, node_of, left_size, n_rows):
+    """`_Grower._partition` as it was written: every position's new place
+    from a running count of the left rows before it; partitions `ord_` in
+    place."""
+    row_offset = (np.arange(len(ord_)) * ord_.shape[1])[:, None]
+    g = np.zeros(n_rows, dtype=bool)
+    g[sub[0]] = go_left
+    g = g.take(sub)
+    lefts = g.cumsum(axis=1) - g
+    lefts -= lefts[:, offs][:, node_of]
+    new = np.where(g, offs[node_of] + lefts, np.arange(len(pos)) + left_size[node_of] - lefts)
+    ord_[:len(sub)].ravel()[pos.take(new) + row_offset[:len(sub)]] = sub
+
+
 # -- inputs ---------------------------------------------------------------------
 
 @st.composite
@@ -640,6 +656,38 @@ def test_adaboost_equals_one_fit_trees_call_a_round(data, depth, criterion, roun
     settings = dict(n_estimators=rounds, criterion=criterion, max_depth=depth)
     got = AdaBoost(**settings).fit(X, y, rng=np.random.default_rng(0))
     assert pickle.dumps(got) == pickle.dumps(adaboost_fit_reference(AdaBoost(**settings), X, y))
+
+
+@given(seed=st.integers(0, 2**16), d=st.integers(1, 4), nodes=st.integers(1, 6),
+       first_only=st.booleans())
+def test_partition_equals_the_running_count_reference(seed, d, nodes, first_only):
+    """Segments of a frontier scattered over the sorted orders, some nodes
+    splitting and some not; every feature order keeps each node's rows."""
+    rng = np.random.default_rng(seed)
+    size = rng.integers(1, 9, nodes)
+    n_rows = int(size.sum()) + int(rng.integers(0, 5))  # rows outside the frontier too
+    rows = rng.permutation(n_rows)
+    offs = size.cumsum() - size
+    # disjoint segments, in order, anywhere in the orders
+    start = np.sort(rng.choice(n_rows - int(size.sum()) + 1, nodes)) + offs
+    node_of = np.arange(nodes).repeat(size)
+    pos = start.repeat(size) + np.arange(size.sum()) - offs[node_of]
+    ord_ = np.stack([rng.permutation(n_rows) for _ in range(d)])
+    for f in range(d):  # each segment holds the same rows in every feature's order
+        for j in range(nodes):
+            seg = rows[offs[j]:offs[j] + size[j]]
+            ord_[f, start[j]:start[j] + size[j]] = rng.permutation(seg)
+    sub = ord_.take(pos, axis=1)
+    ok = rng.random(nodes) < 0.7
+    go_left = (rng.random(len(pos)) < 0.5) & ok[node_of]
+    left_size = np.add.reduceat(go_left, offs, dtype=np.intp)
+    grower = SimpleNamespace(XT=np.empty((d, n_rows)), ord=ord_.copy())
+    if first_only:
+        sub = sub[:1]
+    tree_module._Grower._partition(grower, pos, sub, go_left, offs, size, left_size)
+    want = ord_.copy()
+    partition_reference(want, pos, sub, go_left, offs, node_of, left_size, n_rows)
+    assert same_bits(grower.ord, want)
 
 
 # -- SMO ------------------------------------------------------------------------------
