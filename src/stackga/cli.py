@@ -125,13 +125,11 @@ def _say_timings(args, timings: dict, notes=None) -> None:
 
 
 def _convergence_note(model) -> str:
-    """Why a trained single's solver stopped, when it stopped unconverged
-    (its iteration limit): the passes it made and its largest violation of
-    the optimality (KKT) conditions on the training rows."""
-    impl = None if model is None else model.impl
-    if getattr(impl, "converged_", True):
-        return ""
-    return f" (not converged: {impl.n_passes_} passes, KKT violation {impl._train_kkt:.4g})"
+    """` (<note>)` when a trained single's model has a `convergence_note`
+    (an iterative solver that can stop at its limit) and it is not empty."""
+    note = getattr(None if model is None else model.impl, "convergence_note", None)
+    text = "" if note is None else note()
+    return f" ({text})" if text else ""
 
 
 def _say_ga_search(args, cfg: ExperimentConfig, run) -> None:

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DataError
 from .rng import child_rng
 
+_QUARTILE_METHOD = "linear"  # interpolation between order statistics; keep fixed
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -323,42 +325,6 @@ def write_csv(ds: Dataset, path, header: bool = True) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-# The order statistics below are numpy's, bit for bit, on finite values:
-# `np.median` and `np.percentile` give the same numbers, but they import
-# `numpy.ma` (the median's NaN check, the percentile's `np.unique`), about
-# 15 ms in every process that cleans a table.
-
-def _median(a):
-    """`np.median(a, axis=0)` of finite values: the mean of the middle one
-    or two order statistics, taken from a partition as numpy takes them."""
-    n = len(a)
-    h = n // 2
-    # numpy's partition points, the last one for its NaN check
-    part = np.partition(a, [h, -1] if n % 2 else [h - 1, h, -1], axis=0)
-    return np.mean(part[h - 1 + n % 2:h + 1], axis=0)
-
-
-def _quartiles(a):
-    """`np.percentile(a, [25, 75], axis=0, method="linear")` of finite
-    values, shape (2, columns): numpy's virtual index (n - 1) q between two
-    order statistics and its two-sided linear interpolation."""
-    n = len(a)
-    index = (n - 1) * np.array([0.25, 0.75])
-    below = np.floor(index)
-    above = below + 1
-    below[index >= n - 1] = above[index >= n - 1] = -1  # the last value
-    below, above = below.astype(np.intp), above.astype(np.intp)
-    # numpy's partition points: the arrangement of equal values, so the sign
-    # of a zero order statistic, depends on them
-    part = np.partition(a, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
-    gamma = (index - below)[:, None]
-    lo, hi = part[below], part[above]
-    diff = hi - lo
-    out = np.add(lo, diff * gamma)
-    np.subtract(hi, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out
-
-
 def nonzero_medians(ds: Dataset) -> dict:
     """Median of the nonzero entries for each declared zero-as-missing column.
 
@@ -371,7 +337,7 @@ def nonzero_medians(ds: Dataset) -> dict:
         if nonzero.size == 0:
             name = ds.schema.predictor_names[fi]
             raise DataError(f"column {name!r} is all zeros; no median to impute with")
-        medians[fi] = float(_median(nonzero))
+        medians[fi] = float(np.median(nonzero))
     return medians
 
 
@@ -399,11 +365,11 @@ def outlier_fences(ds: Dataset, iqr_multiplier: float) -> tuple:
     """
     if iqr_multiplier <= 0:
         raise ValueError("iqr_multiplier must be positive")
-    q1, q3 = _quartiles(ds.features)
+    q1, q3 = np.percentile(ds.features, [25, 75], axis=0, method=_QUARTILE_METHOD)
     iqr = q3 - q1
     low = q1 - iqr_multiplier * iqr
     high = q3 + iqr_multiplier * iqr
-    med = _median(ds.features)
+    med = np.median(ds.features, axis=0)
     return low, high, med
 
 

@@ -200,6 +200,14 @@ class SmoSvm:
         v_free = np.where(free, np.abs(yf - 1.0), 0.0)
         return float(np.max(np.concatenate([v_zero, v_c, v_free])))
 
+    def convergence_note(self) -> str:
+        """Why `fit` stopped, if it stopped unconverged (at its pass limit):
+        the passes it made and its largest violation of the optimality (KKT)
+        conditions on the training rows; "" when it converged."""
+        if self.converged_:
+            return ""
+        return f"not converged: {self.n_passes_} passes, KKT violation {self._train_kkt:.4g}"
+
     def decision_function(self, X):
         X = np.asarray(X, dtype=np.float64)
         if self.support_vectors_.shape[0] == 0:

@@ -503,15 +503,16 @@ class BoosterGrower:
     - a level numbers its left children first, then its right children;
     - leaf values are sums over the leaf's rows in row order.
 
-    Targets and weights that are all integers, or not all finite, take
-    `fit_trees` itself, whose sums are exact in any order.
+    Integer-valued targets and weights take `fit_trees` itself. Its sums
+    are exact in any order, but not its signed zeros: its leaf sums keep a
+    leaf of -0.0 targets at -0.0, where `sum` gives +0.0.
     """
 
-    def __init__(self, new_tree, X, order=None):
+    def __init__(self, new_tree, X):
         self.new_tree = new_tree
         self.X = np.asarray(X, dtype=np.float64)
         n, d = self.X.shape
-        self.order = presort(self.X) if order is None else order
+        self.order = presort(self.X)
         self.XT = np.ascontiguousarray(self.X.T)
         self.row_offset = (np.arange(d) * n)[:, None]  # flat index of (f, 0)
         self.root_xs = self.XT.take(self.order + self.row_offset)
@@ -527,7 +528,7 @@ class BoosterGrower:
         n, d = self.X.shape
         weight = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
         wy = weight * y
-        if not np.isfinite(wy).all() or (_is_integral(weight) and _is_integral(wy)):
+        if _is_integral(weight) and _is_integral(wy):  # fit_trees' integral path
             (leaf,) = fit_trees([tree], self.X, y, w, order=self.order)
             return tree, leaf
         max_depth = np.inf if tree.max_depth is None else tree.max_depth

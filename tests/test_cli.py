@@ -212,9 +212,10 @@ class TestTrainEval:
         (linear, _), (rbf, _) = load_artifact(out / "model.pkl", "stack-bundle")["singles"]
         assert not linear.impl.converged_ and linear.impl.n_passes_ == 84
         assert rbf.impl.converged_
-        assert lines == [("SVM", f" (not converged: 84 passes, "
-                                 f"KKT violation {linear.impl._train_kkt:.4g})"),
-                         ("SVM (2)", "")]
+        assert rbf.impl.convergence_note() == ""
+        note = linear.impl.convergence_note()
+        assert re.fullmatch(r"not converged: 84 passes, KKT violation [0-9.e+-]+", note)
+        assert lines == [("SVM", f" ({note})"), ("SVM (2)", "")]
 
     def test_eval_trains_nothing(self, cfg_path, tmp_path, monkeypatch):
         out = tmp_path / "run"

@@ -1,12 +1,6 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from stackga import dataset as dataset_module
 from stackga.dataset import (
@@ -275,53 +269,6 @@ class TestClip:
     def test_nonpositive_multiplier_rejected(self):
         with pytest.raises(ValueError):
             clip_outliers(simple_ds([1, 2, 3], [0, 1, 0]), 0.0)
-
-
-@st.composite
-def _tied_tables(draw):
-    """Small finite tables, columns on unlike scales, often with ties."""
-    n = draw(st.integers(1, 40))
-    d = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-300, 300, size=d)
-    if draw(st.booleans()):
-        X = np.round(rng.normal(size=(n, d)) * draw(st.integers(1, 4)))  # many ties
-    return X
-
-
-class TestOrderStatistics:
-    """The cleaning statistics are numpy's median and linear quartiles, bit
-    for bit, without importing `numpy.ma`."""
-
-    @given(_tied_tables())
-    # signed zeros: which zero lands on a quartile depends on the partition points
-    @example(np.array([[2.0, 1, -1, 1, -1, -1, -0.0, -0.0, -0.0, 0, 0, -0.0, -0.0, 0]]).T)
-    def test_median_and_quartiles_equal_numpy(self, X):
-        assert dataset_module._median(X).tobytes() == np.median(X, axis=0).tobytes()
-        got = dataset_module._quartiles(X)
-        want = np.percentile(X, [25, 75], axis=0, method="linear")
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        column = X[:, 0]
-        median = dataset_module._median(column)
-        assert type(median) is type(np.median(column))
-        assert median.tobytes() == np.median(column).tobytes()
-
-    def test_prep_never_imports_numpy_ma(self, pima_csv, tmp_path):
-        from test_pipeline import light_config_dict
-
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(light_config_dict(pima_csv)))
-        script = (
-            "import sys\n"
-            "import stackga.cli\n"
-            f"assert stackga.cli.main(['prep', '--config', {str(cfg)!r},"
-            f" '--out', {str(tmp_path)!r}, '-q']) == 0\n"
-            "assert 'numpy.ma' not in sys.modules, 'prep'\n"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
 
 
 class TestShuffleSplit:
