@@ -10,11 +10,8 @@ import argparse
 import json
 import re
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from .config import (
     ExperimentConfig,
@@ -30,6 +27,8 @@ from .genetic import history_to_csv, mask_to_names
 from .persist import load_artifact, save_artifact
 from .pipeline import (
     GA_REFERENCE_NOTE,
+    GroupFit,
+    error_text,
     evaluate_partition,
     experiment_report,
     feature_report,
@@ -40,9 +39,7 @@ from .pipeline import (
     preprocess_pair,
     run_kfold,
     single_names,
-    stack_spec_from_config,
     train_group,
-    train_masked_stack,
 )
 from .report import parse_report, render_report
 from .rng import derive_seed
@@ -218,27 +215,21 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs stack.enabled = true")
     _banner(args, cfg)
     fit_ds, _ = holdout_partitions(cfg)
-    singles, ga = train_group(cfg, fit_ds, ("holdout",))
-    ga_run = None
-    mask_indices = None
+    fit = train_group(cfg, fit_ds, ("holdout",))
+    stack, stack_seconds, error = fit.stack
+    if error is not None:
+        raise error  # the failed search's or the stack's own; its type sets the exit code
     timings = {}
-    if ga is not None:
-        ga_run, timings["ga"], ga_error = ga
-        if ga_error is not None:
-            # the search is deterministic, so running it again raises its
-            # exception, whose type sets the exit code
-            ga_mask(cfg, fit_ds, ("holdout",))
-        mask_indices = np.flatnonzero(ga_run.best_chromosome)
-        _say(args, f"GA selected {len(mask_indices)} features: "
+    if fit.ga is not None:
+        ga_run, timings["ga"], _ = fit.ga
+        _say(args, f"GA selected {len(fit.mask)} features: "
                    f"{', '.join(mask_to_names(ga_run.best_chromosome, fit_ds))}")
         _say_ga_search(args, cfg, ga_run)
     notes = {}
-    for name, (model, seconds, _) in zip(single_names(cfg), singles):
+    for name, (model, seconds, _) in zip(single_names(cfg), fit.singles):
         timings[f"{name} fit"] = seconds
         notes[f"{name} fit"] = _convergence_note(model)
-    t0 = time.perf_counter()
-    stack = train_masked_stack(stack_spec_from_config(cfg), fit_ds, mask_indices)
-    timings["stack"] = time.perf_counter() - t0
+    timings["stack"] = stack_seconds
     _say_timings(args, timings, notes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,11 +239,12 @@ def cmd_train(args) -> int:
         "stack-bundle",
         {
             "fingerprint": _train_fingerprint(cfg),
-            "mask": None if mask_indices is None else [int(i) for i in mask_indices],
-            "ga_summary": None if ga_run is None else ga_summary(ga_run, fit_ds),
+            "mask": None if fit.mask is None else [int(i) for i in fit.mask],
+            "ga_summary": None if fit.ga is None else ga_summary(fit.ga[0], fit_ds),
             "stack_model": stack,
             # (model or None, error text or None) per configured learner
-            "singles": [(model, error) for model, _, error in singles],
+            "singles": [(model, None if error is None else error_text(error))
+                        for model, _, error in fit.singles],
         },
     )
     _say(args, f"wrote {model_path}")
@@ -273,10 +265,10 @@ def cmd_eval(args) -> int:
             f"mismatched sections: {differing}"
         )
     _banner(args, cfg)
-    fit_ds, eval_ds = holdout_partitions(cfg)
-    singles = [(model, 0.0, error) for model, error in bundle["singles"]]
-    [(rows, curves, timings)] = evaluate_partition(cfg, fit_ds, [eval_ds], singles,
-                                                   bundle["mask"], stack=bundle["stack_model"])
+    _, eval_ds = holdout_partitions(cfg)
+    fit = GroupFit(singles=tuple((model, 0.0, error) for model, error in bundle["singles"]),
+                   stack=(bundle["stack_model"], 0.0, None), mask=bundle["mask"])
+    [(rows, curves, timings)] = evaluate_partition(cfg, fit, [eval_ds])
     report = experiment_report(cfg, timings, rows=rows, ga=bundle["ga_summary"])
     _say_timings(args, timings)
     out = Path(args.out)

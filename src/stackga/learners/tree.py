@@ -115,6 +115,16 @@ def _is_integral(a):
     return bool(np.all(a == np.floor(a)))
 
 
+def _weights(sample_weight, n):
+    """`sample_weight` as floats (None: all 1), refusing an infinite weight by
+    its row; nan passes, as AdaBoost's weights turn nan when they overflow."""
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    if np.isinf(w).any():
+        row = int(np.isinf(w).argmax())
+        raise ValueError(f"sample_weight of row {row} is {w[row]}; weights must be finite")
+    return w
+
+
 def _split_scores(impurity, wl, w1l, wr, w1r):
     """Score of each candidate split, lower is better, from its left and
     right weight sums (wl, wr) and weighted target sums (w1l, w1r)."""
@@ -454,7 +464,7 @@ def fit_trees(trees, X, y, sample_weight=None, counts=None, rngs=None, order=Non
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    w = _weights(sample_weight, n)
     counts = [None] * len(trees) if counts is None else counts
     rngs = [np.random.default_rng(0) for _ in trees] if rngs is None else rngs
     if order is None:
@@ -526,7 +536,7 @@ class BoosterGrower:
         tree = self.new_tree()
         y = np.asarray(y, dtype=np.float64)
         n, d = self.X.shape
-        weight = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+        weight = _weights(w, n)
         wy = weight * y
         if _is_integral(weight) and _is_integral(wy):  # fit_trees' integral path
             (leaf,) = fit_trees([tree], self.X, y, w, order=self.order)
@@ -862,10 +872,8 @@ class ClassificationTree(_Tree):
     def _impurity(self):
         return _CRITERIA[self.criterion]
 
-    def fit(self, X, y, sample_weight=None, rng=None, order=None):
-        """`order`: `presort(X)`, for callers that fit many trees on one X."""
-        fit_trees([self], X, y, sample_weight, rngs=[rng or np.random.default_rng(0)],
-                  order=order)
+    def fit(self, X, y, sample_weight=None, rng=None):
+        fit_trees([self], X, y, sample_weight, rngs=[rng or np.random.default_rng(0)])
         return self
 
     def predict_proba(self, X):
@@ -886,7 +894,6 @@ class RegressionTree(_Tree):
     def __init__(self, max_depth=3):
         self.max_depth = max_depth
 
-    def fit(self, X, y, sample_weight=None, order=None):
-        """`order`: `presort(X)`, for callers that fit many trees on one X."""
-        fit_trees([self], X, y, sample_weight, order=order)
+    def fit(self, X, y, sample_weight=None):
+        fit_trees([self], X, y, sample_weight)
         return self

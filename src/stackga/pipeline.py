@@ -11,9 +11,9 @@ Two protocols:
   saying so.
 
 `training_groups` is the protocol's one decision point: holdout, k-fold and
-`stackga eval` read their fit set and eval parts from it. `train_group` fits
-a group's single learners beside its GA, and `evaluate_partition` scores them
-and the stack on every part.
+`stackga eval` read their fit set and eval parts from it. A group has one fit
+step, `train_group` (the singles beside the GA, then the stack, into a
+`GroupFit` that `stackga train` saves), and one score step, `evaluate_partition`.
 """
 
 import time
@@ -55,7 +55,7 @@ from .report import (
     Report,
 )
 from .rng import derive_seed
-from .stacking import StackSpec, predict_proba_stack, train_stack
+from .stacking import predict_proba_stack, train_stack
 
 CLEAN_NOTE = (
     "Headline accuracies near 0.98 for this method are only reachable under a "
@@ -104,6 +104,18 @@ class TrainingGroup:
     parts: tuple
 
 
+@dataclass(frozen=True)
+class GroupFit:
+    """A group's `_timed` fits: one single per configured learner, the GA and
+    the stack (each None when off; the stack fails with a failed GA's error),
+    and the GA mask's columns, the stack's input (None: every column)."""
+
+    singles: tuple
+    ga: tuple = None
+    stack: tuple = None
+    mask: np.ndarray = None
+
+
 def _display_name(algorithm: str, taken) -> str:
     base = DISPLAY_NAMES.get(algorithm, algorithm)
     name = base
@@ -138,23 +150,25 @@ def preprocess_pair(train_ds: Dataset, test_ds: Dataset, prep) -> tuple:
     return train_ds, test_ds, stats
 
 
-def _error_text(e: Exception) -> str:
-    return f"{type(e).__name__}: {e}"
+def error_text(error) -> str:
+    """A failure as rows and artifacts show it, `<type>: <message>` (the text
+    an artifact holds is already that)."""
+    return error if isinstance(error, str) else f"{type(error).__name__}: {error}"
 
 
 def _timed(fn, *args) -> tuple:
-    """(`fn(*args)` or None, seconds, error text or None): a failure is
+    """(`fn(*args)` or None, seconds, the exception or None): a failure is
     returned, not raised. Also the dispatcher of a group's `run_tasks` list,
     whose tasks are `(fn, *args)`."""
     t0 = time.perf_counter()
     try:
         return fn(*args), time.perf_counter() - t0, None
     except Exception as e:  # one bad model must not sink the benchmark table
-        return None, time.perf_counter() - t0, _error_text(e)
+        return None, time.perf_counter() - t0, e
 
 
 def _timed_probas(fitted, proba, parts) -> list:
-    """(probabilities, seconds, error text or None) on each of `parts`, from
+    """(probabilities, seconds, error or None) on each of `parts`, from
     `proba(model, part)` with the model of `fitted`, a `_timed` fit. A failed
     fit fails every part and a failed score only its own; the fit's seconds
     count in the first part."""
@@ -170,17 +184,17 @@ def _timed_probas(fitted, proba, parts) -> list:
     return outcomes
 
 
-def _scored_row(name: str, y_true, proba, error: str) -> tuple:
+def _scored_row(name: str, y_true, proba, error) -> tuple:
     """(ModelRow, ROC curve or None) from the eval rows' class probabilities;
     an `error`, or a failure to score, becomes a failed row."""
     if error is not None:
-        return ModelRow(name=name, status="failed", error=error), None
+        return ModelRow(name=name, status="failed", error=error_text(error)), None
     try:
         cm = metrics.confusion(y_true, labels_from_proba(proba))
         curve = metrics.roc_curve(y_true, proba[:, 1]) if len(np.unique(y_true)) == 2 else None
         auc_value = None if curve is None else metrics.auc(curve)
     except Exception as e:  # one bad model must not sink the benchmark table
-        return ModelRow(name=name, status="failed", error=_error_text(e)), None
+        return ModelRow(name=name, status="failed", error=error_text(e)), None
     row = ModelRow(
         name=name,
         accuracy=metrics.accuracy(cm),
@@ -206,40 +220,35 @@ def ga_mask(config: ExperimentConfig, ds: Dataset, seed_tags) -> GaRun:
     return run_ga(ga_config, ds, ga_wrapper_spec(config), cv_k=config.ga.cv_folds)
 
 
-def train_group(config: ExperimentConfig, fit_ds: Dataset, ga_tags) -> tuple:
-    """(singles, ga): the `_timed` fits on `fit_ds` of the configured single
-    learners, in config order, and of the GA seeded from `ga_tags` (None when
-    the GA is disabled).
-
-    They are one `run_tasks` list: the singles first, so the workers take
-    them, and the GA last, so this process starts with it. A failed fit or
-    search is returned as its error text.
+def train_group(config: ExperimentConfig, fit_ds: Dataset, ga_tags) -> GroupFit:
+    """The group's models fitted on `fit_ds`, the GA seeded from `ga_tags`;
+    a failure is returned as its exception. The singles and the GA are one
+    `run_tasks` list: the singles first, so the workers take them, and the GA
+    last, so this process starts with it. The stack follows on the GA's columns.
     """
     tasks = [(train, learner_spec(entry, derive_seed(config.master_seed, "bench", i)), fit_ds)
              for i, entry in enumerate(config.learners)]
     if config.ga.enabled:
         tasks.append((ga_mask, config, fit_ds, ga_tags))
     fits = run_tasks(_timed, tasks)
-    return fits[:len(config.learners)], fits[-1] if config.ga.enabled else None
+    singles, ga = tuple(fits[:len(config.learners)]), fits[-1] if config.ga.enabled else None
+    ga_run, _, ga_error = ga or (None, 0.0, None)
+    mask = None if ga_run is None else np.flatnonzero(ga_run.best_chromosome)
+    stack = None
+    if config.stack.enabled:
+        # the spec is built outside the timed call: a config error stops the run
+        stack = (None, 0.0, ga_error) if ga_error is not None else _timed(
+            train_stack, stack_spec_from_config(config), select_features(fit_ds, mask))
+    return GroupFit(singles, ga, stack, mask)
 
 
-def train_masked_stack(spec: StackSpec, fit_ds: Dataset, mask=None):
-    """Train `spec` on the GA-selected columns of `fit_ds` (all when `mask` is None)."""
-    return train_stack(spec, select_features(fit_ds, mask))
+def evaluate_partition(config: ExperimentConfig, fit: GroupFit, eval_parts) -> list:
+    """Score the fitted models on each dataset in `eval_parts` (the stack on
+    the `fit.mask` columns), one `predict_proba` call per model and part.
 
-
-def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_parts, singles,
-                       mask=None, stack=None, ga_error: str = None) -> list:
-    """Score the trained single learners and the stack on each dataset in
-    `eval_parts`, one `predict_proba` call per model and part.
-
-    `singles` holds one `_timed` fit per configured learner, in config order,
-    as `train_group` returns them. Returns one (rows, curves, timings) per
-    part: a ModelRow per single learner and then the stack row, ROC curves
-    keyed by row name, and seconds per row, a model's fit counted in the
-    first part. The stack sees only the `mask` columns. It is trained on
-    `fit_ds` here unless an already trained `stack` is given; a `ga_error`
-    fails the stack row instead.
+    Returns one (rows, curves, timings) per part: a ModelRow per single
+    learner and then the stack row, ROC curves keyed by row name, and
+    seconds per row, a model's fit counted in the first part.
     """
     results = [([], {}, {}) for _ in eval_parts]
 
@@ -253,21 +262,13 @@ def evaluate_partition(config: ExperimentConfig, fit_ds: Dataset, eval_parts, si
             if curve is not None:
                 curves[name] = curve
 
-    for name, fitted in zip(single_names(config), singles):
+    for name, fitted in zip(single_names(config), fit.singles):
         score(name, _timed_probas(fitted, lambda model, part: predict_proba(
             model, part.features), eval_parts))
-
-    if config.stack.enabled:
-        name = STACK_ROW_GA if config.ga.enabled else STACK_ROW_PLAIN
-        if ga_error is not None:
-            score(name, [(None, 0.0, ga_error)] * len(eval_parts))
-        else:
-            # built outside the scored call: a config error stops the run
-            spec = None if stack is not None else stack_spec_from_config(config)
-            fitted = (stack, 0.0, None) if spec is None else _timed(
-                train_masked_stack, spec, fit_ds, mask)
-            score(name, _timed_probas(fitted, lambda model, part: predict_proba_stack(
-                model, select_features(part, mask).features), eval_parts))
+    if fit.stack is not None:
+        score(STACK_ROW_GA if config.ga.enabled else STACK_ROW_PLAIN, _timed_probas(
+            fit.stack, lambda model, part: predict_proba_stack(
+                model, select_features(part, fit.mask).features), eval_parts))
     return results
 
 
@@ -335,19 +336,14 @@ def holdout_partitions(config: ExperimentConfig) -> tuple:
 
 
 def _scored_groups(config: ExperimentConfig, timings: dict):
-    """(group, GaRun or None, `evaluate_partition` results) per training
-    group, adding the GA's seconds to `timings`. A failed search fails only
-    the stack row."""
+    """(group, GroupFit, `evaluate_partition` results) per training group,
+    adding the GA's seconds to `timings`. A failed search fails only the
+    stack row."""
     for group in training_groups(config):
-        singles, ga = train_group(config, group.fit_ds, group.ga_tags)
-        ga_run, mask, ga_error = None, None, None
-        if ga is not None:
-            ga_run, seconds, ga_error = ga
-            timings[group.ga_key] = timings.get(group.ga_key, 0.0) + seconds
-            mask = None if ga_run is None else np.flatnonzero(ga_run.best_chromosome)
-        yield group, ga_run, evaluate_partition(
-            config, group.fit_ds, [eval_ds for _, eval_ds in group.parts], singles, mask,
-            ga_error=ga_error)
+        fit = train_group(config, group.fit_ds, group.ga_tags)
+        if fit.ga is not None:
+            timings[group.ga_key] = timings.get(group.ga_key, 0.0) + fit.ga[1]
+        yield group, fit, evaluate_partition(config, fit, [eval_ds for _, eval_ds in group.parts])
 
 
 def run_holdout_detailed(config: ExperimentConfig) -> tuple:
@@ -355,8 +351,9 @@ def run_holdout_detailed(config: ExperimentConfig) -> tuple:
     if config.split.mode != "holdout":
         raise ConfigError("run_holdout needs split.mode = 'holdout'")
     timings = {}
-    [(group, ga_run, [(rows, curves, row_timings)])] = _scored_groups(config, timings)
+    [(group, fit, [(rows, curves, row_timings)])] = _scored_groups(config, timings)
     timings.update(row_timings)
+    ga_run = None if fit.ga is None else fit.ga[0]
     fit_ds, eval_ds = group.fit_ds, group.parts[0][1]
 
     provenance = {"preprocess_stat_rows": fit_ds.row_ids}

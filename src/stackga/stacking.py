@@ -85,18 +85,23 @@ def _trained_model_and_outputs(base: LearnerSpec, ds: Dataset, kind: str) -> tup
     return model, _base_outputs(model, ds.features, kind)
 
 
-def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False,
-                         keep_fits: bool = False):
+@dataclass(frozen=True)
+class Level1:
+    """A derived dataset, each row's level-1 fold (-1 in naive mode), and the
+    row ids each fold's models trained on, to check that no model predicted a
+    row it saw; `models` are the naive mode's bases, fitted on every row."""
+
+    dataset: Dataset
+    assignments: np.ndarray
+    trained_on: dict
+    models: tuple
+
+
+def build_level1_dataset(spec: StackSpec, ds: Dataset) -> Level1:
     """Derived dataset: one row per training sample, one column per base learner.
 
     The (fold x base) fits are independent tasks, shared by the usable CPUs
     (see `parallel.run_tasks`); the result does not depend on their number.
-
-    With `instrument=True` also returns (fold assignments, per-fold training
-    row ids) so callers can verify that no contributing model saw the row it
-    predicted. In naive mode the assignments are -1 and every model saw all
-    rows. With `keep_fits=True` the last value returned is the naive mode's
-    base models, each fitted on all of `ds` (None out of fold).
     """
     if len(np.unique(ds.labels)) < 2:
         raise ConfigError("stacking requires both classes in the training data")
@@ -128,8 +133,7 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset, instrument: bool = False,
             Z[held_idx, t] = column
         assignments = plan.assignments
     d_prime = Dataset(Z, ds.labels, _level1_schema(spec, ds), ds.row_ids)
-    extra = ((assignments, trained_on) if instrument else ()) + ((models,) if keep_fits else ())
-    return (d_prime, *extra) if extra else d_prime
+    return Level1(d_prime, assignments, trained_on, models)
 
 
 def train_stack(spec: StackSpec, ds: Dataset) -> StackModel:
@@ -141,12 +145,12 @@ def train_stack(spec: StackSpec, ds: Dataset) -> StackModel:
     Level 1, and then the meta fit with the refits, run as independent tasks
     on the usable CPUs; the model does not depend on their number.
     """
-    d_prime, bases = build_level1_dataset(spec, ds, keep_fits=True)
-    fits = [(spec.meta_spec, d_prime)]
-    if bases is None:
+    level1 = build_level1_dataset(spec, ds)
+    fits = [(spec.meta_spec, level1.dataset)]
+    if level1.models is None:
         fits += [(b, ds) for b in spec.base_specs]
     meta, *refits = run_tasks(train, fits)
-    return StackModel(base_models=tuple(bases or refits), meta_model=meta, spec=spec)
+    return StackModel(base_models=tuple(level1.models or refits), meta_model=meta, spec=spec)
 
 
 def _meta_features(model: StackModel, X: np.ndarray) -> np.ndarray:

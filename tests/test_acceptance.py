@@ -214,7 +214,8 @@ def test_criterion_7_stacking_shape_and_leakage(pima_csv, pima_split_clean):
         meta = LearnerSpec("logistic_regression", {}, 4)
 
         spec = StackSpec(bases, meta, "out_of_fold", level1_folds=5, seed=6)
-        d1, assignments, trained_on = build_level1_dataset(spec, tr, instrument=True)
+        level1 = build_level1_dataset(spec, tr)
+        d1, assignments, trained_on = level1.dataset, level1.assignments, level1.trained_on
         assert d1.features.shape == (tr.n_samples, len(bases))
         np.testing.assert_array_equal(d1.labels, tr.labels)
         for i in range(tr.n_samples):
@@ -224,7 +225,7 @@ def test_criterion_7_stacking_shape_and_leakage(pima_csv, pima_split_clean):
 
         memorizer = (LearnerSpec("knn", {"n_neighbors": 1}, 7),)
         naive = StackSpec(memorizer, meta, "naive", level1_feature_kind="label")
-        d1_naive = build_level1_dataset(naive, tr)
+        d1_naive = build_level1_dataset(naive, tr).dataset
         np.testing.assert_array_equal(d1_naive.features[:, 0], tr.labels.astype(float))
 
 

@@ -4,10 +4,11 @@ import re
 
 import pytest
 
-from stackga import genetic, learners, pipeline, stacking
+from stackga import genetic, learners, parallel, pipeline, stacking
 from stackga.cli import main
 from stackga.config import config_from_dict
 from stackga.dataset import PIMA_SCHEMA, load_csv, write_csv
+from stackga.errors import DataError
 from stackga.persist import load_artifact
 from stackga.pipeline import run_holdout
 from stackga.report import render_report
@@ -258,6 +259,33 @@ class TestTrainEval:
         assert run_cli("train", "--config", cfg_path, "--out", out, "-q",
                        "--set", "ga.cv_folds=1000") == 3
         assert "cannot make 1000 folds" in capsys.readouterr().err
+        assert not (out / "model.pkl").exists()
+
+    def test_train_runs_a_failing_search_once(self, cfg_path, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def broken_ga(*args, **kwargs):
+            calls.append(args)
+            raise DataError("no GA today")
+
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the search runs here
+        monkeypatch.setattr(pipeline, "run_ga", broken_ga)
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 3
+        assert len(calls) == 1
+        assert "no GA today" in capsys.readouterr().err
+        assert not (out / "model.pkl").exists()
+
+    def test_train_exits_1_with_the_failed_stacks_error(self, pima_csv, tmp_path, capsys):
+        d = light_config_dict(pima_csv)
+        # more neighbours than a level-1 fold has rows, fewer than the fit set
+        d["stack"]["base"] = [{"algorithm": "knn", "hyperparameters": {"n_neighbors": 500}}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--out", out, "-q") == 1
+        assert re.search(r"^runtime error: ValueError: n_neighbors=500 exceeds \d+ training",
+                         capsys.readouterr().err, re.M)
         assert not (out / "model.pkl").exists()
 
     def test_eval_refuses_a_version_2_artifact(self, cfg_path, tmp_path, capsys):

@@ -134,14 +134,14 @@ def test_level1_and_stack_identical_for_one_and_two_cpus(cpus, pima_split_clean)
     runs = []
     for n in (1, 2):
         cpus(n)
-        runs.append((build_level1_dataset(spec, tr, instrument=True),
+        runs.append((build_level1_dataset(spec, tr),
                      predict_proba_stack(train_stack(spec, tr), te.features)))
-    ((d1, assign1, on1), p1), ((d2, assign2, on2), p2) = runs
-    assert d1.features.tobytes() == d2.features.tobytes()
-    np.testing.assert_array_equal(assign1, assign2)
-    assert on1.keys() == on2.keys()
-    for fold in on1:
-        np.testing.assert_array_equal(on1[fold], on2[fold])
+    (l1, p1), (l2, p2) = runs
+    assert l1.dataset.features.tobytes() == l2.dataset.features.tobytes()
+    np.testing.assert_array_equal(l1.assignments, l2.assignments)
+    assert l1.trained_on.keys() == l2.trained_on.keys()
+    for fold in l1.trained_on:
+        np.testing.assert_array_equal(l1.trained_on[fold], l2.trained_on[fold])
     assert p1.tobytes() == p2.tobytes()
 
 

@@ -21,9 +21,9 @@ from stackga.errors import ConfigError
 from stackga.genetic import GaConfig, run_ga
 from stackga.learners import LearnerSpec
 from stackga.pipeline import (
+    error_text,
     evaluate_partition,
     feature_report,
-    ga_mask,
     preprocess_pair,
     run_holdout,
     run_holdout_detailed,
@@ -297,12 +297,10 @@ class TestKfold:
                 warnings.warn(f"{name}: holdout/kfold gap {gap:.3f} exceeds 0.15")
 
 
-def trained_singles(cfg, ds):
-    """The configured single learners trained on `ds`, as `train_group`
-    returns them, with no GA run."""
+def trained_group(cfg, ds):
+    """The configured models trained on `ds` by `train_group`, with no GA run."""
     no_ga = dataclasses.replace(cfg, ga=dataclasses.replace(cfg.ga, enabled=False))
-    singles, _ = train_group(no_ga, ds, None)
-    return singles
+    return train_group(no_ga, ds, None)
 
 
 def paper_faithful_kfold_dict(csv_path, ks):
@@ -356,14 +354,13 @@ class TestSharedModels:
         cfg = config_from_dict(paper_faithful_kfold_dict(pima_csv, [3, 4]))
         ds = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header)
         full, _, _ = preprocess_pair(ds, ds, cfg.preprocessing)
-        mask = np.flatnonzero(ga_mask(cfg, full, ("global",)).best_chromosome)
         expected = []
         for k in cfg.split.ks:
             plan = make_folds(ds, k, cfg.split.stratified,
                               seed=derive_seed(cfg.master_seed, "kfold", k))
             # the models retrained for every fold, each scoring one part
-            per_fold = [evaluate_partition(cfg, full, [full.take(plan.test_indices(f))],
-                                           trained_singles(cfg, full), mask)[0][0]
+            per_fold = [evaluate_partition(cfg, train_group(cfg, full, ("global",)),
+                                           [full.take(plan.test_indices(f))])[0][0]
                         for f in range(k)]
             for i, row in enumerate(per_fold[0]):
                 accs = tuple(rows[i].accuracy for rows in per_fold)
@@ -377,8 +374,8 @@ class TestSharedModels:
         d["stack"]["enabled"] = False
         cfg = config_from_dict(d)
         ds = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header)
-        parts = evaluate_partition(cfg, ds, [ds.take(range(10)), ds.take(range(10, 30))],
-                                   trained_singles(cfg, ds))
+        parts = evaluate_partition(cfg, trained_group(cfg, ds),
+                                   [ds.take(range(10)), ds.take(range(10, 30))])
         for rows, _, timings in parts:
             assert [r.status for r in rows] == ["failed", "ok"]
             assert "n_neighbors" in rows[0].error
@@ -426,10 +423,12 @@ class TestTrainGroup:
 
         monkeypatch.setattr(pipeline, "run_ga", broken_ga)
         fit_ds, _ = pipeline.holdout_partitions(light_config)
-        singles, (ga_run, seconds, error) = train_group(light_config, fit_ds, ("holdout",))
-        assert ga_run is None and seconds >= 0 and error == "RuntimeError: no GA today"
-        assert [m.spec.algorithm for m, _, e in singles if e is None] == \
+        fit = train_group(light_config, fit_ds, ("holdout",))
+        ga_run, seconds, error = fit.ga
+        assert ga_run is None and seconds >= 0 and error_text(error) == "RuntimeError: no GA today"
+        assert [m.spec.algorithm for m, _, e in fit.singles if e is None] == \
             [e["algorithm"] for e in light_config.learners]
+        assert fit.stack == (None, 0.0, error) and fit.mask is None
 
 
 class TestFeatureReport:

@@ -53,7 +53,7 @@ class TestBuildLevel1:
     def test_shape_and_labels(self):
         ds = random_ds(100)
         spec = StackSpec((KNN1, TREE), LOGIT, "naive", level1_feature_kind="label")
-        d1 = build_level1_dataset(spec, ds)
+        d1 = build_level1_dataset(spec, ds).dataset
         assert d1.features.shape == (100, 2)
         assert set(np.unique(d1.features)) <= {0.0, 1.0}
         np.testing.assert_array_equal(d1.labels, ds.labels)
@@ -62,13 +62,14 @@ class TestBuildLevel1:
     def test_naive_memorizer_column_equals_labels(self):
         ds = random_ds(80, seed=4)
         spec = StackSpec((KNN1,), LOGIT, "naive", level1_feature_kind="label")
-        d1 = build_level1_dataset(spec, ds)
+        d1 = build_level1_dataset(spec, ds).dataset
         np.testing.assert_array_equal(d1.features[:, 0], ds.labels.astype(float))
 
     def test_out_of_fold_purity(self, pima_split_clean):
         tr, _ = pima_split_clean
         spec = StackSpec((KNN1, TREE), LOGIT, "out_of_fold", level1_folds=5, seed=8)
-        d1, assignments, trained_on = build_level1_dataset(spec, tr, instrument=True)
+        level1 = build_level1_dataset(spec, tr)
+        d1, assignments, trained_on = level1.dataset, level1.assignments, level1.trained_on
         assert d1.features.shape == (tr.n_samples, 2)
         for i in range(tr.n_samples):
             fold = assignments[i]
@@ -78,7 +79,7 @@ class TestBuildLevel1:
         ds = random_ds(120, seed=5)
         spec = StackSpec((KNN1,), LOGIT, "out_of_fold", level1_folds=4,
                          level1_feature_kind="label", seed=1)
-        d1 = build_level1_dataset(spec, ds)
+        d1 = build_level1_dataset(spec, ds).dataset
         # held-out knn predictions cannot reproduce every label
         assert (d1.features[:, 0] != ds.labels).any()
 
@@ -91,14 +92,14 @@ class TestBuildLevel1:
     def test_probability_kind_gives_reals(self):
         ds = random_ds(60, seed=2)
         spec = StackSpec((TREE,), LOGIT, "naive", level1_feature_kind="probability")
-        d1 = build_level1_dataset(spec, ds)
+        d1 = build_level1_dataset(spec, ds).dataset
         assert np.all((d1.features >= 0) & (d1.features <= 1))
 
     def test_level1_dataset_exports_as_csv(self, tmp_path):
         from stackga.dataset import load_csv, write_csv
 
         ds = random_ds(30, seed=3)
-        d1 = build_level1_dataset(StackSpec((TREE, KNN1), LOGIT, "naive"), ds)
+        d1 = build_level1_dataset(StackSpec((TREE, KNN1), LOGIT, "naive"), ds).dataset
         path = tmp_path / "level1.csv"
         write_csv(d1, path, header=True)
         again = load_csv(path, d1.schema, has_header=True)

@@ -150,10 +150,27 @@ def test_presorted_order_gives_the_same_trees():
         (lambda: ClassificationTree("gini", max_depth=3), (X, y, w)),
         (lambda: RegressionTree(max_depth=3), (X, r)),
     ):
-        plain = make().fit(*fit_args)
-        sorted_once = make().fit(*fit_args, order=presort(X))
+        plain, sorted_once = make(), make()
+        fit_trees([plain], *fit_args)
+        fit_trees([sorted_once], *fit_args, order=presort(X))
         for name in NODE_ARRAYS:
             np.testing.assert_array_equal(getattr(plain, name), getattr(sorted_once, name))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_an_infinite_sample_weight_is_rejected_with_its_row(bad):
+    rng = child_rng(5, "infinite")
+    X = rng.normal(size=(30, 2))
+    y = (X[:, 0] > 0).astype(int)
+    w = np.ones(30)
+    w[7] = bad
+    fits = (lambda: ClassificationTree("gini", max_depth=2).fit(X, y, sample_weight=w),
+            lambda: RegressionTree(max_depth=2).fit(X, X[:, 1], sample_weight=w),
+            lambda: BoosterGrower(lambda: ClassificationTree("gini", max_depth=1), X).fit(y, w),
+            lambda: BoosterGrower(lambda: RegressionTree(max_depth=2), X).fit(X[:, 1], w))
+    for fit in fits:
+        with pytest.raises(ValueError, match="sample_weight of row 7 is"):
+            fit()
 
 
 _STUMP_WEIGHTS = st.sampled_from(["unit", "integers", "zeros", "tiny", "random", "nan"])
