@@ -161,10 +161,13 @@ def _queries(X, trees=(), extra=None):
     return np.vstack(parts)
 
 
-@given(data=tied_data(), seed=st.integers(0, 3))
-def test_knn_equals_the_stable_argsort_reference_for_every_k(data, seed):
+@given(data=tied_data(), seed=st.integers(0, 3), scale=st.sampled_from([1.0, 0.1, 0.3, 0.7]))
+def test_knn_equals_the_stable_argsort_reference_for_every_k(data, seed, scale):
+    # scaled tables are float-valued: a query equal to a training row can
+    # then be a tiny positive or negative distance from it, not exactly 0
     X, y = data
-    grid = child_rng(seed, "knn-queries").integers(-1, 5, size=(12, X.shape[1])).astype(float)
+    X = X * scale
+    grid = child_rng(seed, "knn-queries").integers(-1, 5, size=(12, X.shape[1])) * scale
     Q = np.vstack([X, grid, X[::-1]])
     for k in range(1, len(y) + 1):
         knn = KNeighbors(k).fit(X, y)
@@ -348,10 +351,21 @@ def test_predicting_leaves_the_pickle_alone(tree_models, pima_split_clean):
 
 def test_knn_ties_beyond_k_keep_the_lower_training_index():
     # four training points at the same distance from the query, k=2: the
-    # first two by index vote, whatever order a partial selection finds
+    # first two by index vote
     X = np.array([[1.0, 0], [0, 1.0], [-1.0, 0], [0, -1.0], [5.0, 5.0]])
     for labels, p1 in (([1, 1, 0, 0, 0], 1.0), ([0, 0, 1, 1, 1], 0.0), ([0, 1, 1, 1, 0], 0.5)):
         y = np.array(labels)
         schema = Schema(("a", "b", "label"), 2)
         model = train(LearnerSpec("knn", {"n_neighbors": 2}, 0), Dataset(X, y, schema))
         assert predict_proba(model, np.zeros((3, 2)))[:, 1].tolist() == [p1] * 3
+
+
+@pytest.mark.parametrize("query", [[1e200, 1e200], [1e154, 1e154], [-1e300, 0.0]])
+def test_knn_refuses_a_row_whose_distances_overflow(query):
+    # the norm expansion overflows to inf or nan for every training point;
+    # a silent answer would vote with training rows 0..k-1
+    X = np.array([[0.0, 0], [1, 1], [2, 2], [3, 3], [100, 100]])
+    knn = KNeighbors(2).fit(X, np.array([0, 0, 0, 1, 1]))
+    assert knn.predict_proba(np.array([[1.0, 1.0]]))[:, 1].tolist() == [0.0]
+    with pytest.raises(ValueError, match="row 1: distance"):
+        knn.predict_proba(np.array([[1.0, 1.0], query]))
