@@ -6,8 +6,8 @@ Pima diabetes data: declared columns treat a literal 0 as a missing
 measurement, imputed with the median of the nonzero values.
 """
 
-import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,93 +182,57 @@ def _parse_cell(text: str, line_no: int, col: int, names) -> float:
         ) from None
 
 
-#: lines that `load_csv` parses at a time; bounds the parse's temporary lists
-_BLOCK_LINES = 4096
-
-
 def load_csv(path, schema: Schema, has_header: bool = False) -> Dataset:
     """Read a comma-separated file into a raw (uncleaned) Dataset.
 
     Every row must have exactly the schema's column count and only finite
     numbers; the label column must parse to 0 or 1. Row order is preserved.
 
-    Lines are what `str.splitlines` makes of the file. A clean file is read
-    and parsed a block of lines at a time. A file the block parse does not
-    accept as clean is read again whole and parsed line by line, which
+    Lines are the file's universal-newline text split at "\\n": "\\n",
+    "\\r\\n" and "\\r" end a line, a form feed or a Unicode line separator
+    does not. After the header is checked, the data lines are read in one
+    `np.loadtxt` call. A file that call refuses (an unparsable cell, a field
+    count, a whitespace-only line), or whose table has a label other than
+    0/1, a non-finite value or no rows, is read again and parsed line by
+    line. That parse accepts what `float` reads, blank lines skipped, or
     raises the error of the first bad line with its line and column.
     """
+    first = 2 if has_header else 1
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _file_lines(fh)
-        header = next(lines, "") if has_header else None
-        if header is None or tuple(c.strip() for c in header.split(",")) == schema.column_names:
-            parsed = _parse_blocks(lines, schema)
-            if parsed is not None:
-                return Dataset(*parsed, schema)
-        fh.seek(0)
-        lines = fh.read().splitlines()
-    first = 1
-    if has_header:
-        if not lines:
-            raise DataError(f"{path}: empty file")
-        header = tuple(cell.strip() for cell in lines[0].split(","))
-        if header != schema.column_names:
-            raise DataError(
-                f"{path}: header {header!r} does not match schema columns {schema.column_names!r}"
-            )
-        lines = lines[1:]
-        first = 2
-    X, y = _parse_lines(path, lines, first, schema)
-    return Dataset(X, y, schema)
+        if has_header:
+            header = fh.readline()
+            if not header:
+                raise DataError(f"{path}: empty file")
+            header = tuple(cell.strip() for cell in header.split(","))
+            if header != schema.column_names:
+                raise DataError(
+                    f"{path}: header {header!r} does not match schema columns {schema.column_names!r}"
+                )
+        parsed = _read_clean(fh, schema)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_lines(path, fh.read().split("\n")[first - 1:], first, schema)
+    return Dataset(*parsed, schema)
 
 
-def _file_lines(fh):
-    """The lines of an open text file as `fh.read().splitlines()` gives them,
-    read `_BLOCK_LINES` lines at a time. Every block ends at a line break that
-    the file's newline translation keeps, so no line spans two blocks."""
-    while block := list(itertools.islice(fh, _BLOCK_LINES)):
-        yield from "".join(block).splitlines()
-
-
-def _parse_block(lines, n_cols: int):
-    """The cells of `lines` as a (rows, n_cols) matrix, blank lines skipped;
-    None unless each line that is not blank has n_cols cells that `float`
-    reads."""
-    # a line holds no "\n", so the "\n" cells mark exactly the line ends
-    cells = ",\n,".join(lines).split(",")
-    ends = cells[n_cols::n_cols + 1]
-    if len(cells) != len(lines) * (n_cols + 1) - 1 or ends.count("\n") != len(ends):
-        kept = [raw for raw in lines if raw.strip()]
-        if len(kept) == len(lines):
-            return None
-        return _parse_block(kept, n_cols) if kept else np.empty((0, n_cols))
-    del cells[n_cols::n_cols + 1]
+def _read_clean(fh, schema: Schema):
+    """(features, labels) of the data lines left in `fh`, read by one
+    `np.loadtxt` call; None if it refuses them or they are not clean (a
+    field count, a label other than 0/1, a non-finite value, no rows)."""
     try:
-        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        with warnings.catch_warnings():
+            # no rows is refused below, and the line-by-line parse says so
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
-    return values.reshape(len(lines), n_cols)
-
-
-def _parse_blocks(lines, schema: Schema):
-    """(features, labels) of a clean file's data lines, parsed a block of
-    `_BLOCK_LINES` lines at a time; None if a line is not clean (a field
-    count, an unparsable cell, a label other than 0/1, a non-finite value)
-    or there is no data row."""
-    n_cols, label = schema.n_columns, schema.label_column
-    lines = iter(lines)
-    features, labels = [], []
-    while block := list(itertools.islice(lines, _BLOCK_LINES)):
-        block = _parse_block(block, n_cols)
-        if block is None:
-            return None
-        y, X = block[:, label], np.delete(block, label, axis=1)
-        if not (((y == 0.0) | (y == 1.0)).all() and np.isfinite(X).all()):
-            return None
-        features.append(X)
-        labels.append(y.astype(np.int64))
-    if not sum(map(len, labels)):
+    if table.shape[0] == 0 or table.shape[1] != schema.n_columns:
         return None
-    return np.concatenate(features), np.concatenate(labels)
+    y = table[:, schema.label_column]
+    X = np.delete(table, schema.label_column, axis=1)
+    if not (((y == 0.0) | (y == 1.0)).all() and np.isfinite(X).all()):
+        return None
+    return X, y.astype(np.int64)
 
 
 def _parse_lines(path, lines, first: int, schema: Schema) -> tuple:

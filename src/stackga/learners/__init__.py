@@ -30,6 +30,7 @@ __all__ = [
     "TrainedModel",
     "train",
     "check_labels",
+    "both_classes",
     "predict",
     "predict_proba",
     "labels_from_proba",
@@ -198,13 +199,18 @@ def benchmark_specs(seed: int = 0) -> list:
     return [LearnerSpec(n, {}, seed) for n in names]
 
 
+def both_classes(labels) -> bool:
+    """Whether the 0/1 `labels` hold both classes; none at all hold neither."""
+    return labels.size > 0 and bool(labels.min() != labels.max())
+
+
 def check_labels(spec: LearnerSpec, labels) -> None:
     """Raise what `train` raises for training labels it cannot fit `spec` on:
     none at all, or one class where the algorithm needs both."""
     if labels.size == 0:
         raise ValueError("cannot train on an empty dataset")
     _, needs_both = ALGORITHMS[spec.algorithm]
-    if needs_both and len(np.unique(labels)) < 2:
+    if needs_both and not both_classes(labels):
         raise ValueError(f"{spec.algorithm} requires both classes in the training data")
 
 

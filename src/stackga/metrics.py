@@ -144,8 +144,3 @@ def auc(curve: RocCurve) -> float:
     fpr = np.array([p[0] for p in curve.points])
     tpr = np.array([p[1] for p in curve.points])
     return float(np.trapezoid(tpr, fpr))
-
-
-def auc_score(y_true, scores) -> float:
-    """Convenience: trapezoidal AUC straight from labels and scores."""
-    return auc(roc_curve(y_true, scores))

@@ -42,7 +42,7 @@ from .genetic import (
     wrapper_cv_accuracy,
     wrapper_plan,
 )
-from .learners import LearnerSpec, labels_from_proba, predict_proba, train
+from .learners import LearnerSpec, both_classes, labels_from_proba, predict_proba, train
 from .parallel import run_tasks
 from .report import (
     DISPLAY_NAMES,
@@ -191,7 +191,7 @@ def _scored_row(name: str, y_true, proba, error) -> tuple:
         return ModelRow(name=name, status="failed", error=error_text(error)), None
     try:
         cm = metrics.confusion(y_true, labels_from_proba(proba))
-        curve = metrics.roc_curve(y_true, proba[:, 1]) if len(np.unique(y_true)) == 2 else None
+        curve = metrics.roc_curve(y_true, proba[:, 1]) if both_classes(y_true) else None
         auc_value = None if curve is None else metrics.auc(curve)
     except Exception as e:  # one bad model must not sink the benchmark table
         return ModelRow(name=name, status="failed", error=error_text(e)), None

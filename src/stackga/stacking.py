@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, Schema, make_folds
 from .errors import ConfigError
-from .learners import LearnerSpec, TrainedModel, predict, predict_proba, train
+from .learners import LearnerSpec, TrainedModel, both_classes, predict, predict_proba, train
 from .parallel import run_tasks
 from .rng import derive_seed
 
@@ -74,7 +74,7 @@ def _base_outputs(model: TrainedModel, X: np.ndarray, kind: str) -> np.ndarray:
 def _trained_outputs(base: LearnerSpec, fit_ds: Dataset, X: np.ndarray, kind: str,
                      fold: int) -> np.ndarray:
     """`base` trained on `fit_ds`, its outputs on `X`; one out-of-fold level-1 task."""
-    if len(np.unique(fit_ds.labels)) < 2:
+    if not both_classes(fit_ds.labels):
         raise ConfigError(f"level-1 fold {fold}: training part has a single class")
     return _base_outputs(train(base, fit_ds), X, kind)
 
@@ -103,7 +103,7 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset) -> Level1:
     The (fold x base) fits are independent tasks, shared by the usable CPUs
     (see `parallel.run_tasks`); the result does not depend on their number.
     """
-    if len(np.unique(ds.labels)) < 2:
+    if not both_classes(ds.labels):
         raise ConfigError("stacking requires both classes in the training data")
     kind = spec.level1_feature_kind
     Z = np.empty((ds.n_samples, len(spec.base_specs)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stackga import dataset as dataset_module
 from stackga.dataset import (
@@ -115,12 +115,24 @@ class TestLoadCsv:
 THREE_COL = Schema(("a", "b", "label"), 2)
 
 
+def _refuse(fh, schema):
+    return None
+
+
 def _load_line_by_line(path, schema, has_header=False):
-    """`load_csv` with the block parse turned off: every line through the
-    line-by-line parser."""
+    """`load_csv` with the `np.loadtxt` read turned off: every file through
+    the line-by-line parser."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset_module, "_parse_blocks", lambda lines, schema: None)
+        mp.setattr(dataset_module, "_read_clean", _refuse)
         return load_csv(path, schema, has_header)
+
+
+def _fast_read(path, schema):
+    """What the `np.loadtxt` read makes of a headed file's data lines; None
+    where it sends the file to the line-by-line parser."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        return dataset_module._read_clean(fh, schema)
 
 
 def _assert_same_dataset(a, b):
@@ -131,38 +143,98 @@ def _assert_same_dataset(a, b):
     assert a.schema == b.schema
 
 
-class TestCsvBlockParse:
-    """The block parser reads clean files exactly as the line-by-line parser
-    does, and leaves every located error to it."""
+def _load_or_message(path, schema, has_header, load=load_csv):
+    try:
+        return load(path, schema, has_header)
+    except DataError as e:
+        return str(e)
 
+
+@pytest.fixture(params=["fast", "fallback"])
+def read_path(request, monkeypatch):
+    """`load_csv` as shipped, or with every file sent to the fallback."""
+    if request.param == "fallback":
+        monkeypatch.setattr(dataset_module, "_read_clean", _refuse)
+    return request.param
+
+
+# the token and padding set of the property test below: cells numpy and
+# `float` both read, cells only `float` reads, non-finite and unparsable
+# cells, and padding that is whitespace to one reader or both
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\x0b", "\x0c", "\x85", "\u2028"])
+_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "-0", "1.0", "+1", ".5", "2", "1e400", "-1e400", "nan", "inf",
+                     "1_000", "", "x", "1 2"]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_CELLS = st.tuples(_PADDING, _TOKENS, _PADDING).map("".join)
+_LABELS = st.tuples(_PADDING, st.sampled_from(["0", "1", "-0", "1.0", "2", "nan"]),
+                    _PADDING).map("".join)
+_ROWS = st.tuples(_CELLS, _CELLS, _LABELS).map(",".join)
+# rows twice, so that more of the drawn files are ones `np.loadtxt` takes
+_LINES = st.one_of(
+    _ROWS,
+    _ROWS,
+    st.lists(_CELLS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", " ", "\t", "\x0c"]),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    lines = draw(st.lists(_LINES, max_size=4))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestCsvRead:
+    """The `np.loadtxt` read makes of a file exactly what the line-by-line
+    parser makes of it, and leaves every located error to that parser."""
+
+    # text: rows (features then label) that both paths read
     CLEAN = {
-        "plain": "1,2,0\n3.5,-4e-3,1\n0,0,0\n",
-        "blank_lines": "\n1,2,0\n\n3,4,1\n\n\n5,6,0\n\n",
-        "whitespace_lines": "1,2,0\n   \n3,4,1\n\t\n5,6,1\n",
-        "padded_cells": " 1 ,\t2, 0\n3,  4.25  ,1 \n",
-        "negative_zero_label": "1,2,-0\n3,4,1.0\n",
-        "no_trailing_newline": "1,2,0\n3,4,1",
-        "crlf": "1,2,0\r\n3,4,1\r\n",
+        "plain": ("1,2,0\n3.5,-4e-3,1\n0,0,0\n", [[1, 2, 0], [3.5, -4e-3, 1], [0, 0, 0]]),
+        "blank_lines": ("\n1,2,0\n\n3,4,1\n\n\n5,6,0\n\n", [[1, 2, 0], [3, 4, 1], [5, 6, 0]]),
+        "whitespace_lines": ("1,2,0\n   \n3,4,1\n\t\n5,6,1\n", [[1, 2, 0], [3, 4, 1], [5, 6, 1]]),
+        "padded_cells": (" 1 ,\t2, 0\n3,  4.25  ,1 \n", [[1, 2, 0], [3, 4.25, 1]]),
+        "negative_zero_label": ("1,2,-0\n3,4,1.0\n", [[1, 2, 0], [3, 4, 1]]),
+        "no_trailing_newline": ("1,2,0\n3,4,1", [[1, 2, 0], [3, 4, 1]]),
+        "crlf": ("1,2,0\r\n3,4,1\r\n", [[1, 2, 0], [3, 4, 1]]),
+        "cr": ("1,2,0\r3,4,1\r", [[1, 2, 0], [3, 4, 1]]),
+        # a form feed, a next-line or a line separator does not end a line:
+        # it pads its cell as a space would
+        "form_feed_in_cell": ("1,2\x0c,0\n3,4,1\n", [[1, 2, 0], [3, 4, 1]]),
+        "next_line_in_cell": ("1,2\x85,0\n3,4,1\n", [[1, 2, 0], [3, 4, 1]]),
+        "line_separator_in_cell": ("1,\u20282,0\n", [[1, 2, 0]]),
+        "no_break_space_in_cell": ("1,\xa02,0\n", [[1, 2, 0]]),
+        "underscore_digits": ("1_000,2,0\n", [[1000, 2, 0]]),
     }
+    #: the cases `np.loadtxt` refuses and the line-by-line parser accepts
+    FALLBACK_ONLY = {"whitespace_lines", "underscore_digits"}
 
-    @pytest.mark.parametrize("block_lines", [1, 2, 3, 4096])
     @pytest.mark.parametrize("case", sorted(CLEAN))
-    def test_clean_files_match_the_line_parser(self, tmp_path, monkeypatch, case, block_lines):
+    def test_clean_files_read_the_same_on_both_paths(self, tmp_path, read_path, case):
+        text, rows = self.CLEAN[case]
         p = tmp_path / "clean.csv"
-        p.write_text("a,b,label\n" + self.CLEAN[case], newline="")
-        monkeypatch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
-        lines = p.read_text().splitlines()[1:]
-        assert dataset_module._parse_blocks(lines, THREE_COL) is not None  # no fallback
-        _assert_same_dataset(load_csv(p, THREE_COL, has_header=True),
-                             _load_line_by_line(p, THREE_COL, has_header=True))
+        p.write_text("a,b,label\n" + text, newline="")
+        if read_path == "fast":
+            assert (_fast_read(p, THREE_COL) is None) == (case in self.FALLBACK_ONLY)
+        table = np.array(rows, dtype=np.float64)
+        expected = Dataset(np.ascontiguousarray(table[:, :2]), table[:, 2].astype(np.int64),
+                           THREE_COL)
+        _assert_same_dataset(load_csv(p, THREE_COL, has_header=True), expected)
 
-    def test_a_large_file_across_block_boundaries(self, tmp_path, monkeypatch, pima_like):
+    def test_a_large_file_with_blank_lines(self, tmp_path, pima_like):
         p = tmp_path / "pima.csv"
         write_csv(pima_like, p)
-        text = p.read_text().splitlines()
-        text[10:10] = ["", "  "]  # blank lines inside the first block
-        p.write_text("\n".join(text) + "\n")
-        monkeypatch.setattr(dataset_module, "_BLOCK_LINES", 100)
+        text = p.read_text().split("\n")
+        text[10:10] = ["", ""]
+        p.write_text("\n".join(text))
+        assert _fast_read(p, PIMA_SCHEMA) is not None  # no fallback
         _assert_same_dataset(load_csv(p, PIMA_SCHEMA, has_header=True),
                              _load_line_by_line(p, PIMA_SCHEMA, has_header=True))
 
@@ -186,15 +258,45 @@ class TestCsvBlockParse:
         # a parse error anywhere comes before a non-finite cell earlier in the file
         ("1,inf,0\n3,4,1\n5,6,7\n", False, "line 3: label must be 0 or 1, found 7.0"),
         ("\n \n", False, "{path}: no data rows"),
+        ("1,2,0\r\n3,4\r\n", True, "line 3: expected 3 fields, found 2"),
+        ("1,2,0\r\r3,x,1\r", False, "line 3: column 2 (b): cannot parse 'x' as a number"),
+        ("1,2,0\r\n\r\n3,4,1\r\n5,6,1,7\r\n", True, "line 5: expected 3 fields, found 4"),
+        # a Unicode line separator does not end a line: these are 5 fields
+        ("1,2,0\u20283,4,1\n", False, "line 1: expected 3 fields, found 5"),
     ]
 
-    @pytest.mark.parametrize("block_lines", [1, 2, 4096])
     @pytest.mark.parametrize("text,header,message", MALFORMED)
-    def test_malformed_files_raise_the_located_error(self, tmp_path, monkeypatch, block_lines,
-                                                     text, header, message):
+    def test_malformed_files_raise_the_located_error(self, tmp_path, read_path, text, header,
+                                                     message):
         p = tmp_path / "bad.csv"
-        p.write_text(("a,b,label\n" if header else "") + text)
-        monkeypatch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
+        p.write_text(("a,b,label\n" if header else "") + text, newline="")
+        with pytest.raises(DataError) as err:
+            load_csv(p, THREE_COL, has_header=header)
+        assert str(err.value) == message.format(path=p)
+
+    @settings(max_examples=150)
+    @given(text=_csv_texts(), header=st.booleans())
+    def test_both_paths_agree_on_generated_files(self, tmp_path_factory, text, header):
+        p = tmp_path_factory.getbasetemp() / "generated.csv"
+        p.write_text(("a,b,label\n" if header else "") + text, encoding="utf-8", newline="")
+        got = _load_or_message(p, THREE_COL, header)
+        reference = _load_or_message(p, THREE_COL, header, load=_load_line_by_line)
+        if isinstance(reference, str):
+            assert got == reference
+        else:
+            _assert_same_dataset(got, reference)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text,header,message", [
+        ("", True, "{path}: empty file"),
+        ("", False, "{path}: no data rows"),
+        ("\n\n", False, "{path}: no data rows"),
+        ("a,b,label\n", True, "{path}: no data rows"),
+        ("a,b,label", True, "{path}: no data rows"),
+    ])
+    def test_no_data_raises_without_a_warning(self, tmp_path, text, header, message):
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
         with pytest.raises(DataError) as err:
             load_csv(p, THREE_COL, has_header=header)
         assert str(err.value) == message.format(path=p)

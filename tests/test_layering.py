@@ -1,7 +1,9 @@
 """Module boundaries inside the package: no module reaches into another
-module's private (underscore-prefixed) names."""
+module's private (underscore-prefixed) names, and every package function
+that the benchmark's traced mode wraps by name still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import stackga
@@ -37,3 +39,18 @@ def test_detector_flags_private_import(tmp_path):
                    "from os import _exit\n")
     hits = _imported_private_names(bad)
     assert [h.split()[-1] for h in hits] == ["_display_name", "_KnnLearner"]
+
+
+def test_traced_benchmark_targets_resolve():
+    """`perfbench/spans.py` wraps these functions by module and name when a
+    benchmark runs traced; a name the package no longer has fails here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans._targets()
+    assert len(targets) > 10
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in targets
+               if not (module.__name__.startswith("stackga")
+                       and callable(getattr(module, attr, None)))]
+    assert missing == []

@@ -6,6 +6,7 @@ from stackga.errors import ConfigError
 from stackga.learners import (
     LearnerSpec,
     benchmark_specs,
+    both_classes,
     labels_from_proba,
     predict,
     predict_proba,
@@ -87,8 +88,15 @@ class TestSpecValidation:
 class TestTrainContract:
     def test_empty_dataset_rejected(self):
         ds = tiny_ds(np.zeros((0, 2)), np.zeros(0, dtype=int))
-        with pytest.raises(ValueError):
-            train(LearnerSpec("knn", {"n_neighbors": 1}), ds)
+        # the same error whether or not the algorithm needs both classes
+        for spec in (LearnerSpec("knn", {"n_neighbors": 1}), LearnerSpec("logistic_regression")):
+            with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
+                train(spec, ds)
+
+    @pytest.mark.parametrize("labels,both", [([], False), ([0], False), ([1, 1], False),
+                                             ([0, 1], True), ([1, 0, 0], True)])
+    def test_both_classes(self, labels, both):
+        assert both_classes(np.array(labels, dtype=np.int64)) is both
 
     def test_single_class_rejected_when_needed(self):
         ds = tiny_ds([[0, 0], [1, 1]], [1, 1])

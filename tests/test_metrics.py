@@ -6,7 +6,6 @@ from stackga.metrics import (
     ConfusionMatrix,
     accuracy,
     auc,
-    auc_score,
     confusion,
     f1,
     fscore,
@@ -188,7 +187,7 @@ class TestAuc:
         n = 10000
         y = rng.integers(0, 2, n)
         s = rng.random(n)
-        assert abs(auc_score(y, s) - 0.5) < 0.05
+        assert abs(auc(roc_curve(y, s)) - 0.5) < 0.05
 
     def test_matches_pair_counting_with_ties(self):
         rng = np.random.default_rng(3)
@@ -198,4 +197,4 @@ class TestAuc:
             if y.min() == y.max():
                 y[0] = 1 - y[0]
             s = np.round(rng.random(n), 1)  # coarse grid forces ties
-            assert auc_score(y, s) == pytest.approx(pair_count_auc(y, s), abs=1e-12)
+            assert auc(roc_curve(y, s)) == pytest.approx(pair_count_auc(y, s), abs=1e-12)
