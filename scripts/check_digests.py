@@ -45,30 +45,30 @@ CASES = {
         + [["report", "--report", "{out}/report.json", "--format", "markdown",
             "--out", "{out}", "-q"]],
         {
-            "report.json": "922bae63e439214dd186a24788dbcceee25c9cd956d54627c0e6e8e0a27e57ab",
+            "report.json": "4246bb4f6b9dadb2615f617655c61d266d97eac404715a962074e9deba1bafa8",
             "report.md": "be3dcc168e1b9b1315b8b58000fcfadfb8e9826715274f9d906b506d41a743a1",
-            "model.pkl": "4b1d335bd829f7d489e2f3d32f58cd9c5e89a0666e81946bfe45fa32fa416c36",
+            "model.pkl": "f0d4911d2e086bef7cc842a3da2888722f80e5050daff561ddf3623509444d02",
         },
     ),
     "paper_faithful": (
         _train_eval(PAPER_FAITHFUL),
         {
-            "report.json": "d32052ea3a3f896f1eb368553b852b1f99e9072375a57f5806142aced9870704",
-            "model.pkl": "88ee599d1d98975d495b22c422482d9e3344bed6c14975c0af40f1f861284703",
+            "report.json": "e7d87d222c1a2e4e2c928b9a385668f33c2ab73973cad968e6e4a0160f8ececa",
+            "model.pkl": "bf089b420bdbb4e4941aed48629f3eabca186e49ab81bf5cd7e9d4004081d817",
         },
     ),
     "xval_k5": (
         [["xval", "--config", XVAL, "--set", "split.ks=[5]", "--out", "{out}", "-q"]],
-        {"report.json": "72c0bbf012e0706d7a17d4408a265d1ae7e60267cb121b06eff77ac4cff2d24d"},
+        {"report.json": "2c50b88900572de68f85f238ae681ca4fa7a1b4c9fdda7eaa5c720f409335fd2"},
     ),
     "xval_k5_paper_faithful": (
         [["xval", "--config", XVAL, "--set", "split.ks=[5]", "--set",
           "protocol=paper_faithful", "--out", "{out}", "-q"]],
-        {"report.json": "74c987de1d89eaecada28b28d5066e4d05ab3109f553f7b704ab1639fa092978"},
+        {"report.json": "6482b8ae05a903b3799fe9349cb29a82562a34430ac2d3040b2baaf447772e5a"},
     ),
     "xval_all_ks_paper_faithful": (
         [["xval", "--config", XVAL, "--set", "protocol=paper_faithful", "--out", "{out}", "-q"]],
-        {"report.json": "a92f90ee1f58cca7c1fee9941d86590ca0652e303998f95dbd8f07d25c285c8b"},
+        {"report.json": "b1d53381f7491e897b005c2f36da55c2d3a0d6e507eb83fb8a9cd4e679e72c7d"},
     ),
     "select": (
         [["select", "--config", HOLDOUT, "--out", "{out}", "-q"]],
@@ -84,7 +84,7 @@ CASES = {
 ALL_KS = {
     "xval_all_ks": (
         [["xval", "--config", XVAL, "--out", "{out}", "-q"]],
-        {"report.json": "2e1f8a58a75235379e31503d4859c3b2e1bb5f8e5e9cada8379584968f44bf14"},
+        {"report.json": "5715d71d7e84a6303d20d53aa5b771981b47464b47565b23e92a39aab0e163fb"},
     ),
 }
 

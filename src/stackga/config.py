@@ -97,8 +97,6 @@ GaSettings = make_dataclass(
 
 @dataclass(frozen=True)
 class ReportConfig:
-    path: str = "out/report.json"
-    format: str = "json"
     include_timings: bool = False
 
 
@@ -185,12 +183,18 @@ def _learner_entry(entry, where: str) -> dict:
     _require_keys(entry, ("algorithm", "hyperparameters"), where)
     if "algorithm" not in entry:
         raise ConfigError(f"{where}: missing 'algorithm'")
-    if entry["algorithm"] not in ALGORITHMS:
+    if not isinstance(entry["algorithm"], str) or entry["algorithm"] not in ALGORITHMS:
         raise ConfigError(
             f"{where}: unknown algorithm {entry['algorithm']!r}; choose from {sorted(ALGORITHMS)}"
         )
-    out = {"algorithm": entry["algorithm"], "hyperparameters": dict(entry.get("hyperparameters", {}))}
-    LearnerSpec(out["algorithm"], out["hyperparameters"])  # validate hyperparameter keys now
+    hyperparameters = entry.get("hyperparameters", {})
+    if not isinstance(hyperparameters, dict):
+        raise ConfigError(f"{where}.hyperparameters must be an object, got {hyperparameters!r}")
+    out = {"algorithm": entry["algorithm"], "hyperparameters": dict(hyperparameters)}
+    try:
+        LearnerSpec(out["algorithm"], out["hyperparameters"])  # check the hyperparameters now
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
     return out
 
 
@@ -240,9 +244,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         _prefixed("stack", lambda: stack_spec_from_config(cfg))
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {cfg.protocol!r}")
-    if cfg.report.format not in ("json", "csv", "markdown"):
-        raise ConfigError(f"report.format must be json, csv, or markdown, "
-                          f"got {cfg.report.format!r}")
     if not cfg.learners and not cfg.stack.enabled:
         raise ConfigError("config enables no learners and no stack; nothing to run")
     return cfg

@@ -27,10 +27,8 @@ Chromosome = np.ndarray  # 1-d uint8 vector of 0/1 genes
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Run parameters. `nvar` and `preci` are carried for config fidelity with
-    the classic parameter block but are inert in mask mode: the chromosome
-    length is `n_bits` (one gene per candidate feature) and genes are plain
-    bits, not fixed-point encodings."""
+    """Run parameters. The chromosome length is `n_bits`, one plain bit per
+    candidate feature."""
 
     n_bits: int
     nind: int = 20
@@ -44,8 +42,6 @@ class GaConfig:
     selective_pressure: float = 2.0
     stall_generations: int = 25
     seed: int = 0
-    nvar: int = 9
-    preci: int = 20
 
     def __post_init__(self):
         # each message starts with the field's name, which is its key in a config's `ga` section
@@ -84,7 +80,7 @@ class GaRun:
 
     `history[g][s]` is the (best, mean) population fitness of subpopulation s
     after generation g. `evaluations` counts underlying fitness-function
-    calls (cache misses when memoization is on). `final_population` stacks
+    calls, one per distinct mask (the cache misses). `final_population` stacks
     every individual alive at termination, for selection-frequency reports.
     """
 
@@ -244,24 +240,18 @@ def _better(candidate: tuple, incumbent: tuple) -> bool:
     return tuple(bits_c) < tuple(bits_i)
 
 
-def evolve(config: GaConfig, fitness_fn, memoize: bool = True) -> GaRun:
+def evolve(config: GaConfig, fitness_fn) -> GaRun:
     """Run the island-model GA against an arbitrary mask fitness function.
 
-    `fitness_fn(bits) -> float` must be deterministic; it is memoized by bit
-    pattern unless `memoize` is off (the cache never touches the RNG streams,
-    so toggling it cannot change the outcome).
+    `fitness_fn(bits) -> float` must be deterministic; it is called once per
+    distinct bit pattern and memoized (the cache never touches the RNG
+    streams).
     """
-    evaluations = 0
     cache = {}
 
     def evaluate(bits: Chromosome) -> float:
-        nonlocal evaluations
-        if not memoize:
-            evaluations += 1
-            return float(fitness_fn(bits))
         key = bits.tobytes()
         if key not in cache:
-            evaluations += 1
             cache[key] = float(fitness_fn(bits))
         return cache[key]
 
@@ -319,7 +309,7 @@ def evolve(config: GaConfig, fitness_fn, memoize: bool = True) -> GaRun:
         best_chromosome=best[1],
         best_fitness=best[0],
         history=tuple(history),
-        evaluations=evaluations,
+        evaluations=len(cache),
         final_population=np.vstack(pops),
     )
 
@@ -366,20 +356,7 @@ def wrapper_plan(ds: Dataset, cv_k: int, seed: int) -> FoldPlan:
     return make_folds(ds, cv_k, stratified=True, seed=derive_seed(seed, "wrapper-cv"))
 
 
-def fitness(ch: Chromosome, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5,
-            seed: int = 0) -> float:
-    """Wrapper CV accuracy of the masked feature subset."""
-    bits = np.asarray(ch).astype(np.uint8)
-    if not bits.any():
-        raise ValueError("fitness needs at least one selected feature")
-    if bits.size != ds.n_features:
-        raise ValueError(f"mask length {bits.size} != {ds.n_features} features")
-    folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, seed), wrapper)
-    return _folds_accuracy(folds, wrapper, np.flatnonzero(bits))
-
-
-def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec,
-           cv_k: int = 5, memoize: bool = True) -> GaRun:
+def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5) -> GaRun:
     """Feature-mask search: fitness is the wrapper's CV accuracy on one fold
     plan fixed for the whole run, memoized by mask."""
     if config.n_bits != ds.n_features:
@@ -387,8 +364,7 @@ def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec,
             f"GA n_bits={config.n_bits} but the dataset has {ds.n_features} features"
         )
     folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, config.seed), wrapper)
-    return evolve(config, lambda bits: _folds_accuracy(folds, wrapper, np.flatnonzero(bits)),
-                  memoize=memoize)
+    return evolve(config, lambda bits: _folds_accuracy(folds, wrapper, np.flatnonzero(bits)))
 
 
 def mask_to_names(bits: Chromosome, ds_or_names) -> list:

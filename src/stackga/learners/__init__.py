@@ -17,7 +17,7 @@ from ..errors import ConfigError
 from ..rng import child_rng
 from .adaboost import AdaBoost
 from .boosting import GradientBoosting
-from .forest import Bagging, ExtraTrees, RandomForest
+from .forest import ExtraTrees, RandomForest
 from .knn import KNeighbors
 from .linear import LogisticRegression
 from .mlp import MlpClassifier
@@ -34,7 +34,6 @@ __all__ = [
     "predict",
     "predict_proba",
     "labels_from_proba",
-    "benchmark_specs",
     "ALGORITHMS",
 ]
 
@@ -56,36 +55,21 @@ def _check_number(algorithm, key, value, positive):
 
 
 class _DecisionTreeLearner(ClassificationTree):
-    """Single CART tree with the library-shorthand `splitter` knob accepted."""
+    """Single CART tree with the benchmark's defaults."""
 
-    def __init__(self, criterion="entropy", splitter="best", max_depth=3,
-                 max_features="auto"):
-        if splitter != "best":
-            raise ConfigError(f"decision_tree splitter must be 'best', got {splitter!r}")
+    def __init__(self, criterion="entropy", max_depth=3, max_features="auto"):
         super().__init__(criterion=criterion, max_depth=max_depth, max_features=max_features)
 
 
 class _KnnLearner(KNeighbors):
-    def __init__(self, n_neighbors=5, weights="uniform", algorithm="auto",
-                 metric="minkowski"):
-        if weights != "uniform":
-            raise ConfigError("knn supports only uniform weights")
-        if metric != "minkowski":
-            raise ConfigError("knn supports only the minkowski (p=2) metric")
-        if algorithm not in ("auto", "brute"):
-            raise ConfigError(f"unknown knn algorithm {algorithm!r}")
+    def __init__(self, n_neighbors=5):
         _check_count("knn", "n_neighbors", n_neighbors)
         super().__init__(n_neighbors=n_neighbors)
 
 
 class _MlpLearner(MlpClassifier):
-    def __init__(self, hidden_units=100, activation="relu", solver="adam",
-                 batch_size=100, learning_rate="adaptive",
+    def __init__(self, hidden_units=100, batch_size=100, learning_rate="adaptive",
                  learning_rate_init=1e-3, max_iter=100):
-        if activation != "relu":
-            raise ConfigError("mlp supports only relu activation")
-        if solver != "adam":
-            raise ConfigError("mlp supports only the adam solver")
         if learning_rate not in ("adaptive", "constant"):
             raise ConfigError(f"unknown mlp learning_rate mode {learning_rate!r}")
         for key, value in (("hidden_units", hidden_units), ("batch_size", batch_size),
@@ -102,23 +86,11 @@ class _MlpLearner(MlpClassifier):
 
 
 class _GradientBoostingLearner(GradientBoosting):
-    def __init__(self, loss="deviance", learning_rate=0.1, n_estimators=50,
-                 criterion="friedman_mse", max_depth=3):
-        if loss != "deviance":
-            raise ConfigError("gradient_boosting supports only the deviance loss")
-        if criterion != "friedman_mse":
-            raise ConfigError("gradient_boosting supports only the friedman_mse criterion")
-        super().__init__(n_estimators=n_estimators, learning_rate=learning_rate,
-                         max_depth=max_depth)
+    """`GradientBoosting` under the class name that `model.pkl` records."""
 
 
 class _SvmLearner(SmoSvm):
-    def __init__(self, kernel="sigmoid", degree=3, gamma="scale", coef0=0.0,
-                 c=1.0, tol=1e-3, max_pass_factor=10):
-        # degree is accepted for interface parity; the sigmoid kernel ignores it
-        del degree
-        super().__init__(c=c, kernel=kernel, gamma=gamma, coef0=coef0, tol=tol,
-                         max_pass_factor=max_pass_factor)
+    """`SmoSvm` under the class name that `model.pkl` records."""
 
 
 #: algorithm name -> (implementation class, needs both classes to fit)
@@ -133,7 +105,6 @@ ALGORITHMS = {
     "gradient_boosting": (_GradientBoostingLearner, True),
     "svm": (_SvmLearner, True),
     "logistic_regression": (LogisticRegression, True),
-    "bagging": (Bagging, False),
 }
 
 
@@ -155,7 +126,10 @@ def make_impl(algorithm: str, hyperparameters: dict):
         raise ConfigError(
             f"{algorithm}: unknown hyperparameters {unknown}; known: {sorted(known)}"
         )
-    impl = cls(**hyperparameters)
+    try:
+        impl = cls(**hyperparameters)
+    except ValueError as e:  # a value the implementation refuses
+        raise ConfigError(f"{algorithm}: {e}") from None
     if algorithm == "logistic_regression":
         # no wrapper class here: one would change the class pickled in model.pkl
         _check_count(algorithm, "max_iter", impl.max_iter)
@@ -181,22 +155,6 @@ class TrainedModel:
     spec: LearnerSpec
     n_features_expected: int
     impl: object
-
-
-def benchmark_specs(seed: int = 0) -> list:
-    """The nine stock benchmark learners with their default hyperparameters."""
-    names = [
-        "random_forest",
-        "knn",
-        "mlp",
-        "adaboost",
-        "decision_tree",
-        "gaussian_nb",
-        "gradient_boosting",
-        "svm",
-        "extra_trees",
-    ]
-    return [LearnerSpec(n, {}, seed) for n in names]
 
 
 def both_classes(labels) -> bool:

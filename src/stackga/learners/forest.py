@@ -1,24 +1,20 @@
-"""Tree ensembles: bootstrap forest, extremely-randomized trees, and a
-generic bagging combiner. All three vote; reported probabilities are vote
-shares, so argmax of the probabilities IS the majority vote.
+"""Tree ensembles: bootstrap forest and extremely-randomized trees. Both
+vote; reported probabilities are vote shares, so argmax of the
+probabilities IS the majority vote.
 """
 
 import numpy as np
 
-from .tree import ClassificationTree, ScoredTrees, fit_trees, node_values
+from .tree import ClassificationTree, ScoredTrees, check_tree_params, fit_trees, node_values
 
 _SEED_BOUND = 2**63
 
 
-def _vote_proba(p1):
-    """Vote shares from per-member P(class 1), shape (rows, members)."""
-    votes1 = (p1 > 0.5).sum(axis=1) / p1.shape[1]
-    return np.column_stack([1.0 - votes1, votes1])
-
-
 def _tree_vote_proba(model, X):
     """Vote shares of a model's trees: each votes with its leaf's P(class 1)."""
-    return _vote_proba(node_values(model.trees_)[:, 1][model.leaf_scorer(model.trees_).apply(X)])
+    p1 = node_values(model.trees_)[:, 1][model.leaf_scorer(model.trees_).apply(X)]
+    votes1 = (p1 > 0.5).sum(axis=1) / p1.shape[1]
+    return np.column_stack([1.0 - votes1, votes1])
 
 
 def _tree_rngs(rng, n):
@@ -28,6 +24,7 @@ def _tree_rngs(rng, n):
 class RandomForest(ScoredTrees):
     def __init__(self, n_estimators=100, criterion="entropy", max_depth=10,
                  max_features="all"):
+        check_tree_params(criterion, max_features)
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth
@@ -58,6 +55,7 @@ class ExtraTrees(ScoredTrees):
 
     def __init__(self, n_estimators=50, criterion="gini", max_depth=3,
                  max_features="auto"):
+        check_tree_params(criterion, max_features)
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth
@@ -78,38 +76,3 @@ class ExtraTrees(ScoredTrees):
 
     def predict_proba(self, X):
         return _tree_vote_proba(self, X)
-
-
-class Bagging:
-    """Majority vote over bootstrap replicates of any inner learner spec."""
-
-    def __init__(self, base=None, n_estimators=10):
-        self.base = base or {"algorithm": "decision_tree", "hyperparameters": {}}
-        self.n_estimators = n_estimators
-
-    def fit(self, X, y, rng=None):
-        from . import make_impl  # deferred: registry imports this module
-
-        rng = rng or np.random.default_rng(0)
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        n = len(y)
-        both_classes = len(np.unique(y)) == 2
-        self.members_ = []
-        for _ in range(self.n_estimators):
-            member_rng = np.random.default_rng(rng.integers(_SEED_BOUND))
-            idx = member_rng.integers(0, n, n)
-            if both_classes:
-                # inner learners may require both classes; bounded redraw
-                for _retry in range(100):
-                    if len(np.unique(y[idx])) == 2:
-                        break
-                    idx = member_rng.integers(0, n, n)
-            impl = make_impl(self.base["algorithm"], self.base.get("hyperparameters", {}))
-            impl.fit(X[idx], y[idx], rng=member_rng)
-            self.members_.append(impl)
-        return self
-
-    def predict_proba(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        return _vote_proba(np.column_stack([m.predict_proba(X)[:, 1] for m in self.members_]))

@@ -10,6 +10,8 @@ pseudo-probabilities; they are only used as ranking scores and stacking
 features.
 """
 
+import math
+
 import numpy as np
 
 _EPS = 1e-8
@@ -35,8 +37,12 @@ _KERNELS = {"sigmoid": sigmoid_kernel, "rbf": rbf_kernel, "linear": linear_kerne
 class SmoSvm:
     def __init__(self, c=1.0, kernel="sigmoid", gamma="scale", coef0=0.0,
                  tol=1e-3, max_pass_factor=10):
-        if kernel not in _KERNELS:
+        if not (isinstance(kernel, str) and kernel in _KERNELS):
             raise ValueError(f"unknown kernel {kernel!r}")
+        number = not isinstance(gamma, bool) and isinstance(gamma, (int, float))
+        if gamma != "scale" and not (number and math.isfinite(gamma) and gamma > 0):
+            raise ValueError(f"gamma must be 'scale' or a finite number greater than 0, "
+                             f"got {gamma!r}")
         self.c = c
         self.kernel = kernel
         self.gamma = gamma

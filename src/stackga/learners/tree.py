@@ -89,6 +89,17 @@ def _gini_sum(w1, w):
 _CRITERIA = {"entropy": _entropy_sum, "gini": _gini_sum}
 
 
+def check_tree_params(criterion, max_features=None):
+    """Raise ValueError for a split criterion or `max_features` mode that no
+    tree can use; an integer larger than the table is caught at fit."""
+    if not (isinstance(criterion, str) and criterion in _CRITERIA):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    count = not isinstance(max_features, bool) and isinstance(max_features, int)
+    if not (max_features in (None, "all", "sqrt", "auto") or count and max_features >= 1):
+        raise ValueError(f"max_features must be None, 'all', 'sqrt', 'auto' or an integer "
+                         f"of at least 1, got {max_features!r}")
+
+
 def _resolve_max_features(mode, d):
     if mode in (None, "all"):
         return d
@@ -802,15 +813,9 @@ def _prefix_table(n_thresholds, rank, column, n_columns, entry):
     return np.maximum.accumulate(table, axis=0)
 
 
-def apply_trees(trees, X):
-    """Leaf of every row in every tree, (rows, trees), as indices into the
-    trees' node arrays concatenated in order."""
-    return LeafScorer(trees).apply(X)
-
-
 def node_values(trees):
     """The trees' `value` arrays concatenated in order, indexed like
-    `apply_trees`' leaves."""
+    `LeafScorer.apply`'s leaves."""
     return np.concatenate([t.value for t in trees])
 
 
@@ -844,12 +849,6 @@ class _Tree(ScoredTrees):
         """Leaf node index of every row."""
         return self.leaf_scorer([self]).apply(X)[:, 0]
 
-    def depth(self):
-        depth = np.zeros(len(self.feature), dtype=np.intp)
-        for i in np.flatnonzero(self.left >= 0):  # parents precede children
-            depth[self.left[i]] = depth[self.right[i]] = depth[i] + 1
-        return int(depth.max())
-
 
 class ClassificationTree(_Tree):
     """Greedy binary tree for 0/1 labels with optional sample weights.
@@ -860,8 +859,7 @@ class ClassificationTree(_Tree):
 
     def __init__(self, criterion="entropy", max_depth=None, max_features=None,
                  random_threshold=False):
-        if criterion not in _CRITERIA:
-            raise ValueError(f"unknown criterion {criterion!r}")
+        check_tree_params(criterion, max_features)
         self.criterion = criterion
         self.max_depth = max_depth
         self.max_features = max_features

@@ -26,7 +26,6 @@ DISPLAY_NAMES = {
     "svm": "SVM",
     "extra_trees": "Extra Tree",
     "logistic_regression": "LR",
-    "bagging": "Bagging",
 }
 
 STACK_ROW_GA = "Suggest Method (ST-GA)"

@@ -1,5 +1,5 @@
-"""Synthetic dataset generators used by tests, scripts, and the default
-configs.
+"""The synthetic table that tests, scripts, the benchmark and the default
+configs use.
 
 `make_pima_like` produces a stand-in with the exact shape and conventions of
 the classic Pima diabetes table (768 rows, 8 numeric predictors, binary
@@ -10,7 +10,7 @@ honest. Point the experiment configs at the real CSV to run on actual data.
 
 import numpy as np
 
-from .dataset import Dataset, PIMA_SCHEMA, Schema
+from .dataset import Dataset, PIMA_SCHEMA
 from .rng import child_rng
 
 #: fraction of rows whose measurement is zeroed per sentinel column,
@@ -60,32 +60,3 @@ def make_pima_like(n: int = 768, seed: int = 20211) -> Dataset:
         col = PIMA_SCHEMA.feature_index(PIMA_SCHEMA.column_names.index(name))
         X[rng.random(n) < rate, col] = 0.0
     return Dataset(X, y, PIMA_SCHEMA)
-
-
-def make_separable_clouds(n_train: int = 500, n_test: int = 500, mean: float = 3.0,
-                          sigma: float = 0.5, seed: int = 0) -> tuple:
-    """Two 2-d Gaussian clouds at +/-mean; returns (train, test) Datasets."""
-    schema = Schema(("x0", "x1", "label"), 2)
-
-    def one(n, tag):
-        rng = child_rng(seed, "clouds", tag)
-        n_pos = n // 2
-        X = np.vstack([
-            rng.normal(+mean, sigma, size=(n_pos, 2)),
-            rng.normal(-mean, sigma, size=(n - n_pos, 2)),
-        ])
-        y = np.array([1] * n_pos + [0] * (n - n_pos), dtype=np.int64)
-        perm = rng.permutation(n)
-        return Dataset(X[perm], y[perm], schema)
-
-    return one(n_train, "train"), one(n_test, "test")
-
-
-def make_single_informative(n: int = 400, n_features: int = 5, seed: int = 0) -> Dataset:
-    """Only feature 0 carries signal; the rest are independent noise."""
-    rng = child_rng(seed, "single-informative")
-    X = rng.normal(size=(n, n_features))
-    flip = rng.random(n) < 0.08
-    y = ((X[:, 0] > 0) ^ flip).astype(np.int64)
-    schema = Schema(tuple(f"f{i}" for i in range(n_features)) + ("label",), n_features)
-    return Dataset(X, y, schema)

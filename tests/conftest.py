@@ -9,7 +9,9 @@ from stackga.dataset import (
     shuffle_split,
     write_csv,
 )
-from stackga.synth import make_pima_like, make_separable_clouds
+from stackga.synth import make_pima_like
+
+from support import make_separable_clouds
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]

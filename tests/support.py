@@ -1,0 +1,65 @@
+"""Helpers that only tests use: small synthetic tables, the nine benchmark
+learner specs, a fitted tree's depth and the GA's fitness of one mask."""
+
+import numpy as np
+
+from stackga import genetic
+from stackga.dataset import Dataset, Schema
+from stackga.learners import LearnerSpec
+from stackga.rng import child_rng
+
+
+def make_separable_clouds(n_train: int = 500, n_test: int = 500, mean: float = 3.0,
+                          sigma: float = 0.5, seed: int = 0) -> tuple:
+    """Two 2-d Gaussian clouds at +/-mean; returns (train, test) Datasets."""
+    schema = Schema(("x0", "x1", "label"), 2)
+
+    def one(n, tag):
+        rng = child_rng(seed, "clouds", tag)
+        n_pos = n // 2
+        X = np.vstack([
+            rng.normal(+mean, sigma, size=(n_pos, 2)),
+            rng.normal(-mean, sigma, size=(n - n_pos, 2)),
+        ])
+        y = np.array([1] * n_pos + [0] * (n - n_pos), dtype=np.int64)
+        perm = rng.permutation(n)
+        return Dataset(X[perm], y[perm], schema)
+
+    return one(n_train, "train"), one(n_test, "test")
+
+
+def make_single_informative(n: int = 400, n_features: int = 5, seed: int = 0) -> Dataset:
+    """Only feature 0 carries signal; the rest are independent noise."""
+    rng = child_rng(seed, "single-informative")
+    X = rng.normal(size=(n, n_features))
+    flip = rng.random(n) < 0.08
+    y = ((X[:, 0] > 0) ^ flip).astype(np.int64)
+    schema = Schema(tuple(f"f{i}" for i in range(n_features)) + ("label",), n_features)
+    return Dataset(X, y, schema)
+
+
+def benchmark_specs(seed: int = 0) -> list:
+    """The nine stock benchmark learners with their default hyperparameters."""
+    names = ["random_forest", "knn", "mlp", "adaboost", "decision_tree", "gaussian_nb",
+             "gradient_boosting", "svm", "extra_trees"]
+    return [LearnerSpec(n, {}, seed) for n in names]
+
+
+def tree_depth(tree) -> int:
+    """The depth of a fitted tree's deepest leaf (0 for a lone root)."""
+    depth = np.zeros(len(tree.feature), dtype=np.intp)
+    for i in np.flatnonzero(tree.left >= 0):  # parents precede children
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return int(depth.max())
+
+
+def fitness(ch, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5, seed: int = 0) -> float:
+    """The GA's fitness of one mask: the wrapper's CV accuracy on the masked
+    columns, over the fold plan that `run_ga` with this seed scores on."""
+    bits = np.asarray(ch).astype(np.uint8)
+    if not bits.any():
+        raise ValueError("fitness needs at least one selected feature")
+    if bits.size != ds.n_features:
+        raise ValueError(f"mask length {bits.size} != {ds.n_features} features")
+    folds = genetic._wrapper_folds(ds, genetic.wrapper_plan(ds, cv_k, seed), wrapper)
+    return genetic._folds_accuracy(folds, wrapper, np.flatnonzero(bits))

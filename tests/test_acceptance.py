@@ -18,12 +18,11 @@ from stackga.genetic import (
     GaConfig,
     apply_two_point,
     evolve,
-    fitness,
     mutate_bit_inversion,
     rank_scale,
     roulette_select,
 )
-from stackga.learners import LearnerSpec, benchmark_specs, predict, train
+from stackga.learners import LearnerSpec, predict, train
 from stackga.learners.mlp import MlpClassifier
 from stackga.metrics import (
     ConfusionMatrix,
@@ -39,8 +38,7 @@ from stackga.pipeline import holdout_partitions, run_holdout, run_holdout_detail
 from stackga.report import STACK_ROW_GA, render_report
 from stackga.rng import child_rng, derive_seed
 from stackga.stacking import StackSpec, build_level1_dataset
-from stackga.synth import make_separable_clouds
-
+from support import benchmark_specs, fitness, make_separable_clouds
 from test_metrics import brute_confusion, pair_count_auc
 
 

@@ -401,6 +401,10 @@ def test_bad_knn_n_neighbors_exits_2_naming_it(pima_csv, tmp_path, capsys, k):
     ("logistic_regression", "max_iter", 0),
     ("logistic_regression", "reg_strength", -1),
     ("logistic_regression", "tol", 0),
+    ("svm", "kernel", "poly"),
+    ("svm", "gamma", "auto"),
+    ("decision_tree", "criterion", "mse"),
+    ("decision_tree", "max_features", "log2"),
 ])
 def test_bad_learner_value_exits_2_naming_it(pima_csv, tmp_path, capsys, learner, key, value):
     cfg = tmp_path / "cfg.json"
@@ -411,6 +415,15 @@ def test_bad_learner_value_exits_2_naming_it(pima_csv, tmp_path, capsys, learner
     err = capsys.readouterr().err
     assert key in err and learner in err
     assert not (tmp_path / "out" / "model.pkl").exists()
+
+
+def test_a_config_with_removed_keys_exits_2_naming_them(pima_csv, tmp_path, capsys):
+    d = light_config_dict(pima_csv)
+    d["report"] = {"path": "out/report.json", "format": "markdown"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "out", "-q") == 2
+    assert "config error: report: unknown keys ['format', 'path']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "xval"])

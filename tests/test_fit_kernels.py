@@ -36,6 +36,8 @@ from stackga.learners.mlp import MlpClassifier
 from stackga.learners.svm import SmoSvm
 from stackga.learners.tree import ClassificationTree, RegressionTree
 
+from support import fitness
+
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -611,7 +613,7 @@ def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean):
 
     with mock.patch.object(genetic, "train", train_spy), \
             mock.patch.object(genetic, "predict", predict_spy):
-        got = genetic.fitness(bits, ds, wrapper, cv_k=5, seed=3)
+        got = fitness(bits, ds, wrapper, cv_k=5, seed=3)
     plan = wrapper_plan(ds, 5, 3)
     masked = select_features(ds, np.flatnonzero(bits))
     assert got == wrapper_cv_accuracy_reference(masked, wrapper, plan)

@@ -12,7 +12,6 @@ from stackga.genetic import (
     apply_two_point,
     crossover_double_point,
     evolve,
-    fitness,
     history_to_csv,
     init_population,
     mask_to_names,
@@ -25,7 +24,8 @@ from stackga.genetic import (
 )
 from stackga.learners import LearnerSpec
 from stackga.rng import child_rng
-from stackga.synth import make_single_informative
+
+from support import fitness, make_single_informative
 
 ONEMAX_CFG = dict(n_bits=30, nind=20, subpop=5, maxgen=100, migr=0.2, insr=0.95, miggen=20)
 
@@ -51,10 +51,6 @@ class TestConfig:
 
     def test_default_mutation_rate_is_one_over_length(self):
         assert GaConfig(n_bits=25).effective_mutation_rate == pytest.approx(1 / 25)
-
-    def test_legacy_parameter_block_recorded(self):
-        cfg = GaConfig(n_bits=8)
-        assert (cfg.nvar, cfg.preci) == (9, 20)
 
 
 class TestInitPopulation:
@@ -275,13 +271,18 @@ class TestEvolve:
         assert bests == {0.5}
         assert len(run.history) <= 40
 
-    def test_memoization_transparent(self):
+    def test_evaluations_count_distinct_masks(self):
         cfg = GaConfig(n_bits=12, nind=10, subpop=2, maxgen=30, seed=9)
-        with_cache = evolve(cfg, onemax, memoize=True)
-        without = evolve(cfg, onemax, memoize=False)
-        np.testing.assert_array_equal(with_cache.best_chromosome, without.best_chromosome)
-        assert with_cache.best_fitness == without.best_fitness
-        assert with_cache.evaluations <= without.evaluations
+        requested = []
+
+        def counted(bits):
+            requested.append(bits.tobytes())
+            return onemax(bits)
+
+        run = evolve(cfg, counted)
+        assert run.evaluations == len(requested) == len(set(requested))
+        # every generation requests nind masks per subpopulation, so most are cache hits
+        assert run.evaluations < cfg.nind * cfg.subpop * (1 + len(run.history))
 
     def test_per_subpop_best_monotone(self):
         cfg = GaConfig(seed=5, **ONEMAX_CFG)

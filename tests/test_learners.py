@@ -5,7 +5,6 @@ from stackga.dataset import Dataset, Schema
 from stackga.errors import ConfigError
 from stackga.learners import (
     LearnerSpec,
-    benchmark_specs,
     both_classes,
     labels_from_proba,
     predict,
@@ -20,6 +19,8 @@ from stackga.learners.tree import ClassificationTree
 from stackga.persist import load_artifact, save_artifact
 from stackga.rng import child_rng
 
+from support import benchmark_specs, tree_depth
+
 SCHEMA2 = Schema(("a", "b", "label"), 2)
 
 
@@ -30,10 +31,7 @@ def tiny_ds(X, y, n_features=2):
 
 @pytest.fixture(scope="module")
 def all_specs():
-    return benchmark_specs(3) + [
-        LearnerSpec("logistic_regression", {}, 3),
-        LearnerSpec("bagging", {}, 3),
-    ]
+    return benchmark_specs(3) + [LearnerSpec("logistic_regression", {}, 3)]
 
 
 class TestSpecValidation:
@@ -76,13 +74,20 @@ class TestSpecValidation:
         LearnerSpec("logistic_regression", {"max_iter": 1, "reg_strength": 0, "tol": 1e-12})
         LearnerSpec("logistic_regression", {"reg_strength": 0.0})
 
-    def test_fixed_value_knobs(self):
-        with pytest.raises(ConfigError):
-            LearnerSpec("mlp", {"solver": "sgd"})
-        with pytest.raises(ConfigError):
-            LearnerSpec("gradient_boosting", {"loss": "exponential"})
-        with pytest.raises(ConfigError):
-            LearnerSpec("decision_tree", {"splitter": "random"})
+    def test_removed_hyperparameters_are_unknown(self):
+        # the keys are gone, not restricted: the values they used to accept are refused too
+        for algorithm, key, value in [
+            ("decision_tree", "splitter", "best"), ("knn", "weights", "uniform"),
+            ("knn", "algorithm", "auto"), ("knn", "metric", "minkowski"),
+            ("mlp", "activation", "relu"), ("mlp", "solver", "adam"),
+            ("gradient_boosting", "loss", "deviance"),
+            ("gradient_boosting", "criterion", "friedman_mse"), ("svm", "degree", 3),
+        ]:
+            with pytest.raises(ConfigError, match=rf"^{algorithm}: unknown hyperparameters "
+                                                  rf"\['{key}'\]"):
+                LearnerSpec(algorithm, {key: value})
+        with pytest.raises(ConfigError, match="unknown algorithm 'bagging'"):
+            LearnerSpec("bagging", {})
 
 
 class TestTrainContract:
@@ -190,7 +195,7 @@ class TestTrees:
         y = (X[:, 0] + 0.3 * rng.normal(size=200) > 0).astype(int)
         tree = ClassificationTree("entropy", max_depth=3, max_features=None)
         tree.fit(X, y, rng=child_rng(1))
-        assert tree.depth() <= 3
+        assert tree_depth(tree) <= 3
 
         def check_leaves(node, idx):
             if tree.feature[node] < 0:
@@ -212,7 +217,7 @@ class TestTrees:
         X = np.ones((10, 3))
         y = np.array([0, 1, 1, 1, 0, 1, 1, 0, 1, 1])
         tree = ClassificationTree("gini", max_depth=5).fit(X, y, rng=child_rng(0))
-        assert tree.depth() == 0
+        assert tree_depth(tree) == 0
         assert predict_proba_one(tree, X)[0] == pytest.approx(y.mean())
 
     def test_tie_break_lowest_feature_then_threshold(self):
@@ -227,12 +232,12 @@ class TestTrees:
         tr, _ = small_clouds
         model = train(LearnerSpec("random_forest", {}, 0), tr)
         assert len(model.impl.trees_) == 100
-        assert all(t.depth() <= 10 for t in model.impl.trees_)
+        assert all(tree_depth(t) <= 10 for t in model.impl.trees_)
 
     def test_single_tree_depth_default(self, small_clouds):
         tr, _ = small_clouds
         model = train(LearnerSpec("decision_tree", {}, 0), tr)
-        assert model.impl.depth() <= 3
+        assert tree_depth(model.impl) <= 3
 
 
 def predict_proba_one(tree, X):
@@ -380,17 +385,3 @@ class TestSvm:
             model = train(spec, tr)
             acc = (predict(model, te.features) == te.labels).mean()
             assert acc >= 0.95, f"{spec.algorithm}: {acc}"
-
-
-class TestBagging:
-    def test_nested_inner_spec(self, small_clouds):
-        tr, te = small_clouds
-        spec = LearnerSpec(
-            "bagging",
-            {"base": {"algorithm": "knn", "hyperparameters": {"n_neighbors": 3}},
-             "n_estimators": 7},
-            1,
-        )
-        model = train(spec, tr)
-        assert len(model.impl.members_) == 7
-        assert (predict(model, te.features) == te.labels).mean() >= 0.95

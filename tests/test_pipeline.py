@@ -41,7 +41,8 @@ from stackga.report import (
     render_report,
 )
 from stackga.rng import child_rng, derive_seed
-from stackga.synth import make_single_informative
+
+from support import make_single_informative
 
 
 def light_config_dict(csv_path, **tweaks):
@@ -107,6 +108,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown hyperparameters"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"algorithm": ["knn"]}, "unknown algorithm"),
+        ({"algorithm": "knn", "hyperparameters": []}, "hyperparameters must be an object"),
+        ({"algorithm": "knn", "hyperparameters": "ab"}, "hyperparameters must be an object"),
+    ])
+    def test_malformed_learner_entry_names_its_place(self, pima_csv, entry, message):
+        d = light_config_dict(pima_csv, learners=[entry])
+        with pytest.raises(ConfigError, match=re.escape("learners[0]") + ".*" + message):
+            config_from_dict(d)
+
     def test_version_checked(self, pima_csv):
         d = light_config_dict(pima_csv, version=99)
         with pytest.raises(ConfigError, match="version"):
@@ -134,6 +145,34 @@ class TestConfigParsing:
         (d[section] if section else d)[key] = value
         where = f"{section}.{key}" if section else key
         with pytest.raises(ConfigError, match=re.escape(where)):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("section,keys", [
+        ("report", {"path": "out/report.json", "format": "json"}),
+        ("ga", {"nvar": 9}),
+        ("ga", {"preci": 20}),
+    ])
+    def test_removed_keys_are_unknown_in_their_section(self, pima_csv, section, keys):
+        d = light_config_dict(pima_csv)
+        d[section].update(keys)
+        where = f"{section}: unknown keys {sorted(keys)}"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("algorithm,key,value", [
+        ("svm", "kernel", "poly"), ("svm", "kernel", ["rbf"]), ("svm", "gamma", "auto"),
+        ("svm", "gamma", 0), ("svm", "gamma", float("inf")), ("svm", "gamma", True),
+        ("decision_tree", "criterion", "mse"), ("decision_tree", "criterion", ["gini"]),
+        ("decision_tree", "max_features", "log2"), ("decision_tree", "max_features", 0),
+        ("decision_tree", "max_features", 2.0),
+        ("random_forest", "criterion", "mse"), ("random_forest", "max_features", "log2"),
+        ("extra_trees", "max_features", True), ("adaboost", "criterion", "log_loss"),
+    ])
+    def test_bad_hyperparameter_value_names_its_learner_and_key(self, pima_csv, algorithm,
+                                                                 key, value):
+        d = light_config_dict(pima_csv)
+        d["learners"].append({"algorithm": algorithm, "hyperparameters": {key: value}})
+        with pytest.raises(ConfigError, match=rf"^learners\[3\]: {algorithm}: .*{key}"):
             config_from_dict(d)
 
     def test_ga_section_is_the_ga_config_knobs(self, light_config):

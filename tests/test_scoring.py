@@ -23,7 +23,7 @@ from stackga.learners.boosting import GradientBoosting
 from stackga.learners.forest import ExtraTrees, RandomForest
 from stackga.learners.knn import KNeighbors
 from stackga.learners import tree as tree_module
-from stackga.learners.tree import ClassificationTree, RegressionTree, apply_trees
+from stackga.learners.tree import ClassificationTree, LeafScorer, RegressionTree
 from stackga.rng import child_rng
 from stackga.stacking import StackSpec, predict_proba_stack, train_stack
 from stackga.synth import make_pima_like
@@ -56,7 +56,7 @@ def walk(tree, x):
 
 
 def apply_reference(trees, X):
-    """Leaves as `apply_trees` numbers them: (rows, trees), node arrays
+    """Leaves as `LeafScorer.apply` numbers them: (rows, trees), node arrays
     concatenated in tree order."""
     counts = [len(t.feature) for t in trees]
     roots = np.cumsum(counts) - counts
@@ -200,9 +200,9 @@ def test_apply_trees_equals_a_per_row_walk(kind, n_trees, data, seed):
     infinite = np.array([[np.inf], [-np.inf]]).repeat(X.shape[1], axis=1)
     Q = _queries(X, trees, extra=np.vstack([X + 0.5, infinite]))
     want = apply_reference(trees, Q)
-    assert same_bits(apply_trees(trees, Q), want)
+    assert same_bits(LeafScorer(trees).apply(Q), want)
     with mock.patch.object(tree_module, "_MAX_CELLS", 2 * n_trees):  # 2-row chunks
-        assert same_bits(apply_trees(trees, Q), want)
+        assert same_bits(LeafScorer(trees).apply(Q), want)
     for t in trees:
         assert same_bits(t.apply(Q), apply_reference([t], Q)[:, 0])
 
@@ -249,9 +249,9 @@ def test_apply_trees_equals_a_per_row_walk_on_edge_cases(names):
                         [np.nan, np.nan, np.nan, np.nan]])
     Q = _queries(X, trees, extra=np.vstack([X + 0.005, special]))
     want = apply_reference(trees, Q)
-    assert same_bits(apply_trees(trees, Q), want)
+    assert same_bits(LeafScorer(trees).apply(Q), want)
     with mock.patch.object(tree_module, "_MAX_CELLS", 3 * len(trees)):  # chunks of 1 to 3 rows
-        assert same_bits(apply_trees(trees, Q), want)
+        assert same_bits(LeafScorer(trees).apply(Q), want)
     for t in trees:
         assert same_bits(t.apply(Q), apply_reference([t], Q)[:, 0])
 
@@ -263,7 +263,7 @@ def test_regression_trees_route_like_a_per_row_walk(n_trees, data, depth):
     targets = [y * (i + 1) - X[:, 0] * 0.25 * i for i in range(n_trees)]
     trees = [RegressionTree(max_depth=depth).fit(X, r) for r in targets]
     Q = _queries(X, trees)
-    assert same_bits(apply_trees(trees, Q), apply_reference(trees, Q))
+    assert same_bits(LeafScorer(trees).apply(Q), apply_reference(trees, Q))
 
 
 @given(data=tied_data(), seed=st.integers(0, 5), rounds=st.integers(1, 12))
@@ -316,7 +316,6 @@ TREE_LEARNERS = (
     LearnerSpec("extra_trees", {"n_estimators": 10}, 4),
     LearnerSpec("adaboost", {"n_estimators": 30}, 5),
     LearnerSpec("gradient_boosting", {"n_estimators": 12}, 6),
-    LearnerSpec("bagging", {"n_estimators": 4}, 7),
 )
 
 

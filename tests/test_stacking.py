@@ -17,8 +17,8 @@ from stackga.stacking import (
     train_stack,
 )
 from stackga.rng import child_rng
-from stackga.synth import make_separable_clouds
 
+from support import make_separable_clouds
 from test_acceptance import shipped_config
 
 KNN1 = LearnerSpec("knn", {"n_neighbors": 1}, 0)
@@ -147,7 +147,7 @@ class TestTrainPredict:
 
     def test_boosting_family_metas_accepted(self):
         ds = random_ds(80, seed=7)
-        for meta_alg in ("bagging", "gradient_boosting", "adaboost"):
+        for meta_alg in ("gradient_boosting", "adaboost"):
             meta = LearnerSpec(meta_alg, {}, 5)
             model = train_stack(StackSpec((TREE, KNN1), meta, "naive"), ds)
             assert predict_stack(model, ds.features).shape == (80,)
