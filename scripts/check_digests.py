@@ -45,30 +45,30 @@ CASES = {
         + [["report", "--report", "{out}/report.json", "--format", "markdown",
             "--out", "{out}", "-q"]],
         {
-            "report.json": "4246bb4f6b9dadb2615f617655c61d266d97eac404715a962074e9deba1bafa8",
-            "report.md": "be3dcc168e1b9b1315b8b58000fcfadfb8e9826715274f9d906b506d41a743a1",
-            "model.pkl": "f0d4911d2e086bef7cc842a3da2888722f80e5050daff561ddf3623509444d02",
+            "report.json": "0fc869e9330eb0c608c9bc8b868fcdaee9df62b77f1306594879559f1e9bb0df",
+            "report.md": "67d595ea4efb3779e1b4c540a62beb31264ce0cb480240615849015a47d3c84d",
+            "model.pkl": "2d81fbea2c16b8bc942782942c5961c8811684786b0a2827c04225844e27e092",
         },
     ),
     "paper_faithful": (
         _train_eval(PAPER_FAITHFUL),
         {
-            "report.json": "e7d87d222c1a2e4e2c928b9a385668f33c2ab73973cad968e6e4a0160f8ececa",
-            "model.pkl": "bf089b420bdbb4e4941aed48629f3eabca186e49ab81bf5cd7e9d4004081d817",
+            "report.json": "f3201aacbdfe5610ed2baf753593cd191be205fc1bde9a42a6906d428b50b1de",
+            "model.pkl": "5d2467637c1b0a974d875d4fd59d725168f18304ad87fa57b90b544c030c4f1c",
         },
     ),
     "xval_k5": (
         [["xval", "--config", XVAL, "--set", "split.ks=[5]", "--out", "{out}", "-q"]],
-        {"report.json": "2c50b88900572de68f85f238ae681ca4fa7a1b4c9fdda7eaa5c720f409335fd2"},
+        {"report.json": "41f9907613fb6d222905c794a970df03a138b88c32883ec75ee5ed3bab9c84f0"},
     ),
     "xval_k5_paper_faithful": (
         [["xval", "--config", XVAL, "--set", "split.ks=[5]", "--set",
           "protocol=paper_faithful", "--out", "{out}", "-q"]],
-        {"report.json": "6482b8ae05a903b3799fe9349cb29a82562a34430ac2d3040b2baaf447772e5a"},
+        {"report.json": "ae5a654e48fbfe08a611caabb0dad408b017386b42fc553f89a5ccdfcf752d0f"},
     ),
     "xval_all_ks_paper_faithful": (
         [["xval", "--config", XVAL, "--set", "protocol=paper_faithful", "--out", "{out}", "-q"]],
-        {"report.json": "b1d53381f7491e897b005c2f36da55c2d3a0d6e507eb83fb8a9cd4e679e72c7d"},
+        {"report.json": "4f0e56181493e79433bd4bbdafc7bbffd774db931575af14dd47a3bf9170db4c"},
     ),
     "select": (
         [["select", "--config", HOLDOUT, "--out", "{out}", "-q"]],
@@ -84,7 +84,7 @@ CASES = {
 ALL_KS = {
     "xval_all_ks": (
         [["xval", "--config", XVAL, "--out", "{out}", "-q"]],
-        {"report.json": "5715d71d7e84a6303d20d53aa5b771981b47464b47565b23e92a39aab0e163fb"},
+        {"report.json": "7c6cf6335b1cd8c005f39bbad519baecc9f71284368ee044d967d7769b354e3d"},
     ),
 }
 

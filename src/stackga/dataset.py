@@ -425,4 +425,7 @@ def select_features(ds: Dataset, feature_indices) -> Dataset:
     if feature_indices is None:
         return ds
     idx = sorted(int(i) for i in feature_indices)
-    return Dataset(ds.features[:, idx], ds.labels, select_schema(ds.schema, idx), ds.row_ids)
+    # C-ordered like every other table, so axis-0 reductions give the same
+    # bits whether the mask or the rows were taken first
+    return Dataset(ds.features.take(idx, axis=1), ds.labels, select_schema(ds.schema, idx),
+                   ds.row_ids)

@@ -38,20 +38,43 @@ __all__ = [
 ]
 
 
-def _check_count(algorithm, key, value):
-    """`value` must be an int of at least 1 (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{algorithm} {key} must be an integer of at least 1, "
-                          f"got {value!r}")
+#: every numeric hyperparameter's rule, checked when a spec is made:
+#: "count" an int of at least 1 (a bool is not one), "depth" a count or None,
+#: "positive" a finite number > 0, "nonnegative" one >= 0, "finite" any finite one
+_RULES = {
+    "decision_tree": {"max_depth": "depth"},
+    "random_forest": {"n_estimators": "count", "max_depth": "depth"},
+    "extra_trees": {"n_estimators": "count", "max_depth": "depth"},
+    "knn": {"n_neighbors": "count"},
+    "gaussian_nb": {"var_smoothing": "nonnegative"},
+    "mlp": {"hidden_units": "count", "batch_size": "count", "max_iter": "count",
+            "learning_rate_init": "positive"},
+    "adaboost": {"n_estimators": "count", "max_depth": "depth", "learning_rate": "positive"},
+    "gradient_boosting": {"n_estimators": "count", "max_depth": "depth",
+                          "learning_rate": "positive"},
+    "svm": {"c": "positive", "tol": "positive", "coef0": "finite", "max_pass_factor": "count"},
+    "logistic_regression": {"max_iter": "count", "reg_strength": "nonnegative",
+                            "tol": "positive"},
+}
+
+_RULE_TEXT = {
+    "count": "an integer of at least 1",
+    "depth": "an integer of at least 1 or null",
+    "positive": "a finite number greater than 0",
+    "nonnegative": "a finite number of at least 0",
+    "finite": "a finite number",
+}
 
 
-def _check_number(algorithm, key, value, positive):
-    """`value` must be a finite number, > 0 if `positive` else >= 0."""
-    ok = (not isinstance(value, bool) and isinstance(value, (int, float))
-          and math.isfinite(value) and (value > 0 if positive else value >= 0))
-    if not ok:
-        rule = "greater than 0" if positive else "of at least 0"
-        raise ConfigError(f"{algorithm} {key} must be a finite number {rule}, got {value!r}")
+def _obeys(rule, value) -> bool:
+    if rule == "depth" and value is None:
+        return True
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if rule in ("count", "depth"):
+        return isinstance(value, int) and value >= 1
+    return math.isfinite(value) and {"positive": value > 0, "nonnegative": value >= 0,
+                                     "finite": True}[rule]
 
 
 class _DecisionTreeLearner(ClassificationTree):
@@ -62,9 +85,7 @@ class _DecisionTreeLearner(ClassificationTree):
 
 
 class _KnnLearner(KNeighbors):
-    def __init__(self, n_neighbors=5):
-        _check_count("knn", "n_neighbors", n_neighbors)
-        super().__init__(n_neighbors=n_neighbors)
+    """`KNeighbors` under the class name that `model.pkl` records."""
 
 
 class _MlpLearner(MlpClassifier):
@@ -72,10 +93,6 @@ class _MlpLearner(MlpClassifier):
                  learning_rate_init=1e-3, max_iter=100):
         if learning_rate not in ("adaptive", "constant"):
             raise ConfigError(f"unknown mlp learning_rate mode {learning_rate!r}")
-        for key, value in (("hidden_units", hidden_units), ("batch_size", batch_size),
-                           ("max_iter", max_iter)):
-            _check_count("mlp", key, value)
-        _check_number("mlp", "learning_rate_init", learning_rate_init, positive=True)
         super().__init__(
             hidden_units=hidden_units,
             batch_size=batch_size,
@@ -114,7 +131,8 @@ def _known_params(cls) -> tuple:
 
 
 def make_impl(algorithm: str, hyperparameters: dict):
-    """Instantiate the implementation for `algorithm`, validating parameter keys."""
+    """Instantiate the implementation for `algorithm`, validating parameter
+    keys and the numeric values `_RULES` names."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
@@ -126,16 +144,14 @@ def make_impl(algorithm: str, hyperparameters: dict):
         raise ConfigError(
             f"{algorithm}: unknown hyperparameters {unknown}; known: {sorted(known)}"
         )
+    for key, rule in _RULES[algorithm].items():
+        if key in hyperparameters and not _obeys(rule, hyperparameters[key]):
+            raise ConfigError(f"{algorithm}: {key} must be {_RULE_TEXT[rule]}, "
+                              f"got {hyperparameters[key]!r}")
     try:
-        impl = cls(**hyperparameters)
-    except ValueError as e:  # a value the implementation refuses
+        return cls(**hyperparameters)
+    except ValueError as e:  # a choice the implementation refuses
         raise ConfigError(f"{algorithm}: {e}") from None
-    if algorithm == "logistic_regression":
-        # no wrapper class here: one would change the class pickled in model.pkl
-        _check_count(algorithm, "max_iter", impl.max_iter)
-        _check_number(algorithm, "reg_strength", impl.reg_strength, positive=False)
-        _check_number(algorithm, "tol", impl.tol, positive=True)
-    return impl
 
 
 @dataclass(frozen=True)

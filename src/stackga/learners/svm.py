@@ -1,9 +1,20 @@
 """Kernel SVM trained by sequential minimal optimization.
 
-Pairwise working-set optimization with an error cache and second-choice
-heuristics. The default sigmoid kernel tanh(g*<x,x'> + c) is indefinite, so
-when the pair curvature is non-positive the step evaluates the dual
-objective at both clip bounds instead of using the analytic optimum.
+The solver is LIBSVM's (Fan, Chen & Lin 2005, "Working set selection using
+second order information for training support vector machines", JMLR 6). It
+works on beta = y * alpha and on v = -y * G, where G is the gradient of the
+dual 1/2 a'Qa - e'a: v = y - K beta. Each step takes the maximal violating i
+(the largest v among the rows whose beta may rise), then the j whose beta may
+fall with the largest second-order gain b^2/a, and moves the pair along the
+equality constraint sum(beta) = 0, clipped to the box. The default sigmoid
+kernel tanh(g*<x,x'> + c) is not positive semi-definite, so a pair curvature
+a <= 0 is replaced by 1e-12, LIBSVM's tau (Lin & Lin 2003, "A study on
+sigmoid kernels for SVM and the training of non-PSD kernels by SMO-type
+methods").
+
+Inputs are standardized with the training mean and std, as in the logistic
+regression and the MLP: on raw clinical scales the sigmoid kernel saturates
+and its SVM ranks backwards.
 
 Decision values are squashed through a logistic to give uncalibrated
 pseudo-probabilities; they are only used as ranking scores and stacking
@@ -13,8 +24,6 @@ features.
 import math
 
 import numpy as np
-
-_EPS = 1e-8
 
 
 def sigmoid_kernel(A, B, gamma, coef0):
@@ -50,175 +59,67 @@ class SmoSvm:
         self.tol = tol
         self.max_pass_factor = max_pass_factor
 
-    def _gamma_value(self, X):
+    def _gamma_value(self, Z):
         if self.gamma == "scale":
-            var = float(X.var())
-            return 1.0 / (X.shape[1] * var) if var > 0 else 1.0
+            var = float(Z.var())
+            return 1.0 / (Z.shape[1] * var) if var > 0 else 1.0
         return float(self.gamma)
 
     def fit(self, X, y, rng=None):
-        rng = rng or np.random.default_rng(0)
+        """Solve the dual to `tol` (the maximal violating pair's gap) or stop
+        after `max_pass_factor * n` pair updates; draws no random numbers."""
         X = np.asarray(X, dtype=np.float64)
-        t = np.where(np.asarray(y) == 1, 1.0, -1.0)
-        n = len(t)
-        self.gamma_ = self._gamma_value(X)
-        K = _KERNELS[self.kernel](X, X, self.gamma_, self.coef0)
-        alpha = np.zeros(n)
-        b = 0.0
-        E = -t.copy()  # f = 0 initially, so E = f - t
-        C, tol = self.c, self.tol
-        # the loop reads its scalars as Python floats, the same IEEE doubles
-        # as numpy's scalars at a fraction of the cost; `al` and `tl` mirror
-        # alpha and t, and `non_bound` is kept until a step changes alpha
-        al, tl = alpha.tolist(), t.tolist()
-        non_bound = None
-        stepped = False
-
-        def take_step(i1, i2):
-            nonlocal b, non_bound, stepped
-            if i1 == i2:
-                return False
-            a1o, a2o = al[i1], al[i2]
-            y1, y2 = tl[i1], tl[i2]
-            s = y1 * y2
-            # L = max(0, lo) and H = min(C, hi), as conditionals
-            if s < 0:
-                lo, hi = a2o - a1o, C + a2o - a1o
-            else:
-                lo, hi = a2o + a1o - C, a2o + a1o
-            L = lo if lo > 0.0 else 0.0
-            H = hi if hi < C else C
-            if L >= H:
-                return False
-            E1, E2 = E.item(i1), E.item(i2)
-            k11, k12, k22 = K.item(i1, i1), K.item(i1, i2), K.item(i2, i2)
-            eta = k11 + k22 - 2.0 * k12
-            if eta > 0:
-                a2 = a2o + y2 * (E1 - E2) / eta
-                a2 = min(max(a2, L), H)
-            else:
-                # indefinite direction: compare the dual objective at L and H
-                f1 = E1 + y1 - b
-                f2 = E2 + y2 - b
-                v1 = f1 - a1o * y1 * k11 - a2o * y2 * k12
-                v2 = f2 - a1o * y1 * k12 - a2o * y2 * k22
-
-                def dual(a2c):
-                    a1c = a1o + s * (a2o - a2c)
-                    return (
-                        a1c + a2c
-                        - 0.5 * k11 * a1c * a1c
-                        - 0.5 * k22 * a2c * a2c
-                        - s * k12 * a1c * a2c
-                        - y1 * a1c * v1
-                        - y2 * a2c * v2
-                    )
-
-                wl, wh = dual(L), dual(H)
-                if wl > wh + _EPS:
-                    a2 = L
-                elif wh > wl + _EPS:
-                    a2 = H
-                else:
-                    a2 = a2o
-            if abs(a2 - a2o) < _EPS * (a2 + a2o + _EPS):
-                return False
-            a1 = a1o + s * (a2o - a2)
-            d1, d2 = y1 * (a1 - a1o), y2 * (a2 - a2o)
-            b1 = b - E1 - d1 * k11 - d2 * k12
-            b2 = b - E2 - d1 * k12 - d2 * k22
-            if _EPS < a1 < C - _EPS:
-                b_new = b1
-            elif _EPS < a2 < C - _EPS:
-                b_new = b2
-            else:
-                b_new = 0.5 * (b1 + b2)
-            E[:] += d1 * K[i1] + d2 * K[i2] + (b_new - b)
-            alpha[i1], alpha[i2] = al[i1], al[i2] = a1, a2
-            b = b_new
-            non_bound, stepped = None, True
-            return True
-
-        def examine(i2):
-            nonlocal non_bound
-            r2 = E.item(i2) * tl[i2]
-            a2 = al[i2]
-            if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0)):
-                return 0
-            if non_bound is None:
-                non_bound = np.flatnonzero((alpha > _EPS) & (alpha < C - _EPS)).tolist()
-            size = len(non_bound)
-            if size > 1:
-                i1 = non_bound[np.argmax(np.abs(E[non_bound] - E.item(i2)))]
-                if take_step(i1, i2):
-                    return 1
-            if size:
-                start = rng.integers(size)
-                for i1 in non_bound[start:] + non_bound[:start]:
-                    if take_step(i1, i2):
-                        return 1
-            start = int(rng.integers(n))
-            for i1 in range(start, n):
-                if take_step(i1, i2):
-                    return 1
-            for i1 in range(start):
-                if take_step(i1, i2):
-                    return 1
-            return 0
-
-        max_passes = self.max_pass_factor * n
-        examine_all = True
-        passes = 0
-        self.converged_ = False
-        while passes < max_passes:
-            changed = 0
-            if examine_all:
-                for i2 in range(n):
-                    changed += examine(i2)
-            else:
-                for i2 in np.flatnonzero((alpha > _EPS) & (alpha < C - _EPS)).tolist():
-                    changed += examine(i2)
-            passes += 1
-            if examine_all:
-                if changed == 0:
-                    self.converged_ = True
-                    break
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
-
-        support = alpha > _EPS
-        self.alpha_y_ = (alpha * t)[support]
-        self.support_vectors_ = X[support]
-        # pickled with its type: an np.float64 once any step was accepted, as
-        # when the loop read numpy scalars, so `model.pkl` keeps its bytes
-        self.b_ = np.float64(b) if stepped else b
-        self.n_passes_ = passes
-        self._train_kkt = self._kkt_violations(alpha, t, E)
+        y = np.where(np.asarray(y) == 1, 1.0, -1.0)
+        n = len(y)
+        self.mean_ = X.mean(axis=0)
+        self.scale_ = np.maximum(X.std(axis=0), 1e-12)
+        Z = (X - self.mean_) / self.scale_
+        self.gamma_ = self._gamma_value(Z)
+        K = _KERNELS[self.kernel](Z, Z, self.gamma_, self.coef0)
+        diag = K.diagonal().copy()
+        lo, hi = np.minimum(0.0, self.c * y), np.maximum(0.0, self.c * y)
+        beta = np.zeros(n)
+        v = y.copy()
+        self.n_iter_ = 0
+        while True:
+            up = np.where(beta < hi, v, -np.inf)  # v where beta may rise
+            low = np.where(beta > lo, v, np.inf)  # v where beta may fall
+            i = int(up.argmax())
+            m, M = up[i], low.min()
+            self.gap_ = float(m - M)
+            self.converged_ = self.gap_ < self.tol
+            if self.converged_ or self.n_iter_ == self.max_pass_factor * n:
+                break
+            b = m - low
+            a = diag[i] + diag - 2.0 * K[i]
+            a = np.where(a > 0, a, 1e-12)
+            j = int(np.where(b > 0, -b * b / a, np.inf).argmin())
+            room_i, room_j = hi[i] - beta[i], beta[j] - lo[j]
+            step = min(b[j] / a[j], room_i, room_j)
+            beta[i] = hi[i] if step == room_i else beta[i] + step
+            beta[j] = lo[j] if step == room_j else beta[j] - step
+            v -= step * (K[i] - K[j])
+            self.n_iter_ += 1
+        free = (beta > lo) & (beta < hi)
+        self.b_ = float(v[free].mean()) if free.any() else float(m + M) / 2
+        support = beta != 0
+        self.alpha_y_ = beta[support]
+        self.support_vectors_ = Z[support]
         return self
 
-    def _kkt_violations(self, alpha, t, E):
-        """Max violation of the first-order conditions, per the trained cache."""
-        yf = t * (E + t)  # E = f - t, so f = E + t
-        v_zero = np.where(alpha <= _EPS, np.maximum(0.0, 1.0 - yf), 0.0)
-        v_c = np.where(alpha >= self.c - _EPS, np.maximum(0.0, yf - 1.0), 0.0)
-        free = (alpha > _EPS) & (alpha < self.c - _EPS)
-        v_free = np.where(free, np.abs(yf - 1.0), 0.0)
-        return float(np.max(np.concatenate([v_zero, v_c, v_free])))
-
     def convergence_note(self) -> str:
-        """Why `fit` stopped, if it stopped unconverged (at its pass limit):
-        the passes it made and its largest violation of the optimality (KKT)
-        conditions on the training rows; "" when it converged."""
+        """Why `fit` stopped, if it stopped unconverged (at its update cap):
+        the updates it made and the maximal violating pair's gap left; ""
+        when it converged."""
         if self.converged_:
             return ""
-        return f"not converged: {self.n_passes_} passes, KKT violation {self._train_kkt:.4g}"
+        return f"not converged: {self.n_iter_} iterations, optimality gap {self.gap_:.4g}"
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=np.float64)
+        Z = (np.asarray(X, dtype=np.float64) - self.mean_) / self.scale_
         if self.support_vectors_.shape[0] == 0:
-            return np.full(X.shape[0], self.b_)
-        Kx = _KERNELS[self.kernel](X, self.support_vectors_, self.gamma_, self.coef0)
+            return np.full(Z.shape[0], self.b_)
+        Kx = _KERNELS[self.kernel](Z, self.support_vectors_, self.gamma_, self.coef0)
         return Kx @ self.alpha_y_ + self.b_
 
     def predict_proba(self, X):

@@ -13,9 +13,10 @@ import pickle
 from .errors import ConfigError
 
 FORMAT_PREFIX = "stackga."
-#: 3: a stack bundle also holds the trained single learners
-#: (2: trees are flat node arrays; version 1 pickled node objects)
-ARTIFACT_VERSION = 3
+#: 4: the SVM standardizes its inputs (`mean_`, `scale_`)
+#: (3: a stack bundle also holds the trained single learners; 2: trees are
+#: flat node arrays; version 1 pickled node objects)
+ARTIFACT_VERSION = 4
 #: protocol 4 pickles arrays through `_reconstruct`, which the loader allows
 #: (protocol 5 would name `numpy._core.numeric._frombuffer`)
 PICKLE_PROTOCOL = 4

@@ -1,5 +1,6 @@
 """Helpers that only tests use: small synthetic tables, the nine benchmark
-learner specs, a fitted tree's depth and the GA's fitness of one mask."""
+learner specs, a fitted tree's depth, a fitted SVM's optimality gap and the
+GA's fitness of one mask."""
 
 import numpy as np
 
@@ -51,6 +52,31 @@ def tree_depth(tree) -> int:
     for i in np.flatnonzero(tree.left >= 0):  # parents precede children
         depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
     return int(depth.max())
+
+
+def svm_gap(svm, X, y) -> float:
+    """A fitted `SmoSvm`'s maximal-violating-pair gap on its training rows
+    (`X`, 0/1 `y`), from the fitted model alone: max v over the rows whose
+    alpha*y may rise minus min v over those whose alpha*y may fall, where
+    v = y - f and f is the decision value (the gap does not depend on the
+    bias). Each support vector is matched to the first unmatched training
+    row with its standardized values and label; rows that repeat with the
+    same label have the same v, so which of them is matched does not matter."""
+    X = np.asarray(X, dtype=np.float64)
+    t = np.where(np.asarray(y) == 1, 1.0, -1.0)
+    Z = (X - svm.mean_) / svm.scale_
+    beta = np.zeros(len(t))
+    p = 0
+    for r in range(len(t)):
+        if (p < len(svm.alpha_y_) and np.array_equal(Z[r], svm.support_vectors_[p])
+                and np.sign(svm.alpha_y_[p]) == t[r]):
+            beta[r] = svm.alpha_y_[p]
+            p += 1
+    assert p == len(svm.alpha_y_), "a support vector matches no training row"
+    v = t - svm.decision_function(X)
+    up = beta < np.maximum(0.0, svm.c * t)
+    low = beta > np.minimum(0.0, svm.c * t)
+    return float(v[up].max() - v[low].min())
 
 
 def fitness(ch, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5, seed: int = 0) -> float:

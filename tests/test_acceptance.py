@@ -269,6 +269,14 @@ def test_holdout_report_equals_committed_reference(holdout_run):
         assert rendered.encode("utf-8") == fh.read()
 
 
+def test_sigmoid_svm_ranks_forwards_on_the_clean_holdout_split(holdout_run):
+    """On raw-scale columns the sigmoid kernel saturated and the SVM row read
+    0.370 accuracy and 0.156 AUC; on standardized inputs it ranks forwards."""
+    _, report, _, _ = holdout_run
+    (svm,) = [r for r in report.rows if r.name == "SVM"]
+    assert svm.auc >= 0.85 and svm.accuracy >= 0.80, (svm.accuracy, svm.auc)
+
+
 def test_criterion_9_feature_selection(pima_csv, holdout_run):
     with criterion(9, "GA mask beats or ties the full feature set", 180.0):
         cfg, report, details, _ = holdout_run

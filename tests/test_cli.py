@@ -198,9 +198,10 @@ class TestTrainEval:
         csv = tmp_path / "small.csv"
         write_csv(pima_like.take(range(120)), csv, header=True)  # 84 fit rows
         d = light_config_dict(csv)
-        # the linear kernel on raw-scale columns stops at its pass limit
+        # the linear kernel at a large c stops at its cap of 84 updates
         d["learners"] = [
-            {"algorithm": "svm", "hyperparameters": {"kernel": "linear", "max_pass_factor": 1}},
+            {"algorithm": "svm",
+             "hyperparameters": {"kernel": "linear", "c": 100.0, "max_pass_factor": 1}},
             {"algorithm": "svm", "hyperparameters": {"kernel": "rbf"}},
         ]
         d["ga"]["enabled"] = False
@@ -211,11 +212,11 @@ class TestTrainEval:
         assert run_cli("train", "--config", cfg, "--out", out, "-v") == 0
         lines = re.findall(r"^(.+) fit: \d+\.\d{3}s(.*)$", capsys.readouterr().out, re.M)
         (linear, _), (rbf, _) = load_artifact(out / "model.pkl", "stack-bundle")["singles"]
-        assert not linear.impl.converged_ and linear.impl.n_passes_ == 84
+        assert not linear.impl.converged_ and linear.impl.n_iter_ == 84
         assert rbf.impl.converged_
         assert rbf.impl.convergence_note() == ""
         note = linear.impl.convergence_note()
-        assert re.fullmatch(r"not converged: 84 passes, KKT violation [0-9.e+-]+", note)
+        assert re.fullmatch(r"not converged: 84 iterations, optimality gap [0-9.e+-]+", note)
         assert lines == [("SVM", f" ({note})"), ("SVM (2)", "")]
 
     def test_eval_trains_nothing(self, cfg_path, tmp_path, monkeypatch):
@@ -405,6 +406,17 @@ def test_bad_knn_n_neighbors_exits_2_naming_it(pima_csv, tmp_path, capsys, k):
     ("svm", "gamma", "auto"),
     ("decision_tree", "criterion", "mse"),
     ("decision_tree", "max_features", "log2"),
+    ("random_forest", "n_estimators", 0),
+    ("decision_tree", "max_depth", "3"),
+    ("gradient_boosting", "n_estimators", 2.5),
+    ("decision_tree", "max_depth", 0),
+    ("extra_trees", "max_depth", -2),
+    ("svm", "c", -1),
+    ("svm", "tol", 0),
+    ("svm", "max_pass_factor", 0),
+    ("adaboost", "learning_rate", -1),
+    ("gradient_boosting", "learning_rate", 0),
+    ("gaussian_nb", "var_smoothing", -1),
 ])
 def test_bad_learner_value_exits_2_naming_it(pima_csv, tmp_path, capsys, learner, key, value):
     cfg = tmp_path / "cfg.json"

@@ -167,6 +167,17 @@ class TestConfigParsing:
         ("decision_tree", "max_features", 2.0),
         ("random_forest", "criterion", "mse"), ("random_forest", "max_features", "log2"),
         ("extra_trees", "max_features", True), ("adaboost", "criterion", "log_loss"),
+        ("random_forest", "n_estimators", 0), ("random_forest", "n_estimators", True),
+        ("gradient_boosting", "n_estimators", 2.5), ("extra_trees", "n_estimators", -1),
+        ("adaboost", "n_estimators", "100"),
+        ("decision_tree", "max_depth", "3"), ("decision_tree", "max_depth", 0),
+        ("extra_trees", "max_depth", -2), ("random_forest", "max_depth", 2.0),
+        ("adaboost", "learning_rate", -1), ("adaboost", "learning_rate", float("inf")),
+        ("gradient_boosting", "learning_rate", 0),
+        ("svm", "c", -1), ("svm", "c", float("nan")), ("svm", "tol", 0),
+        ("svm", "coef0", float("inf")), ("svm", "coef0", "0"),
+        ("svm", "max_pass_factor", 0), ("svm", "max_pass_factor", 1.5),
+        ("gaussian_nb", "var_smoothing", -1), ("gaussian_nb", "var_smoothing", None),
     ])
     def test_bad_hyperparameter_value_names_its_learner_and_key(self, pima_csv, algorithm,
                                                                  key, value):
