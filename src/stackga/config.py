@@ -17,7 +17,7 @@ from dataclasses import (MISSING, dataclass, field, fields, is_dataclass, make_d
                          replace)
 
 from .dataset import Schema
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .genetic import GaConfig
 from .learners import ALGORITHMS, LearnerSpec
 from .records import to_plain
@@ -226,6 +226,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if len(cfg.dataset.columns) < 2 or not all(isinstance(c, str) for c in cfg.dataset.columns):
         raise ConfigError(f"dataset.columns must name a label and at least one predictor, "
                           f"got {list(cfg.dataset.columns)!r}")
+    try:
+        cfg.dataset.schema()
+    except DataError as e:
+        raise ConfigError(f"dataset: {e}") from None
     if cfg.preprocessing.iqr_multiplier <= 0:
         raise ConfigError(f"preprocessing.iqr_multiplier must be positive, "
                           f"got {cfg.preprocessing.iqr_multiplier!r}")

@@ -103,7 +103,7 @@ class Dataset:
             raise DataError("features must be a 2-d matrix")
         if X.shape[0] != y.shape[0]:
             raise DataError(f"{X.shape[0]} feature rows but {y.shape[0]} labels")
-        if y.size and not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise DataError("labels must all be 0 or 1")
         if X.shape[1] != self.schema.n_columns - 1:
             raise DataError(
@@ -131,21 +131,6 @@ class Dataset:
         """Row subset, preserving provenance ids."""
         idx = np.asarray(indices)
         return Dataset(self.features[idx], self.labels[idx], self.schema, self.row_ids[idx])
-
-    def with_features(self, features, schema: Schema) -> "Dataset":
-        """These rows with other predictor columns under `schema`. The labels
-        and row ids, checked when this dataset was made, are shared and not
-        checked again; only the matrix's shape is."""
-        X = np.asarray(features, dtype=np.float64)
-        if X.ndim != 2 or X.shape != (self.n_samples, schema.n_columns - 1):
-            raise DataError(f"features of shape {X.shape} do not fit {self.n_samples} rows "
-                            f"of {schema.n_columns - 1} predictors")
-        X.flags.writeable = False
-        ds = object.__new__(Dataset)
-        for name, value in (("features", X), ("labels", self.labels), ("schema", schema),
-                            ("row_ids", self.row_ids)):
-            object.__setattr__(ds, name, value)
-        return ds
 
 
 @dataclass(frozen=True)

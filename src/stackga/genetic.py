@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, FoldPlan, make_folds, select_schema
 from .errors import ConfigError
-from .learners import LearnerSpec, check_labels, predict, train
+from .learners import LearnerSpec, predict, train
 from .rng import child_rng, derive_seed
 
 Chromosome = np.ndarray  # 1-d uint8 vector of 0/1 genes
@@ -314,41 +314,29 @@ def evolve(config: GaConfig, fitness_fn) -> GaRun:
     )
 
 
-def _wrapper_folds(ds: Dataset, plan: FoldPlan, wrapper: LearnerSpec) -> list:
-    """(fit part, held part) of every fold of `plan`, each taken once, with
-    every fit part's labels checked for `wrapper` here, once per run."""
-    folds = [(ds.take(plan.train_indices(fold)), ds.take(plan.test_indices(fold)))
-             for fold in range(plan.k)]
-    for fit_part, _ in folds:
-        check_labels(wrapper, fit_part.labels)
-    return folds
+def wrapper_folds(ds: Dataset, plan: FoldPlan) -> list:
+    """(fit part, held part) of every fold of `plan`, each taken once."""
+    return [(ds.take(plan.train_indices(fold)), ds.take(plan.test_indices(fold)))
+            for fold in range(plan.k)]
 
 
-def _folds_accuracy(folds, wrapper: LearnerSpec, columns) -> float:
+def folds_accuracy(folds, wrapper: LearnerSpec, columns) -> float:
     """Mean held-fold accuracy of `wrapper` on the given ascending predictor
-    columns (None: all of them) over folds from `_wrapper_folds`.
+    columns over folds from `wrapper_folds`.
 
     `take` copies the columns in C order, the layout of rows taken from a
     masked table, so every fit and prediction sees the same bits as one
-    that masks the table first and then takes each fold's rows. The fold's
-    labels were checked when the folds were taken, so no fit checks them.
+    that masks the table first and then takes each fold's rows.
     """
-    schema = None if columns is None else select_schema(folds[0][0].schema, columns)
+    schema = select_schema(folds[0][0].schema, columns)
     correct = total = 0
     for fit_part, held in folds:
-        X = held.features
-        if columns is not None:
-            fit_part = fit_part.with_features(fit_part.features.take(columns, axis=1), schema)
-            X = X.take(columns, axis=1)
-        model = train(wrapper, fit_part, checked=True)
-        correct += int((predict(model, X) == held.labels).sum())
+        X = fit_part.features.take(columns, axis=1)
+        model = train(wrapper, Dataset(X, fit_part.labels, schema, fit_part.row_ids))
+        predicted = predict(model, held.features.take(columns, axis=1))
+        correct += int((predicted == held.labels).sum())
         total += held.n_samples
     return correct / total
-
-
-def wrapper_cv_accuracy(ds: Dataset, wrapper: LearnerSpec, plan: FoldPlan) -> float:
-    """Mean held-fold accuracy of `wrapper` over a fixed fold plan."""
-    return _folds_accuracy(_wrapper_folds(ds, plan, wrapper), wrapper, None)
 
 
 def wrapper_plan(ds: Dataset, cv_k: int, seed: int) -> FoldPlan:
@@ -363,8 +351,8 @@ def run_ga(config: GaConfig, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5) -
         raise ConfigError(
             f"GA n_bits={config.n_bits} but the dataset has {ds.n_features} features"
         )
-    folds = _wrapper_folds(ds, wrapper_plan(ds, cv_k, config.seed), wrapper)
-    return evolve(config, lambda bits: _folds_accuracy(folds, wrapper, np.flatnonzero(bits)))
+    folds = wrapper_folds(ds, wrapper_plan(ds, cv_k, config.seed))
+    return evolve(config, lambda bits: folds_accuracy(folds, wrapper, np.flatnonzero(bits)))
 
 
 def mask_to_names(bits: Chromosome, ds_or_names) -> list:

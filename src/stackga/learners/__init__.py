@@ -29,7 +29,6 @@ __all__ = [
     "LearnerSpec",
     "TrainedModel",
     "train",
-    "check_labels",
     "both_classes",
     "predict",
     "predict_proba",
@@ -178,22 +177,15 @@ def both_classes(labels) -> bool:
     return labels.size > 0 and bool(labels.min() != labels.max())
 
 
-def check_labels(spec: LearnerSpec, labels) -> None:
-    """Raise what `train` raises for training labels it cannot fit `spec` on:
-    none at all, or one class where the algorithm needs both."""
-    if labels.size == 0:
+def train(spec: LearnerSpec, ds: Dataset) -> TrainedModel:
+    """Fit `spec` on `ds`; deterministic in (spec, data, seed). Labels it
+    cannot fit `spec` on, none at all or one class where the algorithm needs
+    both, raise a ValueError."""
+    if ds.labels.size == 0:
         raise ValueError("cannot train on an empty dataset")
     _, needs_both = ALGORITHMS[spec.algorithm]
-    if needs_both and not both_classes(labels):
+    if needs_both and not both_classes(ds.labels):
         raise ValueError(f"{spec.algorithm} requires both classes in the training data")
-
-
-def train(spec: LearnerSpec, ds: Dataset, checked: bool = False) -> TrainedModel:
-    """Fit `spec` on `ds`; deterministic in (spec, data, seed). With
-    `checked`, the caller has passed `ds.labels` through `check_labels`
-    already, as one that fits many column subsets of the same rows does."""
-    if not checked:
-        check_labels(spec, ds.labels)
     impl = make_impl(spec.algorithm, spec.hyperparameters)
     impl.fit(ds.features, ds.labels, rng=child_rng(spec.seed, spec.algorithm))
     return TrainedModel(spec=spec, n_features_expected=ds.n_features, impl=impl)

@@ -53,26 +53,16 @@ class AdaBoost(ScoredTrees):
             w /= w.sum()
         return self
 
-    def _stump_scores(self, X):
-        """Per-round symmetric score s with class scores (-s, +s), (rounds, rows)."""
-        # scored once per node, then gathered at each row's leaf
-        leaves = self.leaf_scorer(self.stumps_).apply(X)
-        return _scores(node_values(self.stumps_)).take(leaves.T)
-
-    def staged_decision(self, X):
-        """Cumulative aggregate score after each accepted round, shape (rounds, n)."""
-        X = np.asarray(X, dtype=np.float64)
-        if not self.stumps_:
-            return np.empty((0, X.shape[0]))
-        return np.cumsum(self._stump_scores(X), axis=0)
-
     def predict_proba(self, X):
         X = np.asarray(X, dtype=np.float64)
         if not self.stumps_:
             return np.tile([1.0 - self.prior1_, self.prior1_], (X.shape[0], 1))
-        # round after round, as `staged_decision` adds them: `sum(axis=0)`
-        # pairs the terms up when there is one row
-        first, *rest = self._stump_scores(X)
+        # each round's symmetric score s, with class scores (-s, +s), is scored
+        # once per node and gathered at each row's leaf
+        leaves = self.leaf_scorer(self.stumps_).apply(X)
+        first, *rest = _scores(node_values(self.stumps_)).take(leaves.T)
+        # summed round after round: `sum(axis=0)` pairs the terms up when
+        # there is one row
         s = first.copy()
         for scores in rest:
             s += scores

@@ -62,11 +62,17 @@ def save_artifact(path, kind: str, payload: dict) -> None:
 
 
 def load_artifact(path, kind: str) -> dict:
+    """The payload of the `kind` artifact at `path`. A file that does not
+    unpickle, whatever the unpickler raises, or whose envelope is not one
+    of this version's, raises ConfigError."""
     with open(path, "rb") as fh:
         try:
             envelope = _ArtifactUnpickler(fh, path).load()
-        except (pickle.UnpicklingError, EOFError, AttributeError, ModuleNotFoundError) as exc:
-            # truncated or corrupt, or pickled classes that no longer exist
+        except ConfigError:
+            raise  # a refused global
+        except Exception as exc:
+            # truncated or corrupt bytes make the unpickler raise almost any
+            # type, as do pickled classes that no longer exist
             raise ConfigError(
                 f"{path}: unreadable artifact ({type(exc).__name__}: {exc}); "
                 "retrain it with this version of stackga"
@@ -79,4 +85,7 @@ def load_artifact(path, kind: str) -> dict:
             f"{path}: artifact version {envelope.get('version')!r} unsupported "
             f"(expected {ARTIFACT_VERSION}); retrain it with this version of stackga"
         )
+    if not isinstance(envelope.get("payload"), dict):
+        raise ConfigError(f"{path}: unreadable artifact (no payload); "
+                          "retrain it with this version of stackga")
     return envelope["payload"]

@@ -10,10 +10,11 @@ Two protocols:
   inflated headline numbers such leaky protocols yield; reports carry a note
   saying so.
 
-`training_groups` is the protocol's one decision point: holdout, k-fold and
-`stackga eval` read their fit set and eval parts from it. A group has one fit
-step, `train_group` (the singles beside the GA, then the stack, into a
-`GroupFit` that `stackga train` saves), and one score step, `evaluate_partition`.
+`training_groups` is the protocol's one decision point: `stackga train` and
+`eval` (through `holdout_partitions`) and `run_kfold` read their fit set and
+eval parts from it. A group has one fit step, `train_group` (the singles beside
+the GA, then the stack, into a `GroupFit` that `stackga train` saves), and one
+score step, `evaluate_partition`.
 """
 
 import time
@@ -35,13 +36,7 @@ from .dataset import (
     shuffle_split,
 )
 from .errors import ConfigError
-from .genetic import (
-    GaRun,
-    mask_to_names,
-    run_ga,
-    wrapper_cv_accuracy,
-    wrapper_plan,
-)
+from .genetic import GaRun, folds_accuracy, mask_to_names, run_ga, wrapper_folds, wrapper_plan
 from .learners import LearnerSpec, both_classes, labels_from_proba, predict_proba, train
 from .parallel import run_tasks
 from .report import (
@@ -80,16 +75,6 @@ KFOLD_GA_NOTES = {
     "clean": "GA placement: re-run inside every fold's training part.",
     "paper_faithful": "GA placement: one global run on the full dataset (leaky).",
 }
-
-
-@dataclass
-class RunDetails:
-    """Side outputs that accompany a Report: ROC curves keyed by row name,
-    provenance row-id bookkeeping, and the GA run object."""
-
-    curves: dict
-    provenance: dict
-    ga_run: GaRun = None
 
 
 @dataclass(frozen=True)
@@ -335,53 +320,22 @@ def holdout_partitions(config: ExperimentConfig) -> tuple:
     return group.fit_ds, group.parts[0][1]
 
 
-def _scored_groups(config: ExperimentConfig, timings: dict):
-    """(group, GroupFit, `evaluate_partition` results) per training group,
-    adding the GA's seconds to `timings`. A failed search fails only the
-    stack row."""
-    for group in training_groups(config):
-        fit = train_group(config, group.fit_ds, group.ga_tags)
-        if fit.ga is not None:
-            timings[group.ga_key] = timings.get(group.ga_key, 0.0) + fit.ga[1]
-        yield group, fit, evaluate_partition(config, fit, [eval_ds for _, eval_ds in group.parts])
-
-
-def run_holdout_detailed(config: ExperimentConfig) -> tuple:
-    """Full holdout benchmark; returns (Report, RunDetails)."""
-    if config.split.mode != "holdout":
-        raise ConfigError("run_holdout needs split.mode = 'holdout'")
-    timings = {}
-    [(group, fit, [(rows, curves, row_timings)])] = _scored_groups(config, timings)
-    timings.update(row_timings)
-    ga_run = None if fit.ga is None else fit.ga[0]
-    fit_ds, eval_ds = group.fit_ds, group.parts[0][1]
-
-    provenance = {"preprocess_stat_rows": fit_ds.row_ids}
-    if config.ga.enabled:
-        provenance["ga_rows"] = fit_ds.row_ids
-    for row in rows:
-        provenance[row.name] = {"train_rows": fit_ds.row_ids, "test_rows": eval_ds.row_ids}
-    ga = None if ga_run is None else ga_summary(ga_run, fit_ds)
-    report = experiment_report(config, timings, rows=rows, ga=ga)
-    return report, RunDetails(curves=curves, provenance=provenance, ga_run=ga_run)
-
-
-def run_holdout(config: ExperimentConfig) -> Report:
-    report, _ = run_holdout_detailed(config)
-    return report
-
-
 def run_kfold(config: ExperimentConfig) -> Report:
     """Rotating k-fold benchmark for every configured k in one report.
 
     `Report.timings` holds each row's seconds summed over its folds, keyed
     "<row name> (k=<k>)", plus the GA's time. The training groups run one
     after another; each group's model fits are shared by the usable CPUs.
+    A failed search fails only its group's stack rows.
     """
     if config.split.mode != "kfold":
         raise ConfigError("run_kfold needs split.mode = 'kfold'")
     timings, accs, errors = {}, {}, {}
-    for group, _, results in _scored_groups(config, timings):
+    for group in training_groups(config):
+        fit = train_group(config, group.fit_ds, group.ga_tags)
+        if fit.ga is not None:
+            timings[group.ga_key] = timings.get(group.ga_key, 0.0) + fit.ga[1]
+        results = evaluate_partition(config, fit, [eval_ds for _, eval_ds in group.parts])
         for (k, _), (rows, _, row_timings) in zip(group.parts, results):
             for row in rows:
                 accs.setdefault((row.name, k), []).append(row.accuracy)
@@ -406,13 +360,12 @@ def feature_report(ds: Dataset, wrapper: LearnerSpec, ga_run: GaRun,
                    cv_k: int = 5, seed: int = 0) -> tuple:
     """Per-feature table: lone-feature wrapper CV accuracy, GA selection
     frequency in the final population, and best-mask membership."""
-    plan = wrapper_plan(ds, cv_k, seed)
+    folds = wrapper_folds(ds, wrapper_plan(ds, cv_k, seed))
     freq = ga_run.final_population.mean(axis=0)
     best = ga_run.best_chromosome.astype(bool)
     rows = []
     for i, name in enumerate(ds.schema.predictor_names):
-        sub = select_features(ds, [i])
-        acc = wrapper_cv_accuracy(sub, wrapper, plan)
+        acc = folds_accuracy(folds, wrapper, [i])
         rows.append(
             FeatureRow(
                 name=name,
@@ -426,9 +379,6 @@ def feature_report(ds: Dataset, wrapper: LearnerSpec, ga_run: GaRun,
 
 __all__ = [
     "evaluate_partition",
-    "run_holdout",
-    "run_holdout_detailed",
     "run_kfold",
     "feature_report",
-    "RunDetails",
 ]

@@ -1,12 +1,16 @@
 """Helpers that only tests use: small synthetic tables, the nine benchmark
-learner specs, a fitted tree's depth, a fitted SVM's optimality gap and the
-GA's fitness of one mask."""
+learner specs, a fitted tree's depth, a fitted SVM's optimality gap, the
+GA's fitness of one mask and a holdout run through `stackga train` and
+`stackga eval`."""
+
+import json
 
 import numpy as np
 
-from stackga import genetic
+from stackga import cli, genetic
 from stackga.dataset import Dataset, Schema
 from stackga.learners import LearnerSpec
+from stackga.report import Report, parse_report
 from stackga.rng import child_rng
 
 
@@ -87,5 +91,24 @@ def fitness(ch, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5, seed: int = 0)
         raise ValueError("fitness needs at least one selected feature")
     if bits.size != ds.n_features:
         raise ValueError(f"mask length {bits.size} != {ds.n_features} features")
-    folds = genetic._wrapper_folds(ds, genetic.wrapper_plan(ds, cv_k, seed), wrapper)
-    return genetic._folds_accuracy(folds, wrapper, np.flatnonzero(bits))
+    folds = genetic.wrapper_folds(ds, genetic.wrapper_plan(ds, cv_k, seed))
+    return genetic.folds_accuracy(folds, wrapper, np.flatnonzero(bits))
+
+
+def holdout_report(config: dict, out_dir, *overrides) -> Report:
+    """The report of `stackga train` then `stackga eval`, run in-process on
+    the holdout config `config` with `--set` `overrides`, as read back from
+    the `report.json` that eval writes under `out_dir`. Eval's timings, when
+    `report.include_timings` is on, are scoring seconds only."""
+    cfg = out_dir / "cfg.json"
+    cfg.parent.mkdir(parents=True, exist_ok=True)
+    cfg.write_text(json.dumps(config))
+    common = ["--config", str(cfg), "--out", str(out_dir), "-q"]
+    for item in overrides:
+        common += ["--set", item]
+    assert cli.main(["train", *common]) == cli.EXIT_OK
+    code = cli.main(["eval", *common, "--model", str(out_dir / "model.pkl")])
+    report = parse_report((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert code == (cli.EXIT_OK if all(r.status == "ok" for r in report.rows)
+                    else cli.EXIT_MODEL_FAILURE)
+    return report

@@ -34,11 +34,11 @@ from stackga.metrics import (
     sensitivity,
     specificity,
 )
-from stackga.pipeline import holdout_partitions, run_holdout, run_holdout_detailed
+from stackga.pipeline import holdout_partitions
 from stackga.report import STACK_ROW_GA, render_report
 from stackga.rng import child_rng, derive_seed
 from stackga.stacking import StackSpec, build_level1_dataset
-from support import benchmark_specs, fitness, make_separable_clouds
+from support import benchmark_specs, fitness, holdout_report, make_separable_clouds
 from test_metrics import brute_confusion, pair_count_auc
 
 
@@ -65,11 +65,13 @@ def shipped_config(name, csv_path, **extra_raw):
 
 
 @pytest.fixture(scope="module")
-def holdout_run(pima_csv):
+def holdout_run(pima_csv, tmp_path_factory):
+    """The shipped holdout config run through `stackga train` and `eval`:
+    (config, report, seconds)."""
     cfg = shipped_config("pima_holdout", pima_csv)
     t0 = time.perf_counter()
-    report, details = run_holdout_detailed(cfg)
-    return cfg, report, details, time.perf_counter() - t0
+    report = holdout_report(config_to_dict(cfg), tmp_path_factory.mktemp("holdout"))
+    return cfg, report, time.perf_counter() - t0
 
 
 def test_criterion_1_metric_oracle():
@@ -228,9 +230,9 @@ def test_criterion_7_stacking_shape_and_leakage(pima_csv, pima_split_clean):
         np.testing.assert_array_equal(d1_naive.features[:, 0], tr.labels.astype(float))
 
 
-def test_criterion_8_end_to_end_holdout(pima_csv, holdout_run):
+def test_criterion_8_end_to_end_holdout(pima_csv, holdout_run, tmp_path):
     with criterion(8, "end-to-end holdout: honest bands + leakage inflation", 420.0):
-        cfg, report, details, elapsed = holdout_run
+        cfg, report, elapsed = holdout_run
         # (a) completes inside the runtime budget
         assert elapsed < 300.0, f"clean holdout took {elapsed:.0f}s"
         # (d) full benchmark-table layout: nine singles + the stacked row
@@ -253,7 +255,7 @@ def test_criterion_8_end_to_end_holdout(pima_csv, holdout_run):
         # paper-faithful mode must exceed 0.90, demonstrating the inflation
         raw = config_to_dict(cfg)
         raw["protocol"] = "paper_faithful"
-        faithful_report = run_holdout(config_from_dict(raw))
+        faithful_report = holdout_report(raw, tmp_path)
         st_leaky = [r for r in faithful_report.rows if r.name == STACK_ROW_GA][0]
         assert st_leaky.accuracy > 0.90, f"leaky ST-GA only {st_leaky.accuracy:.3f}"
         assert st_leaky.accuracy > st_ga.accuracy
@@ -261,7 +263,7 @@ def test_criterion_8_end_to_end_holdout(pima_csv, holdout_run):
 
 def test_holdout_report_equals_committed_reference(holdout_run):
     """The shipped holdout config reproduces `out/holdout/report.json` byte for byte."""
-    _, report, _, _ = holdout_run
+    _, report, _ = holdout_run
     echo = report.config_echo
     echo = {**echo, "dataset": {**echo["dataset"], "path": "data/pima_like.csv"}}
     rendered = render_report(dataclasses.replace(report, config_echo=echo), "json")
@@ -272,14 +274,14 @@ def test_holdout_report_equals_committed_reference(holdout_run):
 def test_sigmoid_svm_ranks_forwards_on_the_clean_holdout_split(holdout_run):
     """On raw-scale columns the sigmoid kernel saturated and the SVM row read
     0.370 accuracy and 0.156 AUC; on standardized inputs it ranks forwards."""
-    _, report, _, _ = holdout_run
+    _, report, _ = holdout_run
     (svm,) = [r for r in report.rows if r.name == "SVM"]
     assert svm.auc >= 0.85 and svm.accuracy >= 0.80, (svm.accuracy, svm.auc)
 
 
 def test_criterion_9_feature_selection(pima_csv, holdout_run):
     with criterion(9, "GA mask beats or ties the full feature set", 180.0):
-        cfg, report, details, _ = holdout_run
+        cfg, report, _ = holdout_run
         assert report.ga is not None
         assert 1 <= len(report.ga.feature_names) <= 8
         # compare against the full mask under the identical fold plan
@@ -289,7 +291,7 @@ def test_criterion_9_feature_selection(pima_csv, holdout_run):
             dict(cfg.ga.wrapper["hyperparameters"]),
             derive_seed(cfg.master_seed, "ga-wrapper"),
         )
-        ga_seed = details.ga_run and derive_seed(cfg.master_seed, "ga", "holdout")
+        ga_seed = derive_seed(cfg.master_seed, "ga", "holdout")
         full_fitness = fitness(np.ones(8, dtype=np.uint8), fit_ds, wrapper,
                                cv_k=cfg.ga.cv_folds, seed=ga_seed)
         assert report.ga.best_fitness >= full_fitness - 0.01, (

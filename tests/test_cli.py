@@ -10,8 +10,7 @@ from stackga.config import config_from_dict
 from stackga.dataset import PIMA_SCHEMA, load_csv, write_csv
 from stackga.errors import DataError
 from stackga.persist import load_artifact
-from stackga.pipeline import run_holdout
-from stackga.report import render_report
+from stackga.pipeline import holdout_partitions
 
 from test_pipeline import light_config_dict
 
@@ -62,6 +61,22 @@ class TestPrep:
         cfg.write_text(json.dumps(d))
         assert run_cli("prep", "--config", cfg, "--out", tmp_path) == 3
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("columns", ["pregnancies", "glucose", "blood_pressure", "skinfold", "insulin", "bmi",
+                     "age", "age", "outcome"], "schema column names must be unique"),
+        ("zero_as_missing", ["glucose", "outcome"],
+         "label column cannot be a zero-as-missing column"),
+    ])
+    @pytest.mark.parametrize("command", ["prep", "train"])
+    def test_bad_dataset_section_exits_2_before_any_file_is_read(self, tmp_path, capsys,
+                                                                 command, key, value, message):
+        d = light_config_dict(tmp_path / "nope.csv")
+        d["dataset"][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        assert run_cli(command, "--config", cfg, "--out", tmp_path) == 2
+        assert capsys.readouterr().err == f"config error: dataset: {message}\n"
 
 
 class TestSelect:
@@ -154,18 +169,6 @@ class TestTrainEval:
         roc = (out / "roc_knn.csv").read_text().splitlines()
         assert roc[0] == "fpr,tpr"
 
-    @pytest.mark.parametrize("protocol", ["clean", "paper_faithful"])
-    def test_train_eval_report_matches_run_holdout(self, pima_csv, tmp_path, protocol):
-        d = light_config_dict(pima_csv, protocol=protocol)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(d))
-        out = tmp_path / "run"
-        assert run_cli("train", "--config", cfg, "--out", out, "-q") == 0
-        assert run_cli("eval", "--config", cfg, "--model", out / "model.pkl",
-                       "--out", out, "-q") == 0
-        direct = render_report(run_holdout(config_from_dict(d)), "json")
-        assert (out / "report.json").read_text(encoding="utf-8") == direct
-
     def test_verbose_eval_prints_row_times(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
@@ -249,10 +252,10 @@ class TestTrainEval:
         assert run_cli("eval", "--config", cfg, "--model", out / "model.pkl",
                        "--out", out, "-q") == 1
         rows = {r["name"]: r for r in json.loads((out / "report.json").read_text())["rows"]}
-        direct = {r.name: r for r in run_holdout(config_from_dict(d)).rows}
         assert rows["KNN"]["status"] == "failed"
-        assert "n_neighbors=100000 exceeds" in rows["KNN"]["error"]
-        assert rows["KNN"]["error"] == direct["KNN"].error
+        fit_ds, _ = holdout_partitions(config_from_dict(d))
+        assert rows["KNN"]["error"] == (f"ValueError: n_neighbors=100000 exceeds "
+                                        f"{fit_ds.n_samples} training samples")
         assert rows["NB"]["status"] == "ok"
 
     def test_train_exits_with_the_failed_searchs_own_code(self, cfg_path, tmp_path, capsys):

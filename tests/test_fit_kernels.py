@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from stackga import genetic
 from stackga.dataset import Dataset, Schema, select_features
-from stackga.genetic import GaConfig, evolve, run_ga, wrapper_cv_accuracy, wrapper_plan
+from stackga.genetic import (GaConfig, evolve, folds_accuracy, run_ga, wrapper_folds,
+                             wrapper_plan)
 from stackga.learners import LearnerSpec, predict, train
 from stackga.learners import adaboost, boosting, linear, mlp
 from stackga.learners import tree as tree_module
@@ -458,14 +459,18 @@ def test_run_ga_equals_the_per_mask_fold_reference(data, seed, cv_k, nind, subpo
 
 
 @given(data=tables(max_rows=30), seed=st.integers(0, 50))
-def test_wrapper_cv_accuracy_equals_the_reference(data, seed):
+def test_folds_accuracy_equals_the_reference(data, seed):
+    """Every lone column, as `feature_report` scores them, and all columns
+    score as the reference does on the table masked first."""
     X, _ = data
     y = np.arange(len(X)) % 2
     ds = _dataset(X, y)
     plan = wrapper_plan(ds, 3, seed)
     wrapper = LearnerSpec("logistic_regression", {}, seed)
-    assert wrapper_cv_accuracy(ds, wrapper, plan) == \
-        wrapper_cv_accuracy_reference(ds, wrapper, plan)
+    folds = wrapper_folds(ds, plan)
+    for columns in [[i] for i in range(ds.n_features)] + [list(range(ds.n_features))]:
+        assert folds_accuracy(folds, wrapper, columns) == \
+            wrapper_cv_accuracy_reference(select_features(ds, columns), wrapper, plan)
 
 
 def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean):

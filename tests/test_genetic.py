@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stackga import dataset, genetic, learners
+from stackga import genetic, learners
 from stackga.dataset import Dataset, Schema
 from stackga.errors import ConfigError
 from stackga.genetic import (
@@ -344,22 +344,15 @@ class TestRunGa:
         assert run.best_chromosome[0] == 1
         assert run.best_fitness > 0.8
 
-    def test_fold_labels_are_checked_once_per_run(self, pima_split_clean, monkeypatch):
+    def test_each_evaluation_fits_the_wrapper_once_per_fold(self, pima_split_clean,
+                                                           monkeypatch):
         tr, _ = pima_split_clean
-        checks, fits, label_scans = [], [], []
-        monkeypatch.setattr(genetic, "check_labels",
-                            lambda spec, labels: checks.append(len(labels)))
-        monkeypatch.setattr(genetic, "train", lambda spec, ds, **kw: (
-            fits.append(kw), learners.train(spec, ds, **kw))[1])
-        isin = np.isin
-        monkeypatch.setattr(dataset.np, "isin",
-                            lambda *a, **kw: (label_scans.append(1), isin(*a, **kw))[1])
+        fits = []
+        monkeypatch.setattr(genetic, "train", lambda spec, ds: (
+            fits.append(spec), learners.train(spec, ds))[1])
         cfg = GaConfig(n_bits=8, nind=6, subpop=2, maxgen=3, stall_generations=3, seed=2)
         run = run_ga(cfg, tr, LearnerSpec("logistic_regression", {}, 5), cv_k=3)
-        assert len(checks) == 3  # one per wrapper fold, when the folds are taken
         assert len(fits) == 3 * run.evaluations
-        assert all(kw == {"checked": True} for kw in fits)
-        assert len(label_scans) == 6  # the 3 fit and 3 held parts taken once each
 
     def test_a_fold_without_both_classes_fails_as_train_does(self):
         X = np.arange(12.0).reshape(6, 2)

@@ -1,8 +1,10 @@
 """Module boundaries inside the package: no module reaches into another
-module's private (underscore-prefixed) names, and every package function
-that the benchmark's traced mode wraps by name still exists."""
+module's private (underscore-prefixed) names, every name a module exports in
+`__all__` exists, and every package function that the benchmark's traced
+mode wraps by name still exists."""
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -39,6 +41,19 @@ def test_detector_flags_private_import(tmp_path):
                    "from os import _exit\n")
     hits = _imported_private_names(bad)
     assert [h.split()[-1] for h in hits] == ["_display_name", "_KnnLearner"]
+
+
+def test_every_exported_name_exists():
+    exporting, missing = [], []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        parts = path.relative_to(PACKAGE_DIR.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        module = importlib.import_module(name)
+        if hasattr(module, "__all__"):
+            exporting.append(name)
+            missing += [f"{name}.{n}" for n in module.__all__ if not hasattr(module, n)]
+    assert "stackga.pipeline" in exporting
+    assert missing == []
 
 
 def test_traced_benchmark_targets_resolve():

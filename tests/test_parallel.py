@@ -16,13 +16,12 @@ import pytest
 from stackga import parallel
 from stackga.cli import main
 from stackga.persist import load_artifact
-from stackga.config import config_from_dict
 from stackga.errors import ConfigError
 from stackga.learners import LearnerSpec
 from stackga.parallel import run_tasks, usable_cpus
-from stackga.pipeline import run_holdout
 from stackga.stacking import StackSpec, build_level1_dataset, predict_proba_stack, train_stack
 
+from support import holdout_report
 from test_pipeline import light_config_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -145,17 +144,17 @@ def test_level1_and_stack_identical_for_one_and_two_cpus(cpus, pima_split_clean)
     assert p1.tobytes() == p2.tobytes()
 
 
-def test_failed_single_model_row_same_under_two_cpus(cpus, pima_csv):
+def test_failed_single_model_row_same_under_two_cpus(cpus, pima_csv, tmp_path):
     d = light_config_dict(pima_csv)
     d["learners"] = [
         {"algorithm": "knn", "hyperparameters": {"n_neighbors": 100000}},
         "decision_tree",
     ]
-    cfg = config_from_dict(d)
+    d["stack"]["base"] = ["decision_tree"]  # a stack that trains
     cpus(1)
-    serial = {r.name: r for r in run_holdout(cfg).rows}
+    serial = {r.name: r for r in holdout_report(d, tmp_path / "serial").rows}
     cpus(2)
-    forked = {r.name: r for r in run_holdout(cfg).rows}
+    forked = {r.name: r for r in holdout_report(d, tmp_path / "forked").rows}
     assert forked["KNN"].status == "failed"
     assert forked["KNN"].error == serial["KNN"].error
     assert "n_neighbors" in forked["KNN"].error

@@ -5,14 +5,17 @@ import json
 import pickle
 import sys
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from stackga.cli import main
+from stackga.dataset import write_csv
 from stackga.errors import ConfigError
 from stackga.learners import ALGORITHMS, LearnerSpec, predict_proba, train
 from stackga.persist import ARTIFACT_VERSION, load_artifact, save_artifact
+from stackga.rng import child_rng
 
 from test_pipeline import light_config_dict
 
@@ -24,6 +27,54 @@ def test_truncated_artifact_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="retrain") as exc:
         load_artifact(path, "learner")
     assert str(path) in str(exc.value)
+
+
+def test_corrupt_bundle_loads_or_is_a_config_error(pima_like, tmp_path):
+    """200 seeded truncations and 200 one-bit flips of a small trained
+    bundle, and one whose envelope lost its payload key: each load returns a
+    payload or raises ConfigError, whatever the unpickler ran into."""
+    csv = tmp_path / "small.csv"
+    write_csv(pima_like.take(range(120)), csv, header=True)
+    d = light_config_dict(csv)
+    d["ga"]["enabled"] = False
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path), "-q"]) == 0
+    blob = (tmp_path / "model.pkl").read_bytes()
+    rng = child_rng(20, "corrupt-artifact")
+    copies = [blob[:n] for n in rng.integers(0, len(blob), 200)]
+    for at, bit in zip(rng.integers(0, len(blob), 200), rng.integers(0, 8, 200)):
+        flipped = bytearray(blob)
+        flipped[at] ^= 1 << int(bit)
+        copies.append(bytes(flipped))
+    at = blob.index(b"payload")
+    copies.append(blob[:at] + b"Payload" + blob[at + len(b"payload"):])
+    path = tmp_path / "corrupt.pkl"
+    causes = Counter()
+    for data in copies:
+        path.write_bytes(data)
+        try:
+            payload = load_artifact(path, "stack-bundle")
+        except ConfigError as e:
+            assert str(path) in str(e)
+            causes[type(e.__cause__).__name__] += 1
+        else:
+            assert isinstance(payload, dict)
+    # the unpickler raises each of these on some damaged bytes; `stackga eval`
+    # must see every one as the refusal (exit 2), not as a model failure (exit 1)
+    assert {"UnicodeDecodeError", "TypeError", "ValueError", "MemoryError"} <= set(causes), \
+        causes
+
+
+@pytest.mark.parametrize("envelope", [
+    {"format": "stackga.learner", "version": ARTIFACT_VERSION},
+    {"format": "stackga.learner", "version": ARTIFACT_VERSION, "payload": [1, 2]},
+])
+def test_envelope_without_a_payload_object_is_refused(tmp_path, envelope):
+    path = tmp_path / "model.pkl"
+    path.write_bytes(pickle.dumps(envelope))
+    with pytest.raises(ConfigError, match="unreadable artifact.*retrain"):
+        load_artifact(path, "learner")
 
 
 @pytest.mark.parametrize("remove", ["class", "module"])

@@ -9,6 +9,7 @@ import pytest
 from stackga import parallel, pipeline, stacking
 from stackga.cli import main
 from stackga.config import (
+    PROTOCOLS,
     apply_overrides,
     config_from_dict,
     config_hash,
@@ -23,12 +24,12 @@ from stackga.learners import LearnerSpec
 from stackga.pipeline import (
     error_text,
     evaluate_partition,
+    experiment_report,
     feature_report,
     preprocess_pair,
-    run_holdout,
-    run_holdout_detailed,
     run_kfold,
     train_group,
+    training_groups,
 )
 from stackga.report import (
     STACK_ROW_GA,
@@ -42,7 +43,7 @@ from stackga.report import (
 )
 from stackga.rng import child_rng, derive_seed
 
-from support import make_single_informative
+from support import holdout_report, make_single_informative
 
 
 def light_config_dict(csv_path, **tweaks):
@@ -78,6 +79,14 @@ def light_config_dict(csv_path, **tweaks):
 @pytest.fixture(scope="module")
 def light_config(pima_csv):
     return config_from_dict(light_config_dict(pima_csv))
+
+
+@pytest.fixture(scope="module")
+def light_report(pima_csv, tmp_path_factory):
+    """The light config's holdout report from `stackga train` and `eval`,
+    timings included."""
+    return holdout_report(light_config_dict(pima_csv), tmp_path_factory.mktemp("light"),
+                          "report.include_timings=true")
 
 
 class TestConfigParsing:
@@ -228,8 +237,8 @@ class TestOverrides:
 
 
 class TestHoldout:
-    def test_rows_and_stack_row(self, light_config):
-        report = run_holdout(light_config)
+    def test_rows_and_stack_row(self, light_report):
+        report = light_report
         names = [r.name for r in report.rows]
         assert names == ["KNN", "D tree Classifier", "NB", STACK_ROW_GA]
         assert all(r.status == "ok" for r in report.rows)
@@ -239,46 +248,59 @@ class TestHoldout:
         assert report.ga is not None
         assert 1 <= sum(report.ga.mask) <= 8
 
-    def test_failed_model_does_not_abort(self, pima_csv):
+    def test_failed_model_does_not_abort(self, pima_csv, tmp_path):
         # k larger than the training part: knn must fail, others survive
         d = light_config_dict(pima_csv)
         d["learners"] = [
             {"algorithm": "knn", "hyperparameters": {"n_neighbors": 100000}},
             "decision_tree",
         ]
-        report = run_holdout(config_from_dict(d))
+        d["stack"]["base"] = ["decision_tree"]  # a stack that trains
+        report = holdout_report(d, tmp_path)
         by_name = {r.name: r for r in report.rows}
         assert by_name["KNN"].status == "failed"
         assert "n_neighbors" in by_name["KNN"].error
         assert by_name["D tree Classifier"].status == "ok"
 
-    def test_no_leakage_provenance(self, light_config):
-        report, details = run_holdout_detailed(light_config)
-        prov = details.provenance
-        train_rows = set(prov["preprocess_stat_rows"].tolist())
-        assert set(prov["ga_rows"].tolist()) == train_rows
-        for name in ("KNN", STACK_ROW_GA):
-            rows = prov[name]
-            assert set(rows["train_rows"].tolist()) <= train_rows
-            assert not (set(rows["train_rows"].tolist()) & set(rows["test_rows"].tolist()))
-
-    def test_paper_faithful_leaks_by_design(self, pima_csv):
-        d = light_config_dict(pima_csv, protocol="paper_faithful")
-        report, details = run_holdout_detailed(config_from_dict(d))
-        rows = details.provenance["KNN"]
-        assert set(rows["test_rows"].tolist()) <= set(rows["train_rows"].tolist())
-        assert any("inflated" in n for n in report.notes)
-
-    def test_determinism_byte_identical(self, light_config):
-        a = render_report(run_holdout(light_config), "json")
-        b = render_report(run_holdout(light_config), "json")
+    def test_determinism_byte_identical(self, pima_csv, tmp_path):
+        d = light_config_dict(pima_csv)
+        a = render_report(holdout_report(d, tmp_path / "a"), "json")
+        b = render_report(holdout_report(d, tmp_path / "b"), "json")
         assert a == b
 
-    def test_timings_recorded_but_not_rendered(self, light_config):
-        report = run_holdout(light_config)
-        assert report.timings and all(v >= 0 for v in report.timings.values())
-        assert "timings" not in json.loads(render_report(report, "json"))
-        assert "timings" in json.loads(render_report(report, "json", include_timings=True))
+    def test_timings_recorded_but_not_rendered(self, light_report):
+        assert set(light_report.timings) == {r.name for r in light_report.rows}
+        assert all(v >= 0 for v in light_report.timings.values())
+        assert "timings" not in json.loads(render_report(light_report, "json"))
+        assert "timings" in json.loads(render_report(light_report, "json", include_timings=True))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_training_groups_fit_and_evaluate_the_protocols_rows(pima_csv, protocol):
+    """Clean: a group's fit and eval rows are disjoint, the holdout split
+    covers every row once, and k-fold evaluates every row exactly once per k.
+    paper_faithful: every evaluated row is a fit row, and the report says so."""
+    for split in ({"mode": "holdout", "train_fraction": 0.7},
+                  {"mode": "kfold", "ks": [2, 3], "stratified": True}):
+        cfg = config_from_dict(light_config_dict(pima_csv, split=split, protocol=protocol))
+        n = load_csv(cfg.dataset.path, cfg.dataset.schema(), cfg.dataset.has_header).n_samples
+        evaluated = {}
+        for group in training_groups(cfg):
+            fit_rows = set(group.fit_ds.row_ids.tolist())
+            for k, eval_ds in group.parts:
+                rows = eval_ds.row_ids.tolist()
+                evaluated.setdefault(k, []).extend(rows)
+                if protocol == "clean":
+                    assert fit_rows.isdisjoint(rows)
+                    if k is None:
+                        assert sorted(fit_rows | set(rows)) == list(range(n))
+                else:
+                    assert fit_rows.issuperset(rows)
+        if protocol == "clean" and split["mode"] == "kfold":
+            assert sorted(evaluated) == [2, 3]
+            assert all(sorted(rows) == list(range(n)) for rows in evaluated.values())
+    inflated = any("inflated" in note for note in experiment_report(cfg, {}).notes)
+    assert inflated == (protocol == "paper_faithful")
 
 
 class TestKfold:
@@ -331,12 +353,11 @@ class TestKfold:
         cfg = config_from_dict(d)
         assert render_report(run_kfold(cfg), "json") == render_report(run_kfold(cfg), "json")
 
-    def test_holdout_kfold_consistency_band(self, pima_csv):
+    def test_holdout_kfold_consistency_band(self, pima_csv, tmp_path):
         # sanity band asserted as a warning, never a failure
         d = light_config_dict(pima_csv)
         d["ga"]["enabled"] = False
-        d["stack"]["enabled"] = False
-        hold = run_holdout(config_from_dict(d))
+        hold = holdout_report(d, tmp_path)
         d["split"] = {"mode": "kfold", "ks": [5], "stratified": True}
         fold = run_kfold(config_from_dict(d))
         hold_acc = {r.name: r.accuracy for r in hold.rows}
@@ -513,10 +534,9 @@ class TestFeatureReport:
 
 
 class TestRendering:
-    def test_json_round_trip(self, light_config):
-        report = run_holdout(light_config)
-        again = parse_report(render_report(report, "json", include_timings=True))
-        assert again == Report(**{**report.__dict__})
+    def test_json_round_trip(self, light_report):
+        again = parse_report(render_report(light_report, "json", include_timings=True))
+        assert again == Report(**{**light_report.__dict__})
 
     def test_json_round_trip_of_every_row_kind(self):
         report = Report(
@@ -544,11 +564,10 @@ class TestRendering:
             text = render_report(empty, fmt)
             assert text.endswith("\n")
 
-    def test_markdown_has_row_per_model(self, light_config):
-        report = run_holdout(light_config)
-        md = render_report(report, "markdown")
+    def test_markdown_has_row_per_model(self, light_report):
+        md = render_report(light_report, "markdown")
         assert "| Model |" in md
-        for r in report.rows:
+        for r in light_report.rows:
             assert f"| {r.name} |" in md
 
     def test_csv_na_for_undefined(self):
@@ -557,6 +576,6 @@ class TestRendering:
         csv = render_report(report, "csv")
         assert "n/a" in csv
 
-    def test_unknown_format_rejected(self, light_config):
+    def test_unknown_format_rejected(self, light_report):
         with pytest.raises(ConfigError, match="unknown report format"):
-            render_report(run_holdout(light_config), "yaml")
+            render_report(light_report, "yaml")

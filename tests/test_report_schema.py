@@ -4,9 +4,10 @@ import jsonschema
 import pytest
 
 from stackga.config import config_from_dict
-from stackga.pipeline import run_holdout, run_kfold
+from stackga.pipeline import run_kfold
 from stackga.report import render_report
 
+from support import holdout_report
 from test_pipeline import light_config_dict
 
 
@@ -16,9 +17,10 @@ def schema():
         return json.load(fh)
 
 
-def test_holdout_report_validates(pima_csv, schema):
-    cfg = config_from_dict(light_config_dict(pima_csv))
-    doc = json.loads(render_report(run_holdout(cfg), "json", include_timings=True))
+def test_holdout_report_validates(pima_csv, schema, tmp_path):
+    holdout_report(light_config_dict(pima_csv), tmp_path, "report.include_timings=true")
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert "timings" in doc
     jsonschema.validate(doc, schema)
 
 

@@ -279,9 +279,6 @@ def test_adaboost_fit_and_scores_equal_the_per_row_formula(data, seed, rounds):
             assert same_bits(getattr(got, name), getattr(ref, name)), name
     Q = _queries(X, ada.stumps_)
     assert same_bits(ada.predict_proba(Q), adaboost_proba_reference(ada, Q))
-    if ada.stumps_:
-        staged = np.cumsum(adaboost_scores_reference(ada, Q), axis=0)
-        assert same_bits(ada.staged_decision(Q), staged)
 
 
 # -- the stack's scoring path -----------------------------------------------

@@ -239,7 +239,8 @@ def test_boosters_predict_in_round_order():
         p = stump.predict_proba(X)
         expected += 0.5 * (np.log(np.clip(p[:, 1], 1e-12, None))
                            - np.log(np.clip(p[:, 0], 1e-12, None)))
-    np.testing.assert_array_equal(ada.staged_decision(X)[-1], expected)
+    p1 = 1.0 / (1.0 + np.exp(-2.0 * np.clip(expected, -250, 250)))
+    np.testing.assert_array_equal(ada.predict_proba(X), np.column_stack([1.0 - p1, p1]))
     gbc = GradientBoosting(n_estimators=10).fit(X, y)
     raw = np.full(len(y), gbc.base_score_)
     for tree, gamma in gbc.stages_:
