@@ -47,14 +47,14 @@ CASES = {
         {
             "report.json": "0fc869e9330eb0c608c9bc8b868fcdaee9df62b77f1306594879559f1e9bb0df",
             "report.md": "67d595ea4efb3779e1b4c540a62beb31264ce0cb480240615849015a47d3c84d",
-            "model.pkl": "2d81fbea2c16b8bc942782942c5961c8811684786b0a2827c04225844e27e092",
+            "model.pkl": "7ebc0dec1e8b4c07c3e5d1a23babdc860e4e1b885454336162789f0c055f38be",
         },
     ),
     "paper_faithful": (
         _train_eval(PAPER_FAITHFUL),
         {
             "report.json": "f3201aacbdfe5610ed2baf753593cd191be205fc1bde9a42a6906d428b50b1de",
-            "model.pkl": "5d2467637c1b0a974d875d4fd59d725168f18304ad87fa57b90b544c030c4f1c",
+            "model.pkl": "c67a243ac8c077c0c96ab655a848c70a459cfdfd07171d1c561bf4c558038f19",
         },
     ),
     "xval_k5": (

@@ -49,6 +49,9 @@ EXIT_MODEL_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+#: the keys of the payload that `train` saves and `eval` loads
+_BUNDLE_KEYS = ("fingerprint", "mask", "ga_summary", "stack_model", "singles")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -256,6 +259,12 @@ def cmd_eval(args) -> int:
     if cfg.split.mode != "holdout":
         raise ConfigError("eval needs split.mode = 'holdout'")
     bundle = load_artifact(args.model, "stack-bundle")
+    if set(bundle) != set(_BUNDLE_KEYS):
+        missing = [k for k in _BUNDLE_KEYS if k not in bundle]
+        extra = sorted(repr(k) for k in bundle if k not in _BUNDLE_KEYS)
+        raise ConfigError(f"{args.model}: not a stack bundle (missing keys {missing}, "
+                          f"unexpected keys [{', '.join(extra)}]); retrain it with this "
+                          "version of stackga")
     ours = _train_fingerprint(cfg)
     theirs = bundle["fingerprint"]
     if ours != theirs:

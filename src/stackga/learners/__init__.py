@@ -37,43 +37,57 @@ __all__ = [
 ]
 
 
-#: every numeric hyperparameter's rule, checked when a spec is made:
-#: "count" an int of at least 1 (a bool is not one), "depth" a count or None,
-#: "positive" a finite number > 0, "nonnegative" one >= 0, "finite" any finite one
-_RULES = {
-    "decision_tree": {"max_depth": "depth"},
-    "random_forest": {"n_estimators": "count", "max_depth": "depth"},
-    "extra_trees": {"n_estimators": "count", "max_depth": "depth"},
-    "knn": {"n_neighbors": "count"},
-    "gaussian_nb": {"var_smoothing": "nonnegative"},
-    "mlp": {"hidden_units": "count", "batch_size": "count", "max_iter": "count",
-            "learning_rate_init": "positive"},
-    "adaboost": {"n_estimators": "count", "max_depth": "depth", "learning_rate": "positive"},
-    "gradient_boosting": {"n_estimators": "count", "max_depth": "depth",
-                          "learning_rate": "positive"},
-    "svm": {"c": "positive", "tol": "positive", "coef0": "finite", "max_pass_factor": "count"},
-    "logistic_regression": {"max_iter": "count", "reg_strength": "nonnegative",
-                            "tol": "positive"},
+#: the numeric kinds a rule may name, each with its test (on a number that is
+#: not a bool) and its text; no choice in `_RULES` is spelled like one
+_KINDS = {
+    "count": (lambda v: isinstance(v, int) and v >= 1, "an integer of at least 1"),
+    "positive": (lambda v: math.isfinite(v) and v > 0, "a finite number greater than 0"),
+    "nonnegative": (lambda v: math.isfinite(v) and v >= 0, "a finite number of at least 0"),
+    "finite": (math.isfinite, "a finite number"),
 }
+_DEPTH = ("count", None)
+_CRITERION = ("entropy", "gini")
+_MAX_FEATURES = ("count", None, "all", "sqrt", "auto")
 
-_RULE_TEXT = {
-    "count": "an integer of at least 1",
-    "depth": "an integer of at least 1 or null",
-    "positive": "a finite number greater than 0",
-    "nonnegative": "a finite number of at least 0",
-    "finite": "a finite number",
+#: every hyperparameter of every algorithm, with what it may be: a value of
+#: one of the `_KINDS` named in its rule or one of the rule's other entries;
+#: the keys are the parameters of the algorithm's class, checked when a spec
+#: is made (an integer `max_features` larger than the table is found at fit)
+_RULES = {
+    "decision_tree": {"criterion": _CRITERION, "max_depth": _DEPTH,
+                      "max_features": _MAX_FEATURES},
+    "random_forest": {"n_estimators": ("count",), "criterion": _CRITERION,
+                      "max_depth": _DEPTH, "max_features": _MAX_FEATURES},
+    "extra_trees": {"n_estimators": ("count",), "criterion": _CRITERION,
+                    "max_depth": _DEPTH, "max_features": _MAX_FEATURES},
+    "knn": {"n_neighbors": ("count",)},
+    "gaussian_nb": {"var_smoothing": ("nonnegative",)},
+    "mlp": {"hidden_units": ("count",), "batch_size": ("count",),
+            "learning_rate": ("adaptive", "constant"), "learning_rate_init": ("positive",),
+            "max_iter": ("count",)},
+    "adaboost": {"n_estimators": ("count",), "learning_rate": ("positive",),
+                 "criterion": _CRITERION, "max_depth": _DEPTH},
+    "gradient_boosting": {"n_estimators": ("count",), "learning_rate": ("positive",),
+                          "max_depth": _DEPTH},
+    "svm": {"c": ("positive",), "kernel": ("sigmoid", "rbf", "linear"),
+            "gamma": ("positive", "scale"), "coef0": ("finite",), "tol": ("positive",),
+            "max_pass_factor": ("count",)},
+    "logistic_regression": {"reg_strength": ("nonnegative",), "max_iter": ("count",),
+                            "tol": ("positive",)},
 }
 
 
 def _obeys(rule, value) -> bool:
-    if rule == "depth" and value is None:
-        return True
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    if rule in ("count", "depth"):
-        return isinstance(value, int) and value >= 1
-    return math.isfinite(value) and {"positive": value > 0, "nonnegative": value >= 0,
-                                     "finite": True}[rule]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return any(number and _KINDS[a][0](value) if a in _KINDS else value == a for a in rule)
+
+
+def _rule_text(rule) -> str:
+    """E.g. "an integer of at least 1 or None", "one of ['entropy', 'gini']"."""
+    kinds = [_KINDS[a][1] for a in rule if a in _KINDS]
+    choices = [a for a in rule if a not in _KINDS]
+    named = [f"one of {choices}"] if len(choices) > 1 else [repr(c) for c in choices]
+    return " or ".join(kinds + named)
 
 
 class _DecisionTreeLearner(ClassificationTree):
@@ -83,86 +97,45 @@ class _DecisionTreeLearner(ClassificationTree):
         super().__init__(criterion=criterion, max_depth=max_depth, max_features=max_features)
 
 
-class _KnnLearner(KNeighbors):
-    """`KNeighbors` under the class name that `model.pkl` records."""
-
-
-class _MlpLearner(MlpClassifier):
-    def __init__(self, hidden_units=100, batch_size=100, learning_rate="adaptive",
-                 learning_rate_init=1e-3, max_iter=100):
-        if learning_rate not in ("adaptive", "constant"):
-            raise ConfigError(f"unknown mlp learning_rate mode {learning_rate!r}")
-        super().__init__(
-            hidden_units=hidden_units,
-            batch_size=batch_size,
-            max_epochs=max_iter,
-            learning_rate=learning_rate_init,
-            adaptive=(learning_rate == "adaptive"),
-        )
-
-
-class _GradientBoostingLearner(GradientBoosting):
-    """`GradientBoosting` under the class name that `model.pkl` records."""
-
-
-class _SvmLearner(SmoSvm):
-    """`SmoSvm` under the class name that `model.pkl` records."""
-
-
 #: algorithm name -> (implementation class, needs both classes to fit)
 ALGORITHMS = {
     "decision_tree": (_DecisionTreeLearner, False),
     "random_forest": (RandomForest, False),
     "extra_trees": (ExtraTrees, False),
-    "knn": (_KnnLearner, False),
+    "knn": (KNeighbors, False),
     "gaussian_nb": (GaussianNB, True),
-    "mlp": (_MlpLearner, True),
+    "mlp": (MlpClassifier, True),
     "adaboost": (AdaBoost, True),
-    "gradient_boosting": (_GradientBoostingLearner, True),
-    "svm": (_SvmLearner, True),
+    "gradient_boosting": (GradientBoosting, True),
+    "svm": (SmoSvm, True),
     "logistic_regression": (LogisticRegression, True),
 }
 
 
-def _known_params(cls) -> tuple:
-    code = cls.__init__.__code__
-    return code.co_varnames[1:code.co_argcount]
-
-
-def make_impl(algorithm: str, hyperparameters: dict):
-    """Instantiate the implementation for `algorithm`, validating parameter
-    keys and the numeric values `_RULES` names."""
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    cls, _ = ALGORITHMS[algorithm]
-    known = _known_params(cls)
-    unknown = sorted(set(hyperparameters) - set(known))
-    if unknown:
-        raise ConfigError(
-            f"{algorithm}: unknown hyperparameters {unknown}; known: {sorted(known)}"
-        )
-    for key, rule in _RULES[algorithm].items():
-        if key in hyperparameters and not _obeys(rule, hyperparameters[key]):
-            raise ConfigError(f"{algorithm}: {key} must be {_RULE_TEXT[rule]}, "
-                              f"got {hyperparameters[key]!r}")
-    try:
-        return cls(**hyperparameters)
-    except ValueError as e:  # a choice the implementation refuses
-        raise ConfigError(f"{algorithm}: {e}") from None
-
-
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Algorithm identity + hyperparameter overrides + seed."""
+    """Algorithm identity + hyperparameter overrides + seed. The algorithm
+    and every hyperparameter key and value are checked against `_RULES`
+    when a spec is made; `train` passes them to the class unchecked."""
 
     algorithm: str
     hyperparameters: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        make_impl(self.algorithm, self.hyperparameters)  # validate eagerly
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(
+                f"unknown algorithm {self.algorithm!r}; choose from {sorted(ALGORITHMS)}"
+            )
+        rules = _RULES[self.algorithm]
+        unknown = sorted(set(self.hyperparameters) - set(rules))
+        if unknown:
+            raise ConfigError(f"{self.algorithm}: unknown hyperparameters {unknown}; "
+                              f"known: {sorted(rules)}")
+        for key, value in self.hyperparameters.items():
+            if not _obeys(rules[key], value):
+                raise ConfigError(f"{self.algorithm}: {key} must be "
+                                  f"{_rule_text(rules[key])}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -183,10 +156,10 @@ def train(spec: LearnerSpec, ds: Dataset) -> TrainedModel:
     both, raise a ValueError."""
     if ds.labels.size == 0:
         raise ValueError("cannot train on an empty dataset")
-    _, needs_both = ALGORITHMS[spec.algorithm]
+    cls, needs_both = ALGORITHMS[spec.algorithm]
     if needs_both and not both_classes(ds.labels):
         raise ValueError(f"{spec.algorithm} requires both classes in the training data")
-    impl = make_impl(spec.algorithm, spec.hyperparameters)
+    impl = cls(**spec.hyperparameters)
     impl.fit(ds.features, ds.labels, rng=child_rng(spec.seed, spec.algorithm))
     return TrainedModel(spec=spec, n_features_expected=ds.n_features, impl=impl)
 

@@ -9,7 +9,7 @@ the training prior.
 
 import numpy as np
 
-from .tree import BoosterGrower, ClassificationTree, ScoredTrees, check_tree_params, node_values
+from .tree import BoosterGrower, ClassificationTree, ScoredTrees, node_values
 
 _CLIP = 1e-12
 
@@ -23,7 +23,6 @@ def _scores(value):
 class AdaBoost(ScoredTrees):
     def __init__(self, n_estimators=100, learning_rate=1.0, criterion="gini",
                  max_depth=1):
-        check_tree_params(criterion)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.criterion = criterion

@@ -5,7 +5,7 @@ probabilities IS the majority vote.
 
 import numpy as np
 
-from .tree import ClassificationTree, ScoredTrees, check_tree_params, fit_trees, node_values
+from .tree import ClassificationTree, ScoredTrees, fit_trees, node_values
 
 _SEED_BOUND = 2**63
 
@@ -24,7 +24,6 @@ def _tree_rngs(rng, n):
 class RandomForest(ScoredTrees):
     def __init__(self, n_estimators=100, criterion="entropy", max_depth=10,
                  max_features="all"):
-        check_tree_params(criterion, max_features)
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth
@@ -55,7 +54,6 @@ class ExtraTrees(ScoredTrees):
 
     def __init__(self, n_estimators=50, criterion="gini", max_depth=3,
                  max_features="auto"):
-        check_tree_params(criterion, max_features)
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth

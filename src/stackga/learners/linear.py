@@ -17,7 +17,20 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-class LogisticRegression:
+class Standardizing:
+    """Inputs scaled by the training mean and std: `fit` calls `_fit_scale`,
+    prediction `_scale`. A constant column's std of 0 is taken as 1e-12."""
+
+    def _fit_scale(self, X):
+        self.mean_ = X.mean(axis=0)
+        self.scale_ = np.maximum(X.std(axis=0), 1e-12)
+        return self._scale(X)
+
+    def _scale(self, X):
+        return (np.asarray(X, dtype=np.float64) - self.mean_) / self.scale_
+
+
+class LogisticRegression(Standardizing):
     def __init__(self, reg_strength=1.0, max_iter=1000, tol=1e-6):
         self.reg_strength = reg_strength
         self.max_iter = max_iter
@@ -26,9 +39,7 @@ class LogisticRegression:
     def fit(self, X, y, rng=None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        self.mean_ = X.mean(axis=0)
-        self.scale_ = np.maximum(X.std(axis=0), 1e-12)
-        Z = (X - self.mean_) / self.scale_
+        Z = self._fit_scale(X)
         n, d = Z.shape
         w = np.zeros(d)
         b = 0.0
@@ -63,9 +74,7 @@ class LogisticRegression:
         return self
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        Z = (X - self.mean_) / self.scale_
-        return Z @ self.coef_ + self.intercept_
+        return self._scale(X) @ self.coef_ + self.intercept_
 
     def predict_proba(self, X):
         p1 = _sigmoid(self.decision_function(X))

@@ -14,6 +14,8 @@ fitted weights are the same bits.
 
 import numpy as np
 
+from .linear import Standardizing
+
 _NAMES = ("W1", "b1", "W2", "b2")
 
 
@@ -73,14 +75,18 @@ def _loss(params, X, y, rows):
     return -np.mean(np.log(probs[rows, y] + 1e-12))
 
 
-class MlpClassifier:
-    def __init__(self, hidden_units=100, batch_size=100, max_epochs=100,
-                 learning_rate=1e-3, adaptive=True):
+class MlpClassifier(Standardizing):
+    """`learning_rate` is the step-size schedule, "adaptive" (halving as
+    above) or "constant", and `learning_rate_init` the first step size, as
+    in scikit-learn's `MLPClassifier`; `max_iter` counts epochs."""
+
+    def __init__(self, hidden_units=100, batch_size=100, learning_rate="adaptive",
+                 learning_rate_init=1e-3, max_iter=100):
         self.hidden_units = hidden_units
         self.batch_size = batch_size
-        self.max_epochs = max_epochs
         self.learning_rate = learning_rate
-        self.adaptive = adaptive
+        self.learning_rate_init = learning_rate_init
+        self.max_iter = max_iter
 
     def _init_params(self, d, rng):
         h = self.hidden_units
@@ -120,9 +126,7 @@ class MlpClassifier:
         rng = rng or np.random.default_rng(0)
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        self.mean_ = X.mean(axis=0)
-        self.scale_ = np.maximum(X.std(axis=0), 1e-12)
-        Z = (X - self.mean_) / self.scale_
+        Z = self._fit_scale(X)
         n = Z.shape[0]
         init = self._init_params(Z.shape[1], rng)
         shapes = [init[k].shape for k in _NAMES]
@@ -132,13 +136,13 @@ class MlpClassifier:
         m, v = np.zeros_like(theta), np.zeros_like(theta)
         mhat, denom = np.empty_like(theta), np.empty_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        lr = self.learning_rate
+        lr = self.learning_rate_init
         step = 0
         prev_loss = np.inf
         bad_epochs = 0
         batch = min(self.batch_size, n)
         rows = np.arange(n)
-        for _ in range(self.max_epochs):
+        for _ in range(self.max_iter):
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
@@ -160,7 +164,7 @@ class MlpClassifier:
                 mhat *= lr
                 mhat /= denom
                 theta -= mhat
-            if self.adaptive:
+            if self.learning_rate == "adaptive":
                 epoch_loss = _loss(params, Z, y, rows)
                 if epoch_loss >= prev_loss:
                     bad_epochs += 1
@@ -174,7 +178,5 @@ class MlpClassifier:
         return self
 
     def predict_proba(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        Z = (X - self.mean_) / self.scale_
-        h = np.maximum(Z @ self.params_["W1"] + self.params_["b1"], 0.0)
+        h = np.maximum(self._scale(X) @ self.params_["W1"] + self.params_["b1"], 0.0)
         return _softmax(h @ self.params_["W2"] + self.params_["b2"])

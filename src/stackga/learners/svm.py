@@ -21,9 +21,9 @@ pseudo-probabilities; they are only used as ranking scores and stacking
 features.
 """
 
-import math
-
 import numpy as np
+
+from .linear import Standardizing
 
 
 def sigmoid_kernel(A, B, gamma, coef0):
@@ -43,15 +43,9 @@ def linear_kernel(A, B, gamma=None, coef0=0.0):
 _KERNELS = {"sigmoid": sigmoid_kernel, "rbf": rbf_kernel, "linear": linear_kernel}
 
 
-class SmoSvm:
+class SmoSvm(Standardizing):
     def __init__(self, c=1.0, kernel="sigmoid", gamma="scale", coef0=0.0,
                  tol=1e-3, max_pass_factor=10):
-        if not (isinstance(kernel, str) and kernel in _KERNELS):
-            raise ValueError(f"unknown kernel {kernel!r}")
-        number = not isinstance(gamma, bool) and isinstance(gamma, (int, float))
-        if gamma != "scale" and not (number and math.isfinite(gamma) and gamma > 0):
-            raise ValueError(f"gamma must be 'scale' or a finite number greater than 0, "
-                             f"got {gamma!r}")
         self.c = c
         self.kernel = kernel
         self.gamma = gamma
@@ -71,9 +65,7 @@ class SmoSvm:
         X = np.asarray(X, dtype=np.float64)
         y = np.where(np.asarray(y) == 1, 1.0, -1.0)
         n = len(y)
-        self.mean_ = X.mean(axis=0)
-        self.scale_ = np.maximum(X.std(axis=0), 1e-12)
-        Z = (X - self.mean_) / self.scale_
+        Z = self._fit_scale(X)
         self.gamma_ = self._gamma_value(Z)
         K = _KERNELS[self.kernel](Z, Z, self.gamma_, self.coef0)
         diag = K.diagonal().copy()
@@ -116,7 +108,7 @@ class SmoSvm:
         return f"not converged: {self.n_iter_} iterations, optimality gap {self.gap_:.4g}"
 
     def decision_function(self, X):
-        Z = (np.asarray(X, dtype=np.float64) - self.mean_) / self.scale_
+        Z = self._scale(X)
         if self.support_vectors_.shape[0] == 0:
             return np.full(Z.shape[0], self.b_)
         Kx = _KERNELS[self.kernel](Z, self.support_vectors_, self.gamma_, self.coef0)

@@ -89,17 +89,6 @@ def _gini_sum(w1, w):
 _CRITERIA = {"entropy": _entropy_sum, "gini": _gini_sum}
 
 
-def check_tree_params(criterion, max_features=None):
-    """Raise ValueError for a split criterion or `max_features` mode that no
-    tree can use; an integer larger than the table is caught at fit."""
-    if not (isinstance(criterion, str) and criterion in _CRITERIA):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    count = not isinstance(max_features, bool) and isinstance(max_features, int)
-    if not (max_features in (None, "all", "sqrt", "auto") or count and max_features >= 1):
-        raise ValueError(f"max_features must be None, 'all', 'sqrt', 'auto' or an integer "
-                         f"of at least 1, got {max_features!r}")
-
-
 def _resolve_max_features(mode, d):
     if mode in (None, "all"):
         return d
@@ -859,7 +848,6 @@ class ClassificationTree(_Tree):
 
     def __init__(self, criterion="entropy", max_depth=None, max_features=None,
                  random_threshold=False):
-        check_tree_params(criterion, max_features)
         self.criterion = criterion
         self.max_depth = max_depth
         self.max_features = max_features

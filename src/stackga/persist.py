@@ -13,10 +13,13 @@ import pickle
 from .errors import ConfigError
 
 FORMAT_PREFIX = "stackga."
-#: 4: the SVM standardizes its inputs (`mean_`, `scale_`)
-#: (3: a stack bundle also holds the trained single learners; 2: trees are
-#: flat node arrays; version 1 pickled node objects)
-ARTIFACT_VERSION = 4
+#: 5: every algorithm's model is an instance of its implementation class
+#: (`KNeighbors`, `MlpClassifier` with `learning_rate_init` and `max_iter`,
+#: `GradientBoosting`, `SmoSvm`), not of a subclass in `stackga.learners`
+#: (4: the SVM standardizes its inputs; 3: a stack bundle also holds the
+#: trained single learners; 2: trees are flat node arrays; version 1 pickled
+#: node objects)
+ARTIFACT_VERSION = 5
 #: protocol 4 pickles arrays through `_reconstruct`, which the loader allows
 #: (protocol 5 would name `numpy._core.numeric._frombuffer`)
 PICKLE_PROTOCOL = 4

@@ -79,10 +79,10 @@ def _trained_outputs(base: LearnerSpec, fit_ds: Dataset, X: np.ndarray, kind: st
     return _base_outputs(train(base, fit_ds), X, kind)
 
 
-def _trained_model_and_outputs(base: LearnerSpec, ds: Dataset, kind: str) -> tuple:
-    """`base` trained on `ds` and its outputs on `ds`; one naive level-1 task."""
-    model = train(base, ds)
-    return model, _base_outputs(model, ds.features, kind)
+def _meta_features(models, X: np.ndarray, kind: str) -> np.ndarray:
+    """The meta-learner's input: one column of outputs on `X` per base model."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.column_stack([_base_outputs(b, X, kind) for b in models])
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,15 @@ def build_level1_dataset(spec: StackSpec, ds: Dataset) -> Level1:
     if not both_classes(ds.labels):
         raise ConfigError("stacking requires both classes in the training data")
     kind = spec.level1_feature_kind
-    Z = np.empty((ds.n_samples, len(spec.base_specs)))
     models = None
     if spec.level1_mode == "naive":
-        tasks = [(base, ds, kind) for base in spec.base_specs]
-        models, columns = zip(*run_tasks(_trained_model_and_outputs, tasks))
-        for t, column in enumerate(columns):
-            Z[:, t] = column
+        # the stack's own prediction-time features, on the rows its bases fit
+        models = tuple(run_tasks(train, [(base, ds) for base in spec.base_specs]))
+        Z = _meta_features(models, ds.features, kind)
         assignments = np.full(ds.n_samples, -1)
         trained_on = {-1: ds.row_ids.copy()}
     else:
+        Z = np.empty((ds.n_samples, len(spec.base_specs)))
         plan = make_folds(ds, spec.level1_folds, stratified=True,
                           seed=derive_seed(spec.seed, "level1-folds"))
         parts = [(fold, ds.take(plan.train_indices(fold)), plan.test_indices(fold))
@@ -153,16 +152,12 @@ def train_stack(spec: StackSpec, ds: Dataset) -> StackModel:
     return StackModel(base_models=tuple(level1.models or refits), meta_model=meta, spec=spec)
 
 
-def _meta_features(model: StackModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    kind = model.spec.level1_feature_kind
-    return np.column_stack([_base_outputs(b, X, kind) for b in model.base_models])
-
-
 def predict_stack(model: StackModel, X) -> np.ndarray:
     """Meta prediction on the base models' outputs."""
-    return predict(model.meta_model, _meta_features(model, X))
+    Z = _meta_features(model.base_models, X, model.spec.level1_feature_kind)
+    return predict(model.meta_model, Z)
 
 
 def predict_proba_stack(model: StackModel, X) -> np.ndarray:
-    return predict_proba(model.meta_model, _meta_features(model, X))
+    Z = _meta_features(model.base_models, X, model.spec.level1_feature_kind)
+    return predict_proba(model.meta_model, Z)

@@ -9,7 +9,7 @@ from stackga.cli import main
 from stackga.config import config_from_dict
 from stackga.dataset import PIMA_SCHEMA, load_csv, write_csv
 from stackga.errors import DataError
-from stackga.persist import load_artifact
+from stackga.persist import load_artifact, save_artifact
 from stackga.pipeline import holdout_partitions
 
 from test_pipeline import light_config_dict
@@ -331,6 +331,19 @@ class TestTrainEval:
                        "--out", out, "-q") == 2
         err = capsys.readouterr().err
         assert str(model) in err and "retrain" in err
+
+    def test_eval_bundle_with_a_damaged_key_exits_2(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
+        model = out / "model.pkl"
+        bundle = load_artifact(model, "stack-bundle")
+        bundle["Fingerprint"] = bundle.pop("fingerprint")
+        save_artifact(model, "stack-bundle", bundle)
+        assert run_cli("eval", "--config", cfg_path, "--model", model,
+                       "--out", out, "-q") == 2
+        err = capsys.readouterr().err
+        assert "missing keys ['fingerprint']" in err and "'Fingerprint'" in err
+        assert not (out / "report.json").exists()
 
     def test_eval_schema_change_names_mismatch(self, cfg_path, pima_csv, tmp_path, capsys):
         out = tmp_path / "run"

@@ -88,12 +88,12 @@ def mlp_fit_reference(clf, X, y, rng):
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(v) for k, v in params.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    lr = clf.learning_rate
+    lr = clf.learning_rate_init
     step = 0
     prev_loss = np.inf
     bad_epochs = 0
     batch = min(clf.batch_size, n)
-    for _ in range(clf.max_epochs):
+    for _ in range(clf.max_iter):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start:start + batch]
@@ -106,7 +106,7 @@ def mlp_fit_reference(clf, X, y, rng):
                 vhat = v[k] / (1 - beta2**step)
                 params[k] -= lr * mhat / (np.sqrt(vhat) + eps)
         epoch_loss, _ = loss_and_grads_reference(params, Z, y)
-        if clf.adaptive:
+        if clf.learning_rate == "adaptive":
             if epoch_loss >= prev_loss:
                 bad_epochs += 1
                 if bad_epochs >= 2:
@@ -295,8 +295,9 @@ def tables(draw, max_rows=40, max_features=8):
 def test_mlp_fit_equals_the_per_parameter_adam_loop(data, hidden, batch, epochs,
                                                     adaptive, seed):
     X, y = data  # batch ranges over sizes that divide n, do not, and exceed it
-    clf = MlpClassifier(hidden_units=hidden, batch_size=batch, max_epochs=epochs,
-                        learning_rate=0.01, adaptive=adaptive)
+    clf = MlpClassifier(hidden_units=hidden, batch_size=batch, max_iter=epochs,
+                        learning_rate="adaptive" if adaptive else "constant",
+                        learning_rate_init=0.01)
     clf.fit(X, y, rng=np.random.default_rng(seed))
     want = mlp_fit_reference(clf, X, y, np.random.default_rng(seed))
     assert list(clf.params_) == list(want)

@@ -1,15 +1,21 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from stackga.dataset import Dataset, Schema
 from stackga.errors import ConfigError
 from stackga.learners import (
+    _RULES,
+    ALGORITHMS,
     LearnerSpec,
     both_classes,
     labels_from_proba,
     predict,
     predict_proba,
+    svm,
     train,
+    tree,
 )
 from stackga.learners.adaboost import AdaBoost
 from stackga.learners.boosting import GradientBoosting
@@ -89,6 +95,25 @@ class TestSpecValidation:
                 LearnerSpec(algorithm, {key: value})
         with pytest.raises(ConfigError, match="unknown algorithm 'bagging'"):
             LearnerSpec("bagging", {})
+
+    def test_the_rule_table_names_every_constructor_parameter(self):
+        for algorithm, (cls, _) in ALGORITHMS.items():
+            assert set(_RULES[algorithm]) == set(inspect.signature(cls).parameters), algorithm
+        assert set(_RULES["svm"]["kernel"]) == set(svm._KERNELS)
+        assert set(_RULES["decision_tree"]["criterion"]) == set(tree._CRITERIA)
+
+    @pytest.mark.parametrize("algorithm,key,value,text", [
+        ("svm", "kernel", "poly", "one of ['sigmoid', 'rbf', 'linear'], got 'poly'"),
+        ("svm", "gamma", 0, "a finite number greater than 0 or 'scale', got 0"),
+        ("decision_tree", "max_depth", 0, "an integer of at least 1 or None, got 0"),
+        ("random_forest", "max_features", "log2",
+         "an integer of at least 1 or one of [None, 'all', 'sqrt', 'auto'], got 'log2'"),
+        ("mlp", "learning_rate", 0.01, "one of ['adaptive', 'constant'], got 0.01"),
+    ])
+    def test_a_bad_value_is_named_with_its_rule(self, algorithm, key, value, text):
+        with pytest.raises(ConfigError) as caught:
+            LearnerSpec(algorithm, {key: value})
+        assert str(caught.value) == f"{algorithm}: {key} must be {text}"
 
 
 class TestTrainContract:
