@@ -7,7 +7,7 @@ child, so the fits run serially), with BLAS limited to one thread. The
 sha256 of each output is compared with the table in this file. The script
 lists every mismatch and exits 1, or exits 0 when every digest matches.
 
-    python3 scripts/check_digests.py           # about 30 s on a 2-CPU host
+    python3 scripts/check_digests.py           # about 40 s on a 2-CPU host
     python3 scripts/check_digests.py --all-ks  # adds the clean full k in
                                                # {5, 10, 15} xval run, about
                                                # a minute more
@@ -18,6 +18,7 @@ in CHANGES.md.
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +32,27 @@ PAPER_FAITHFUL = "configs/pima_paper_faithful.json"
 XVAL = "configs/pima_xval.json"
 
 
+def _write_wide(out):
+    """`wide.csv`, the shipped table with 8 seeded N(0, 1) noise columns
+    before its label (16 features), and `wide.json`, the holdout config on
+    it with a short GA, both written to the case's directory `out`."""
+    import numpy as np
+
+    lines = (ROOT / "data/pima_like.csv").read_text(encoding="utf-8").splitlines()
+    noise = np.random.default_rng(16).normal(size=(len(lines) - 1, 8))
+    rows = [line.rsplit(",", 1) for line in lines]
+    extra = [[f"noise{j}" for j in range(8)]] + [[repr(v) for v in row] for row in noise.tolist()]
+    Path(out, "wide.csv").write_text(
+        "".join(f"{head},{','.join(cols)},{label}\n" for (head, label), cols in zip(rows, extra)),
+        encoding="utf-8")
+    config = json.loads((ROOT / HOLDOUT).read_text(encoding="utf-8"))
+    columns = config["dataset"]["columns"]
+    config["dataset"]["columns"] = columns[:-1] + extra[0] + columns[-1:]
+    config["dataset"]["path"] = str(Path(out, "wide.csv"))
+    config["ga"]["maxgen"] = 8
+    Path(out, "wide.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+
+
 def _train_eval(config):
     return [
         ["train", "--config", config, "--out", "{out}", "-q"],
@@ -38,7 +60,8 @@ def _train_eval(config):
     ]
 
 
-#: case -> (commands, {output file: sha256}); "{out}" is the case's output directory
+#: case -> (commands, {output file: sha256}); "{out}" is the case's output
+#: directory, and a command that is a function is called with it instead
 CASES = {
     "holdout": (
         _train_eval(HOLDOUT)
@@ -78,6 +101,16 @@ CASES = {
             "feature_table.json": "07aae8c0080c59d447c2fbc0ee6a8909b87fd8fcee2016c9c245833909fb1419",
         },
     ),
+    # 16 features: more than the GA scores as one table, so its searches run a
+    # generation at a time
+    "select_wide": (
+        [_write_wide, ["select", "--config", "{out}/wide.json", "--out", "{out}", "-q"]],
+        {
+            "mask.json": "abcf56d6333b301a45b27e38b632ebf2ed518cd95cdd2f4e74b218d12d099672",
+            "ga_history.csv": "da8f40b143bf8ec1a9e2cef3f5319c6477100180e8d84cb43d92af474aa866ba",
+            "feature_table.json": "7f623676237916677102f14421372a60e7f14626eb4525cc31dcd4d3adac3687",
+        },
+    ),
 }
 
 #: the clean full xval run, only with --all-ks
@@ -110,6 +143,9 @@ def _env():
 def run_case(commands, outputs, cpu, workdir):
     """Run one case's commands; returns ({file: sha256}, error text or None)."""
     for argv in commands:
+        if callable(argv):
+            argv(workdir)
+            continue
         argv = [a.replace("{out}", str(workdir)) for a in argv]
         proc = subprocess.run(
             [sys.executable, "-c", _CHILD, "" if cpu is None else str(cpu), *argv],

@@ -23,7 +23,7 @@ from .config import (
 )
 from .dataset import load_csv, write_csv
 from .errors import ConfigError, DataError
-from .genetic import history_to_csv, mask_to_names
+from .genetic import history_to_csv, mask_to_names, table_best
 from .persist import load_artifact, save_artifact
 from .pipeline import (
     GA_REFERENCE_NOTE,
@@ -135,13 +135,20 @@ def _convergence_note(model) -> str:
 def _say_ga_search(args, cfg: ExperimentConfig, run) -> None:
     """With -v, one line of the GA's search statistics: every fitness request
     that was not an evaluation was a memo-cache hit, and a run that ended
-    before `maxgen` was stopped by the stall rule."""
+    before `maxgen` was stopped by the stall rule. A run that filled the mask
+    table also says how many masks tie at the table's best fitness and
+    whether the GA's mask is the table's best."""
     if args.verbose:
         generations = len(run.history)
         requests = cfg.ga.nind * cfg.ga.subpop * (1 + generations)
+        table = ""
+        if run.table is not None:
+            best, ties = table_best(run.table, len(run.best_chromosome))
+            table = (f" table={run.table.size} best_ties={ties} "
+                     f"ga_is_best={'yes' if (best == run.best_chromosome).all() else 'no'}")
         _say(args, f"ga search: generations={generations} evaluations={run.evaluations} "
                    f"requests={requests} cache_hits={requests - run.evaluations} "
-                   f"stall_stop={'yes' if generations < cfg.ga.maxgen else 'no'}")
+                   f"stall_stop={'yes' if generations < cfg.ga.maxgen else 'no'}{table}")
 
 
 def _slug(name: str) -> str:

@@ -8,6 +8,7 @@ exact 0.5 ties resolving to class 0, uniformly across algorithms.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "LearnerSpec",
     "TrainedModel",
     "train",
+    "check_labels",
     "both_classes",
     "predict",
     "predict_proba",
@@ -38,7 +40,8 @@ __all__ = [
 
 
 #: the numeric kinds a rule may name, each with its test (on a number that is
-#: not a bool) and its text; no choice in `_RULES` is spelled like one
+#: not a bool and fits a float) and its text; no choice in `_RULES` is spelled
+#: like one
 _KINDS = {
     "count": (lambda v: isinstance(v, int) and v >= 1, "an integer of at least 1"),
     "positive": (lambda v: math.isfinite(v) and v > 0, "a finite number greater than 0"),
@@ -78,7 +81,9 @@ _RULES = {
 
 
 def _obeys(rule, value) -> bool:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # an int too large for a float is no number here: `math.isfinite` overflows on it
+    number = isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                          and abs(value) <= sys.float_info.max)
     return any(number and _KINDS[a][0](value) if a in _KINDS else value == a for a in rule)
 
 
@@ -150,16 +155,20 @@ def both_classes(labels) -> bool:
     return labels.size > 0 and bool(labels.min() != labels.max())
 
 
+def check_labels(algorithm: str, labels) -> None:
+    """Raise a ValueError for labels `algorithm` cannot be fitted on: none
+    at all, or one class where the algorithm needs both."""
+    if labels.size == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if ALGORITHMS[algorithm][1] and not both_classes(labels):
+        raise ValueError(f"{algorithm} requires both classes in the training data")
+
+
 def train(spec: LearnerSpec, ds: Dataset) -> TrainedModel:
     """Fit `spec` on `ds`; deterministic in (spec, data, seed). Labels it
-    cannot fit `spec` on, none at all or one class where the algorithm needs
-    both, raise a ValueError."""
-    if ds.labels.size == 0:
-        raise ValueError("cannot train on an empty dataset")
-    cls, needs_both = ALGORITHMS[spec.algorithm]
-    if needs_both and not both_classes(ds.labels):
-        raise ValueError(f"{spec.algorithm} requires both classes in the training data")
-    impl = cls(**spec.hyperparameters)
+    cannot fit `spec` on raise `check_labels`' ValueError."""
+    check_labels(spec.algorithm, ds.labels)
+    impl = ALGORITHMS[spec.algorithm][0](**spec.hyperparameters)
     impl.fit(ds.features, ds.labels, rng=child_rng(spec.seed, spec.algorithm))
     return TrainedModel(spec=spec, n_features_expected=ds.n_features, impl=impl)
 

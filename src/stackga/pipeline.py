@@ -36,7 +36,7 @@ from .dataset import (
     shuffle_split,
 )
 from .errors import ConfigError
-from .genetic import GaRun, folds_accuracy, mask_to_names, run_ga, wrapper_folds, wrapper_plan
+from .genetic import GaRun, mask_accuracies, mask_to_names, run_ga, wrapper_folds, wrapper_plan
 from .learners import LearnerSpec, both_classes, labels_from_proba, predict_proba, train
 from .parallel import run_tasks
 from .report import (
@@ -361,11 +361,11 @@ def feature_report(ds: Dataset, wrapper: LearnerSpec, ga_run: GaRun,
     """Per-feature table: lone-feature wrapper CV accuracy, GA selection
     frequency in the final population, and best-mask membership."""
     folds = wrapper_folds(ds, wrapper_plan(ds, cv_k, seed))
+    lone = mask_accuracies(folds, wrapper, np.eye(ds.n_features, dtype=np.uint8))
     freq = ga_run.final_population.mean(axis=0)
     best = ga_run.best_chromosome.astype(bool)
     rows = []
-    for i, name in enumerate(ds.schema.predictor_names):
-        acc = folds_accuracy(folds, wrapper, [i])
+    for i, (name, acc) in enumerate(zip(ds.schema.predictor_names, lone)):
         rows.append(
             FeatureRow(
                 name=name,

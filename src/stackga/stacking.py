@@ -145,10 +145,10 @@ def train_stack(spec: StackSpec, ds: Dataset) -> StackModel:
     on the usable CPUs; the model does not depend on their number.
     """
     level1 = build_level1_dataset(spec, ds)
-    fits = [(spec.meta_spec, level1.dataset)]
-    if level1.models is None:
-        fits += [(b, ds) for b in spec.base_specs]
-    meta, *refits = run_tasks(train, fits)
+    # the refits first, in base order, so the workers start on the longest;
+    # the few-ms meta fit last, for this process
+    fits = [(b, ds) for b in spec.base_specs] if level1.models is None else []
+    *refits, meta = run_tasks(train, fits + [(spec.meta_spec, level1.dataset)])
     return StackModel(base_models=tuple(level1.models or refits), meta_model=meta, spec=spec)
 
 

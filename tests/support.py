@@ -1,7 +1,7 @@
 """Helpers that only tests use: small synthetic tables, the nine benchmark
 learner specs, a fitted tree's depth, a fitted SVM's optimality gap, the
-GA's fitness of one mask and a holdout run through `stackga train` and
-`stackga eval`."""
+GA's fitness of one mask, a per-mask fitness as `evolve`'s batch fitness,
+and a holdout run through `stackga train` and `stackga eval`."""
 
 import json
 
@@ -92,7 +92,13 @@ def fitness(ch, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5, seed: int = 0)
     if bits.size != ds.n_features:
         raise ValueError(f"mask length {bits.size} != {ds.n_features} features")
     folds = genetic.wrapper_folds(ds, genetic.wrapper_plan(ds, cv_k, seed))
-    return genetic.folds_accuracy(folds, wrapper, np.flatnonzero(bits))
+    (accuracy,) = genetic.mask_accuracies(folds, wrapper, [bits])
+    return accuracy
+
+
+def batched(fitness_of_one):
+    """`evolve`'s batch fitness function from one that scores one mask."""
+    return lambda masks: [fitness_of_one(bits) for bits in masks]
 
 
 def holdout_report(config: dict, out_dir, *overrides) -> Report:

@@ -38,7 +38,7 @@ from stackga.pipeline import holdout_partitions
 from stackga.report import STACK_ROW_GA, render_report
 from stackga.rng import child_rng, derive_seed
 from stackga.stacking import StackSpec, build_level1_dataset
-from support import benchmark_specs, fitness, holdout_report, make_separable_clouds
+from support import batched, benchmark_specs, fitness, holdout_report, make_separable_clouds
 from test_metrics import brute_confusion, pair_count_auc
 
 
@@ -161,7 +161,7 @@ def test_criterion_4_ga_onemax_oracle():
         wins = 0
         for seed in range(100):
             run = evolve(GaConfig(seed=seed, **params),
-                         lambda bits: bits.sum() / bits.size)
+                         batched(lambda bits: bits.sum() / bits.size))
             wins += int(run.best_fitness == 1.0)
             hist = np.array(run.history)[:, :, 0]
             assert (np.diff(hist, axis=0) >= 0).all(), f"seed {seed}: non-monotone"

@@ -145,6 +145,24 @@ class TestGaSearchStatistics:
         assert stats["stall_stop"] == stopped
         assert (int(stats["generations"]) == 1) == (maxgen == 1)
 
+    @pytest.mark.parametrize("wrapper,table", [("logistic_regression", True),
+                                               ("gaussian_nb", False)])
+    def test_a_filled_mask_table_is_named_with_its_ties(self, cfg_path, tmp_path, capsys,
+                                                        wrapper, table):
+        """A logistic regression wrapper over 8 features fills the table of
+        all 255 masks; the line then says how many tie at its best fitness
+        and whether the GA's mask is its best. Another wrapper fills none."""
+        assert run_cli("select", "--config", cfg_path, "--out", tmp_path, "-v",
+                       "--set", f'ga.wrapper={{"algorithm": "{wrapper}"}}') == 0
+        stats = _ga_search_line(capsys.readouterr().out)
+        if not table:
+            assert not {"table", "best_ties", "ga_is_best"} & set(stats)
+            return
+        assert stats["table"] == "255" and int(stats["best_ties"]) >= 1
+        assert stats["ga_is_best"] in ("yes", "no")
+        mask = json.loads((tmp_path / "mask.json").read_text())
+        assert int(stats["evaluations"]) == mask["evaluations"] < 255
+
     def test_train_verbose_prints_the_search_statistics(self, cfg_path, tmp_path, capsys):
         assert run_cli("train", "--config", cfg_path, "--out", tmp_path / "a") == 0
         assert _ga_search_line(capsys.readouterr().out) is None
@@ -433,6 +451,9 @@ def test_bad_knn_n_neighbors_exits_2_naming_it(pima_csv, tmp_path, capsys, k):
     ("adaboost", "learning_rate", -1),
     ("gradient_boosting", "learning_rate", 0),
     ("gaussian_nb", "var_smoothing", -1),
+    pytest.param("svm", "c", 10**400, id="svm-c-past-the-float-range"),
+    pytest.param("random_forest", "n_estimators", 10**400,
+                 id="random_forest-n_estimators-past-the-float-range"),
 ])
 def test_bad_learner_value_exits_2_naming_it(pima_csv, tmp_path, capsys, learner, key, value):
     cfg = tmp_path / "cfg.json"

@@ -3,9 +3,9 @@
 The references below are that code: the MLP's per-parameter Adam loop over
 `loss_and_grads` as it was written (softmax by axis reductions, relu
 gradient zeroed by a mask), the split criteria's nested `np.where` masks, the
-two-branch sigmoid and the logistic regression's Newton loop as it was
-written, the GA wrapper fitness that re-takes every fold from the masked
-table for each mask, the random forest grown on duplicated bootstrap rows,
+two-branch sigmoid and the logistic regression's Newton loop on one table
+as it was written, the GA wrapper fitness that re-takes every fold from the
+masked table for each mask and fits it alone, the random forest grown on duplicated bootstrap rows,
 both boosters fitting each round's tree with `fit_trees`, and the split's
 partition by a running count of left rows. Hypothesis properties compare them
 with the fast kernels on small inputs. The SMO solver has no reference: its
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from stackga import genetic
 from stackga.dataset import Dataset, Schema, select_features
-from stackga.genetic import (GaConfig, evolve, folds_accuracy, run_ga, wrapper_folds,
+from stackga.genetic import (GaConfig, evolve, mask_accuracies, run_ga, wrapper_folds,
                              wrapper_plan)
 from stackga.learners import LearnerSpec, predict, train
 from stackga.learners import adaboost, boosting, linear, mlp
@@ -36,7 +36,7 @@ from stackga.learners.mlp import MlpClassifier
 from stackga.learners.svm import SmoSvm
 from stackga.learners.tree import ClassificationTree, RegressionTree
 
-from support import fitness, svm_gap
+from support import batched, fitness, svm_gap
 
 
 def same_bits(a, b):
@@ -186,8 +186,8 @@ def wrapper_cv_accuracy_reference(ds, wrapper, plan):
 
 def run_ga_reference(config, ds, wrapper, cv_k):
     plan = wrapper_plan(ds, cv_k, config.seed)
-    return evolve(config, lambda bits: wrapper_cv_accuracy_reference(
-        select_features(ds, np.flatnonzero(bits)), wrapper, plan))
+    return evolve(config, batched(lambda bits: wrapper_cv_accuracy_reference(
+        select_features(ds, np.flatnonzero(bits)), wrapper, plan)))
 
 
 def forest_tree_pickles_reference(forest, X, y, rng):
@@ -424,6 +424,63 @@ def test_logistic_fit_equals_the_reference_newton_loop(data, reg, max_iter):
     assert type(lr.intercept_) is type(b)
 
 
+@st.composite
+def stacks(draw):
+    """(X, y): a stack of 1-6 tables (B, n, d) on one set of labels, each
+    table on its own scales; some with a constant column, some with labels
+    one column separates (no reg_strength stops those short of max_iter)."""
+    B, n, d = draw(st.integers(1, 6)), draw(st.integers(4, 50)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(size=(B, n, d)) * rng.uniform(0.1, 50, size=(B, 1, d)) \
+        + rng.normal(0, 20, size=(B, 1, d))
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    for i in range(B):
+        kind = draw(st.sampled_from(["plain", "constant", "separable"]))
+        if kind == "constant":
+            X[i, :, draw(st.integers(0, d - 1))] = 7.0
+        elif kind == "separable":
+            X[i, :, 0] = np.where(y == 1, 1.0, -1.0) * rng.uniform(1, 2, n)
+    return X, y
+
+
+@given(data=stacks(), reg=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+       max_iter=st.integers(1, 12))
+def test_stacked_fits_equal_the_per_table_reference(data, reg, max_iter):
+    """Each system of a stacked Newton solve stops on its own test and keeps
+    the bits of the reference loop on its table alone."""
+    X, y = data
+    scaler = linear.Standardizing()
+    W, b, steps = linear.newton(scaler._fit_scale(X), y, reg, max_iter, 1e-6)
+    assert (steps <= max_iter).all()  # none for a constant table on balanced labels
+    for i in range(len(X)):
+        w_ref, b_ref = logistic_fit_reference(X[i], y, reg_strength=reg, max_iter=max_iter)
+        assert same_bits(scaler.mean_[i], X[i].mean(axis=0))
+        assert same_bits(scaler.scale_[i], np.maximum(X[i].std(axis=0), 1e-12))
+        assert same_bits(W[i], w_ref)
+        assert same_bits(b[i], np.float64(b_ref))
+    held = X[:, ::-1] * 1.5 + 0.25
+    lr = LogisticRegression(reg_strength=reg, max_iter=max_iter)
+    labels = lr.stack_labels(X, y, np.ascontiguousarray(held))
+    for i in range(len(X)):
+        alone = LogisticRegression(reg_strength=reg, max_iter=max_iter).fit(X[i], y)
+        assert same_bits(labels[i], alone.predict_proba(held[i])[:, 1] > 0.5)
+
+
+def test_stacked_systems_stop_at_their_own_iteration():
+    """A stack whose systems stop after different step counts, one of them
+    at max_iter, each equal to the reference."""
+    rng = np.random.default_rng(5)
+    y = np.arange(40) % 2
+    X = rng.normal(size=(3, 40, 2)) * [[[1.0, 30.0]], [[5.0, 0.2]], [[1.0, 1.0]]]
+    X[2, :, 0] = np.where(y == 1, 1.0, -1.0)  # separable: no stop before max_iter
+    W, b, steps = linear.newton(linear.Standardizing()._fit_scale(X), y, 0.0, 9, 1e-6)
+    assert len(set(steps.tolist())) > 1 and steps.max() == 9
+    for i in range(3):
+        w_ref, b_ref = logistic_fit_reference(X[i], y, reg_strength=0.0, max_iter=9)
+        assert same_bits(W[i], w_ref) and same_bits(b[i], np.float64(b_ref))
+
+
 # -- GA wrapper fitness ------------------------------------------------------
 
 def _dataset(X, y):
@@ -460,26 +517,31 @@ def test_run_ga_equals_the_per_mask_fold_reference(data, seed, cv_k, nind, subpo
 
 
 @given(data=tables(max_rows=30), seed=st.integers(0, 50))
-def test_folds_accuracy_equals_the_reference(data, seed):
-    """Every lone column, as `feature_report` scores them, and all columns
-    score as the reference does on the table masked first."""
+def test_mask_accuracies_equal_the_reference(data, seed):
+    """Every lone column, as `feature_report` scores them, and all columns,
+    in one batch, score as the reference does on the table masked first."""
     X, _ = data
     y = np.arange(len(X)) % 2
     ds = _dataset(X, y)
     plan = wrapper_plan(ds, 3, seed)
     wrapper = LearnerSpec("logistic_regression", {}, seed)
     folds = wrapper_folds(ds, plan)
-    for columns in [[i] for i in range(ds.n_features)] + [list(range(ds.n_features))]:
-        assert folds_accuracy(folds, wrapper, columns) == \
-            wrapper_cv_accuracy_reference(select_features(ds, columns), wrapper, plan)
+    masks = np.vstack([np.eye(ds.n_features, dtype=np.uint8),
+                       np.ones((1, ds.n_features), dtype=np.uint8)])
+    assert mask_accuracies(folds, wrapper, masks) == [
+        wrapper_cv_accuracy_reference(select_features(ds, np.flatnonzero(bits)), wrapper, plan)
+        for bits in masks]
 
 
-def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean):
-    """Each fold fit and prediction gets the rows, columns, bytes and memory
-    layout that masking the table first and then taking the fold gives."""
+@pytest.mark.parametrize("algorithm", ["logistic_regression", "gaussian_nb"])
+def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean, algorithm):
+    """Each fold fit and prediction, alone (`train`, `predict`) or as one
+    table of a stack (`LogisticRegression.stack_labels`), gets the rows,
+    columns, bytes and memory layout that masking the table first and then
+    taking the fold gives."""
     ds, _ = pima_split_clean
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 1], dtype=np.uint8)
-    wrapper = LearnerSpec("logistic_regression", {}, 4)
+    wrapper = LearnerSpec(algorithm, {}, 4)
     fits, scored = [], []
 
     def train_spy(spec, part, **kwargs):
@@ -490,8 +552,16 @@ def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean):
         scored.append(X)
         return predict(model, X)
 
+    stack_labels = LogisticRegression.stack_labels
+
+    def stack_spy(learner, X, y, X_held):
+        fits.extend(SimpleNamespace(features=a, labels=y) for a in X)
+        scored.extend(X_held)
+        return stack_labels(learner, X, y, X_held)
+
     with mock.patch.object(genetic, "train", train_spy), \
-            mock.patch.object(genetic, "predict", predict_spy):
+            mock.patch.object(genetic, "predict", predict_spy), \
+            mock.patch.object(LogisticRegression, "stack_labels", stack_spy):
         got = fitness(bits, ds, wrapper, cv_k=5, seed=3)
     plan = wrapper_plan(ds, 5, 3)
     masked = select_features(ds, np.flatnonzero(bits))
@@ -500,10 +570,12 @@ def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean):
     for fold, (part, X) in enumerate(zip(fits, scored)):
         want = masked.take(plan.train_indices(fold))
         held = masked.take(plan.test_indices(fold))
-        for a, b in ((part.features, want.features), (X, held.features),
-                     (part.labels, want.labels), (part.row_ids, want.row_ids)):
+        pairs = [(part.features, want.features), (X, held.features), (part.labels, want.labels)]
+        if algorithm != "logistic_regression":
+            pairs.append((part.row_ids, want.row_ids))
+            assert part.schema == want.schema
+        for a, b in pairs:
             assert same_bits(a, b) and a.strides == b.strides
-        assert part.schema == want.schema
 
 
 # -- tree ensembles and boosters -------------------------------------------------

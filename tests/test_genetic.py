@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from stackga import genetic, learners
+from stackga.config import load_config
 from stackga.dataset import Dataset, Schema
 from stackga.errors import ConfigError
 from stackga.genetic import (
@@ -22,10 +24,11 @@ from stackga.genetic import (
     roulette_select,
     run_ga,
 )
-from stackga.learners import LearnerSpec
-from stackga.rng import child_rng
+from stackga.learners import LearnerSpec, linear
+from stackga.pipeline import ga_mask, ga_wrapper_spec, holdout_partitions
+from stackga.rng import child_rng, derive_seed
 
-from support import fitness, make_single_informative
+from support import batched, fitness, make_single_informative
 
 ONEMAX_CFG = dict(n_bits=30, nind=20, subpop=5, maxgen=100, migr=0.2, insr=0.95, miggen=20)
 
@@ -260,13 +263,13 @@ class TestMigration:
 class TestEvolve:
     def test_onemax_reaches_optimum(self):
         cfg = GaConfig(seed=0, **ONEMAX_CFG)
-        run = evolve(cfg, onemax)
+        run = evolve(cfg, batched(onemax))
         assert run.best_fitness == 1.0
         assert run.best_chromosome.sum() == 30
 
     def test_constant_fitness_constant_history(self):
         cfg = GaConfig(n_bits=10, nind=10, subpop=2, maxgen=40, seed=3)
-        run = evolve(cfg, lambda bits: 0.5)
+        run = evolve(cfg, batched(lambda bits: 0.5))
         bests = {b for gen in run.history for b, _ in gen}
         assert bests == {0.5}
         assert len(run.history) <= 40
@@ -279,25 +282,25 @@ class TestEvolve:
             requested.append(bits.tobytes())
             return onemax(bits)
 
-        run = evolve(cfg, counted)
+        run = evolve(cfg, batched(counted))
         assert run.evaluations == len(requested) == len(set(requested))
         # every generation requests nind masks per subpopulation, so most are cache hits
         assert run.evaluations < cfg.nind * cfg.subpop * (1 + len(run.history))
 
     def test_per_subpop_best_monotone(self):
         cfg = GaConfig(seed=5, **ONEMAX_CFG)
-        run = evolve(cfg, onemax)
+        run = evolve(cfg, batched(onemax))
         hist = np.array(run.history)[:, :, 0]
         assert (np.diff(hist, axis=0) >= 0).all()
 
     def test_final_population_shape(self):
         cfg = GaConfig(n_bits=6, nind=8, subpop=3, maxgen=10, seed=2)
-        run = evolve(cfg, onemax)
+        run = evolve(cfg, batched(onemax))
         assert run.final_population.shape == (24, 6)
 
     def test_tie_break_prefers_fewer_bits(self):
         cfg = GaConfig(n_bits=6, nind=10, subpop=2, maxgen=15, seed=4)
-        run = evolve(cfg, lambda bits: 1.0)  # every mask ties
+        run = evolve(cfg, batched(lambda bits: 1.0))  # every mask ties
         assert run.best_chromosome.sum() == 1
 
 
@@ -319,6 +322,10 @@ class TestWrapperFitness:
         tr, _ = pima_split_clean
         with pytest.raises(ValueError):
             fitness(np.zeros(8, np.uint8), tr, LearnerSpec("knn", {}, 0))
+        folds = genetic.wrapper_folds(tr, genetic.wrapper_plan(tr, 3, 0))
+        with pytest.raises(ValueError, match="every mask must select at least one column"):
+            genetic.mask_accuracies(folds, LearnerSpec("logistic_regression", {}, 0),
+                                    np.vstack([np.eye(8), np.zeros((1, 8))]))
 
     def test_deterministic(self, pima_split_clean):
         tr, _ = pima_split_clean
@@ -346,13 +353,61 @@ class TestRunGa:
 
     def test_each_evaluation_fits_the_wrapper_once_per_fold(self, pima_split_clean,
                                                            monkeypatch):
+        """The mask table fits every mask on every fold once per run; batches
+        a generation at a time, and a wrapper that does not stack, fit each
+        evaluated mask once per fold."""
         tr, _ = pima_split_clean
-        fits = []
+        systems, fits = [], []
+        newton = linear.newton
+        monkeypatch.setattr(linear, "newton", lambda Z, *rest: (
+            systems.append(len(Z)), newton(Z, *rest))[1])
         monkeypatch.setattr(genetic, "train", lambda spec, ds: (
             fits.append(spec), learners.train(spec, ds))[1])
         cfg = GaConfig(n_bits=8, nind=6, subpop=2, maxgen=3, stall_generations=3, seed=2)
         run = run_ga(cfg, tr, LearnerSpec("logistic_regression", {}, 5), cv_k=3)
-        assert len(fits) == 3 * run.evaluations
+        assert sum(systems) == (2**8 - 1) * 3 and fits == []
+        assert run.table.shape == (2**8 - 1,) and run.evaluations < 2**8 - 1
+
+        systems.clear()
+        wide = make_single_informative(n=120, n_features=genetic.TABLE_BITS + 2, seed=4)
+        run = run_ga(replace(cfg, n_bits=wide.n_features), wide,
+                     LearnerSpec("logistic_regression", {}, 5), cv_k=3)
+        assert sum(systems) == 3 * run.evaluations and fits == [] and run.table is None
+
+        systems.clear()
+        run = run_ga(cfg, tr, LearnerSpec("gaussian_nb", {}, 5), cv_k=3)
+        assert len(fits) == 3 * run.evaluations and systems == [] and run.table is None
+
+    def test_table_best_breaks_ties_as_the_ga_does(self):
+        masks = genetic.all_masks(3)
+        assert masks[0].tolist() == [1, 0, 0] and masks[5].tolist() == [0, 1, 1]
+        assert (genetic._table_index(masks) == np.arange(7)).all()
+        table = np.array([0.5, 0.5, 0.9, 0.7, 0.9, 0.9, 0.9])  # masks 3, 5, 6 and 7 tie
+        best, ties = genetic.table_best(table, 3)
+        assert best.tolist() == [0, 1, 1] and ties == 4  # two bits, then the smaller pattern
+
+    def test_the_table_and_per_generation_batches_give_the_same_run(self):
+        """On the shipped holdout fit part, the run that reads the filled mask
+        table equals one that fits each generation's new masks as it goes;
+        the table's best mask under `_better`, one of 3 tied, is the GA's."""
+        cfg = load_config("configs/pima_holdout.json")
+        fit_ds, _ = holdout_partitions(cfg)
+        table_run = ga_mask(cfg, fit_ds, ("holdout",))
+        config = replace(cfg.ga_run_config, n_bits=fit_ds.n_features,
+                         seed=derive_seed(cfg.master_seed, "ga", "holdout"))
+        folds = genetic.wrapper_folds(fit_ds, genetic.wrapper_plan(fit_ds, cfg.ga.cv_folds,
+                                                                   config.seed))
+        wrapper = ga_wrapper_spec(cfg)
+        batched_run = evolve(config, lambda masks: genetic.mask_accuracies(folds, wrapper, masks))
+        assert table_run.table is not None and batched_run.table is None
+        for field in ("best_chromosome", "final_population"):
+            got, want = getattr(table_run, field), getattr(batched_run, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert table_run.best_fitness == batched_run.best_fitness
+        assert table_run.history == batched_run.history
+        assert table_run.evaluations == batched_run.evaluations
+        best, ties = genetic.table_best(table_run.table, fit_ds.n_features)
+        assert (best == table_run.best_chromosome).all() and ties == 3
 
     def test_a_fold_without_both_classes_fails_as_train_does(self):
         X = np.arange(12.0).reshape(6, 2)
@@ -364,7 +419,7 @@ class TestRunGa:
 
     def test_history_csv_layout(self):
         cfg = GaConfig(n_bits=6, nind=6, subpop=2, maxgen=5, stall_generations=50, seed=0)
-        run = evolve(cfg, onemax)
+        run = evolve(cfg, batched(onemax))
         lines = history_to_csv(run).strip().splitlines()
         assert lines[0] == "generation,subpop,best,mean"
         assert len(lines) == 1 + 2 * len(run.history)

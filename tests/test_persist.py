@@ -29,13 +29,15 @@ def test_truncated_artifact_is_a_config_error(tmp_path):
     assert str(path) in str(exc.value)
 
 
-def test_corrupt_bundle_loads_or_is_a_config_error(pima_like, tmp_path):
+def test_corrupt_bundle_loads_or_is_a_config_error(pima_like, tmp_path, monkeypatch):
     """200 seeded truncations and 200 one-bit flips of a small trained
     bundle, and one whose envelope lost its payload key: each load returns a
     payload or raises ConfigError, whatever the unpickler ran into."""
-    csv = tmp_path / "small.csv"
-    write_csv(pima_like.take(range(120)), csv, header=True)
-    d = light_config_dict(csv)
+    # the bundle records the dataset path as the config gives it: a relative
+    # one keeps its bytes, and so the damage below, the same in any directory
+    monkeypatch.chdir(tmp_path)
+    write_csv(pima_like.take(range(120)), "small.csv", header=True)
+    d = light_config_dict("small.csv")
     d["ga"]["enabled"] = False
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(d))
