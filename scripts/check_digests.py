@@ -101,6 +101,16 @@ CASES = {
             "feature_table.json": "07aae8c0080c59d447c2fbc0ee6a8909b87fd8fcee2016c9c245833909fb1419",
         },
     ),
+    # a wrapper without stacked fits: every fold fit runs a table at a time
+    "select_gaussian_nb": (
+        [["select", "--config", HOLDOUT, "--set", 'ga.wrapper={"algorithm": "gaussian_nb"}',
+          "--set", "ga.maxgen=10", "--out", "{out}", "-q"]],
+        {
+            "mask.json": "2456a1b73ef86d1ff1ad82c1913b665bad6b15c79a068c749a2781d2ecdeacb5",
+            "ga_history.csv": "5b3328af51f96873118850b20ce4caa7c52a9183f1dde89b9f4d70d9eb98508c",
+            "feature_table.json": "b7e2b2f41c0b6cb71b630085ec91521b18b9b8c948020c9c3089e346dec9a8cc",
+        },
+    ),
     # 16 features: more than the GA scores as one table, so its searches run a
     # generation at a time
     "select_wide": (

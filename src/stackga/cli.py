@@ -8,6 +8,7 @@ at runtime, 2 configuration error, 3 I/O or data error.
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -108,8 +109,15 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _say(args, message: str) -> None:
+    """Print `message` unless -q. A closed standard output (its reader has
+    gone) is pointed at os.devnull, and the command goes on as it would."""
     if not args.quiet:
-        print(message)
+        try:
+            print(message, flush=True)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _banner(args, cfg: ExperimentConfig) -> None:
@@ -316,11 +324,7 @@ def cmd_report(args) -> int:
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"{args.report}: not a report JSON ({e})") from None
     ext = {"json": "json", "csv": "csv", "markdown": "md"}[args.format]
-    out = Path(args.out) / f"report.{ext}"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_report(report, args.format), encoding="utf-8")
-    if not args.quiet:
-        print(f"wrote {out}")
+    _write(Path(args.out) / f"report.{ext}", render_report(report, args.format), args)
     return EXIT_OK
 
 

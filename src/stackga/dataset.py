@@ -384,33 +384,27 @@ def make_folds(ds: Dataset, k: int, stratified: bool = True, seed: int = 0) -> F
     return FoldPlan(k=k, assignments=assignments, stratified=stratified, seed=seed)
 
 
-def select_schema(schema: Schema, feature_indices) -> Schema:
-    """The schema of a table restricted to the given predictor columns, in
-    ascending order, with the label column last."""
-    idx = sorted(int(i) for i in feature_indices)
-    if not idx:
-        raise ValueError("at least one feature must be selected")
-    names = schema.predictor_names
-    kept = [names[i] for i in idx]
-    zero_missing = {
-        kept.index(names[i])
-        for i in schema.zero_missing_feature_indices
-        if i in idx
-    }
-    return Schema(
-        column_names=tuple(kept) + (schema.column_names[schema.label_column],),
-        label_column=len(kept),
-        missing_as_zero_columns=frozenset(zero_missing),
-    )
-
-
 def select_features(ds: Dataset, feature_indices) -> Dataset:
-    """Dataset restricted to the given predictor columns (mask application);
-    `None` keeps every column."""
+    """Dataset restricted to the given predictor columns (mask application),
+    in ascending order, with the label column last; `None` keeps every
+    column."""
     if feature_indices is None:
         return ds
     idx = sorted(int(i) for i in feature_indices)
+    if not idx:
+        raise ValueError("at least one feature must be selected")
+    names = ds.schema.predictor_names
+    kept = [names[i] for i in idx]
+    zero_missing = {
+        kept.index(names[i])
+        for i in ds.schema.zero_missing_feature_indices
+        if i in idx
+    }
+    schema = Schema(
+        column_names=tuple(kept) + (ds.schema.column_names[ds.schema.label_column],),
+        label_column=len(kept),
+        missing_as_zero_columns=frozenset(zero_missing),
+    )
     # C-ordered like every other table, so axis-0 reductions give the same
     # bits whether the mask or the rows were taken first
-    return Dataset(ds.features.take(idx, axis=1), ds.labels, select_schema(ds.schema, idx),
-                   ds.row_ids)
+    return Dataset(ds.features.take(idx, axis=1), ds.labels, schema, ds.row_ids)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, FoldPlan, make_folds, select_schema
+from .dataset import Dataset, FoldPlan, make_folds
 from .errors import ConfigError
-from .learners import ALGORITHMS, LearnerSpec, check_labels, predict, train
+from .learners import ALGORITHMS, LearnerSpec, check_finite, check_labels, stack_labels
 from .rng import child_rng, derive_seed
 
 #: the most features over which `run_ga` scores all 2**d - 1 masks before the
@@ -355,38 +355,17 @@ def mask_accuracies(folds, wrapper: LearnerSpec, masks) -> list:
     `wrapper_folds`: for each mask, what `train` and `predict` on each
     fold's masked columns give.
 
-    A wrapper that fits stacks of tables (logistic regression) fits the
-    masks of each popcount together, at most `STACK_CELLS` cells a stack,
-    once `train`'s label checks have passed and every held part is finite
-    (`predict_proba`'s check), each tested once per fold. Other wrappers,
-    and folds with a non-finite held value, go mask by mask through `train`
-    and `predict`, which raise what they raise.
+    Every fold's labels and held part are checked (`check_labels`,
+    `check_finite`) before any fit. Then `stack_labels` fits the masks of
+    each popcount on C-ordered stacks of their columns, at most
+    `STACK_CELLS` cells a stack: the layout of a table masked first.
     """
     masks = np.asarray(masks, dtype=bool)
     if not masks.any(axis=1).all():
         raise ValueError("every mask must select at least one column")
-    cls = ALGORITHMS[wrapper.algorithm][0]
-    if hasattr(cls, "stack_labels") and _stackable(folds, wrapper.algorithm):
-        correct = _stacked_correct(folds, cls(**wrapper.hyperparameters), masks)
-    else:
-        correct = [_fold_correct(folds, wrapper, np.flatnonzero(m)) for m in masks]
-    total = sum(held.n_samples for _, held in folds)
-    return [int(c) / total for c in correct]
-
-
-def _stackable(folds, algorithm: str) -> bool:
-    """Whether every held part is finite, after `check_labels` on every
-    fit part; a fold fails here first where mask by mask it would first."""
     for fit_part, held in folds:
-        check_labels(algorithm, fit_part.labels)
-        if not np.isfinite(held.features).all():
-            return False
-    return True
-
-
-def _stacked_correct(folds, learner, masks) -> np.ndarray:
-    """Correct held predictions per mask, the masks of a popcount fitted
-    together by `learner.stack_labels` on C-ordered stacks of their columns."""
+        check_labels(wrapper.algorithm, fit_part.labels)
+        check_finite(wrapper.algorithm, held.features)
     correct = np.zeros(len(masks), dtype=np.int64)
     sizes = masks.sum(axis=1)
     for fit_part, held in folds:
@@ -396,26 +375,12 @@ def _stacked_correct(folds, learner, masks) -> np.ndarray:
             per_stack = max(1, STACK_CELLS // (fit_part.n_samples * int(k)))
             for lo in range(0, rows.size, per_stack):
                 cols = columns[lo:lo + per_stack]
-                labels = learner.stack_labels(
-                    fit_part.features[:, cols].transpose(1, 0, 2).copy(), fit_part.labels,
-                    held.features[:, cols].transpose(1, 0, 2).copy())
+                labels = stack_labels(
+                    wrapper, fit_part.features[:, cols].transpose(1, 0, 2).copy(),
+                    fit_part.labels, held.features[:, cols].transpose(1, 0, 2).copy())
                 correct[rows[lo:lo + per_stack]] += (labels == held.labels).sum(axis=1)
-    return correct
-
-
-def _fold_correct(folds, wrapper: LearnerSpec, columns) -> int:
-    """Correct held predictions of `wrapper` trained on each fold's
-    ascending predictor `columns`. `take` copies the columns in C order, the
-    layout of rows taken from a masked table, so every fit and prediction
-    sees the same bits as one that masks the table first and then takes each
-    fold's rows."""
-    schema = select_schema(folds[0][0].schema, columns)
-    correct = 0
-    for fit_part, held in folds:
-        X = fit_part.features.take(columns, axis=1)
-        model = train(wrapper, Dataset(X, fit_part.labels, schema, fit_part.row_ids))
-        correct += int((predict(model, held.features.take(columns, axis=1)) == held.labels).sum())
-    return correct
+    total = sum(held.n_samples for _, held in folds)
+    return [int(c) / total for c in correct]
 
 
 def all_masks(n_bits: int) -> np.ndarray:

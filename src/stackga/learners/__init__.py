@@ -30,7 +30,9 @@ __all__ = [
     "LearnerSpec",
     "TrainedModel",
     "train",
+    "stack_labels",
     "check_labels",
+    "check_finite",
     "both_classes",
     "predict",
     "predict_proba",
@@ -173,6 +175,20 @@ def train(spec: LearnerSpec, ds: Dataset) -> TrainedModel:
     return TrainedModel(spec=spec, n_features_expected=ds.n_features, impl=impl)
 
 
+def stack_labels(spec: LearnerSpec, X, y, X_held) -> np.ndarray:
+    """Hard labels (B, m) on each table of `X_held` (B, m, d) of `spec`
+    fitted on the same table of `X` (B, n, d) with labels `y` (n,): what
+    `train` and then `predict` give on each pair, unchecked. A class with
+    its own `stack_labels` fits the whole stack at once, any other one table
+    at a time."""
+    cls = ALGORITHMS[spec.algorithm][0]
+    if hasattr(cls, "stack_labels"):
+        return cls(**spec.hyperparameters).stack_labels(X, y, X_held)
+    fitted = (cls(**spec.hyperparameters).fit(table, y, rng=child_rng(spec.seed, spec.algorithm))
+              for table in X)
+    return np.array([labels_from_proba(f.predict_proba(held)) for f, held in zip(fitted, X_held)])
+
+
 def _check_width(model: TrainedModel, X: np.ndarray):
     if X.ndim != 2 or X.shape[1] != model.n_features_expected:
         raise ValueError(
@@ -181,20 +197,20 @@ def _check_width(model: TrainedModel, X: np.ndarray):
         )
 
 
-def _check_finite(model: TrainedModel, X: np.ndarray):
+def check_finite(algorithm: str, X: np.ndarray):
+    """Raise a ValueError naming the first non-finite cell of `X`, which
+    `algorithm` cannot score."""
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(
-            f"{model.spec.algorithm} cannot score non-finite input: "
-            f"row {row}, column {col} is {X[row, col]}"
-        )
+        raise ValueError(f"{algorithm} cannot score non-finite input: "
+                         f"row {row}, column {col} is {X[row, col]}")
 
 
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
     """Per-row class probabilities, columns (P(class 0), P(class 1))."""
     X = np.asarray(X, dtype=np.float64)
     _check_width(model, X)
-    _check_finite(model, X)
+    check_finite(model.spec.algorithm, X)
     return model.impl.predict_proba(X)
 
 

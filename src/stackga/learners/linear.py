@@ -104,10 +104,9 @@ class LogisticRegression(Standardizing):
         return self
 
     def stack_labels(self, X, y, X_held) -> np.ndarray:
-        """Hard labels (B, m) on each table of the stack `X_held` (B, m, d)
-        of this learner fitted on the same table of `X` (B, n, d) with the
-        labels `y` (n,); bit for bit what `fit` and then `predict` on each
-        pair of tables alone give. Both stacks must be C-ordered."""
+        """`learners.stack_labels` for this learner, the whole stack fitted
+        at once: bit for bit what `fit` and then `predict` on each pair of
+        tables alone give. Both stacks must be C-ordered."""
         scaler = Standardizing()
         W, b, _ = newton(scaler._fit_scale(X), y, self.reg_strength, self.max_iter, self.tol)
         return _sigmoid(np.matmul(scaler._scale(X_held), W[:, :, None])[:, :, 0] + b[:, None]) > 0.5

@@ -1,9 +1,10 @@
 """Single-hidden-layer perceptron: relu units, softmax output, Adam updates.
 
 The step size adapts by halving whenever two consecutive epochs fail to
-reduce the full-set training loss. `loss_and_grads` is the exact analytic
-gradient used by the optimizer, kept as a standalone method so it can be
-checked against finite differences.
+reduce the full-set training loss. The gradient has one implementation,
+`_grads_into`, which `fit` runs on each batch; `loss_and_grads` calls it
+(and `_loss`) on a dict of parameters, so a finite-difference check of
+`loss_and_grads` checks the kernel that trains.
 
 `fit` keeps W1, b1, W2 and b2 as views into one flat parameter vector and
 writes each batch's gradients into views of one flat gradient vector, so
@@ -37,10 +38,10 @@ def _views(flat, shapes):
 
 
 def _grads_into(params, X, y, rows, grads):
-    """`loss_and_grads`' gradients for one batch, written into `grads`.
+    """The gradients of the batch's mean cross-entropy, written into
+    `grads`; the loss itself is not computed.
 
     `params` and `grads` are (W1, b1, W2, b2); `rows` is `arange(len(X))`.
-    The loss itself is not computed.
     """
     W1, b1, W2, b2 = params
     gW1, gb1, gW2, gb2 = grads
@@ -67,12 +68,17 @@ def _grads_into(params, X, y, rows, grads):
     dh.sum(axis=0, out=gb1)
 
 
-def _loss(params, X, y, rows):
-    """`loss_and_grads`' loss alone: a forward pass, no gradients."""
+def _forward(params, Z):
+    """Class probabilities (n, 2) of the (W1, b1, W2, b2) network on the
+    standardized rows `Z`."""
     W1, b1, W2, b2 = params
-    h = np.maximum(X @ W1 + b1, 0.0)
-    probs = _softmax(h @ W2 + b2)
-    return -np.mean(np.log(probs[rows, y] + 1e-12))
+    h = np.maximum(Z @ W1 + b1, 0.0)
+    return _softmax(h @ W2 + b2)
+
+
+def _loss(params, X, y, rows):
+    """The batch's mean cross-entropy: a forward pass, no gradients."""
+    return -np.mean(np.log(_forward(params, X)[rows, y] + 1e-12))
 
 
 class MlpClassifier(Standardizing):
@@ -101,26 +107,13 @@ class MlpClassifier(Standardizing):
 
     @staticmethod
     def loss_and_grads(params, X, y):
-        """Mean cross-entropy over the batch and its exact parameter gradients."""
-        W1, b1, W2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
-        n = X.shape[0]
-        a = X @ W1 + b1
-        h = np.maximum(a, 0.0)
-        probs = _softmax(h @ W2 + b2)
-        eps = 1e-12
-        loss = -np.mean(np.log(probs[np.arange(n), y] + eps))
-        dlogits = probs.copy()
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        grads = {
-            "W2": h.T @ dlogits,
-            "b2": dlogits.sum(axis=0),
-        }
-        dh = dlogits @ W2.T
-        dh *= a > 0
-        grads["W1"] = X.T @ dh
-        grads["b1"] = dh.sum(axis=0)
-        return loss, grads
+        """Mean cross-entropy over the batch and its exact parameter
+        gradients, from the kernels `fit` runs, on a dict of parameters."""
+        values = [params[k] for k in _NAMES]
+        grads = [np.empty_like(p) for p in values]
+        rows = np.arange(X.shape[0])
+        _grads_into(values, X, y, rows, grads)
+        return _loss(values, X, y, rows), dict(zip(_NAMES, grads))
 
     def fit(self, X, y, rng=None):
         rng = rng or np.random.default_rng(0)
@@ -178,5 +171,4 @@ class MlpClassifier(Standardizing):
         return self
 
     def predict_proba(self, X):
-        h = np.maximum(self._scale(X) @ self.params_["W1"] + self.params_["b1"], 0.0)
-        return _softmax(h @ self.params_["W2"] + self.params_["b2"])
+        return _forward([self.params_[k] for k in _NAMES], self._scale(X))

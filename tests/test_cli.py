@@ -1,6 +1,10 @@
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from stackga.persist import load_artifact, save_artifact
 from stackga.pipeline import holdout_partitions
 
 from test_pipeline import light_config_dict
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -101,6 +107,25 @@ class TestSelect:
         run_cli("select", "--config", cfg_path, "--out", o1, "-q")
         run_cli("select", "--config", cfg_path, "--out", o2, "-q")
         assert (o1 / "mask.json").read_bytes() == (o2 / "mask.json").read_bytes()
+
+    def test_closed_stdout_still_writes_every_file(self, cfg_path, tmp_path):
+        """A reader that has gone (`stackga select -v | head -0`) costs the
+        lines it would have read, not the command's files or exit code."""
+        out = tmp_path / "sel"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "stackga.cli", "select", "--config", str(cfg_path),
+                 "--out", str(out), "-v"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": str(SRC)})
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert {p.name for p in out.iterdir()} == {"mask.json", "ga_history.csv",
+                                                   "feature_table.json"}
 
     def test_feature_table_written(self, cfg_path, tmp_path):
         out = tmp_path / "sel"
@@ -245,12 +270,15 @@ class TestTrainEval:
         assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
         fits = []
 
-        def counted(*args, **kwargs):
-            fits.append(args[0])
-            return learners.train(*args, **kwargs)
+        def counted(fit):
+            def spy(*args, **kwargs):
+                fits.append(args[0])
+                return fit(*args, **kwargs)
+            return spy
 
-        for module in (learners, pipeline, stacking, genetic):
-            monkeypatch.setattr(module, "train", counted)
+        for module in (learners, pipeline, stacking):
+            monkeypatch.setattr(module, "train", counted(learners.train))
+        monkeypatch.setattr(genetic, "stack_labels", counted(learners.stack_labels))
         assert run_cli("eval", "--config", cfg_path, "--model", out / "model.pkl",
                        "--out", out, "-q") == 0
         assert fits == []

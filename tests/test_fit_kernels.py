@@ -25,7 +25,7 @@ from stackga import genetic
 from stackga.dataset import Dataset, Schema, select_features
 from stackga.genetic import (GaConfig, evolve, mask_accuracies, run_ga, wrapper_folds,
                              wrapper_plan)
-from stackga.learners import LearnerSpec, predict, train
+from stackga.learners import LearnerSpec, predict, stack_labels, train
 from stackga.learners import adaboost, boosting, linear, mlp
 from stackga.learners import tree as tree_module
 from stackga.learners.adaboost import AdaBoost
@@ -311,22 +311,6 @@ def test_mlp_fit_equals_the_per_parameter_adam_loop(data, hidden, batch, epochs,
 
 
 @given(data=tables(), hidden=st.integers(1, 12), seed=st.integers(0, 99))
-def test_fused_gradients_equal_loss_and_grads(data, hidden, seed):
-    X, y = data
-    params = MlpClassifier(hidden_units=hidden)._init_params(X.shape[1],
-                                                             np.random.default_rng(seed))
-    shapes = [params[k].shape for k in ("W1", "b1", "W2", "b2")]
-    flat = np.concatenate([params[k].ravel() for k in ("W1", "b1", "W2", "b2")])
-    grad = np.full_like(flat, np.nan)
-    grads = mlp._views(grad, shapes)
-    mlp._grads_into(mlp._views(flat, shapes), X, y, np.arange(len(y)), grads)
-    loss, want = MlpClassifier.loss_and_grads(params, X, y)
-    for k, got in zip(("W1", "b1", "W2", "b2"), grads):
-        assert same_bits(got, want[k]), k
-    assert same_bits(mlp._loss(mlp._views(flat, shapes), X, y, np.arange(len(y))), loss)
-
-
-@given(data=tables(), hidden=st.integers(1, 12), seed=st.integers(0, 99))
 def test_loss_and_grads_equal_the_masked_reference_but_for_zero_signs(data, hidden, seed):
     """The multiply that zeroes the relu gradient may leave -0.0 where the
     mask left +0.0; only the sign of an exactly zero entry can differ."""
@@ -516,15 +500,18 @@ def test_run_ga_equals_the_per_mask_fold_reference(data, seed, cv_k, nind, subpo
     assert same_bits(got.final_population, want.final_population)
 
 
-@given(data=tables(max_rows=30), seed=st.integers(0, 50))
-def test_mask_accuracies_equal_the_reference(data, seed):
+@given(data=tables(max_rows=30), seed=st.integers(0, 50),
+       algorithm=st.sampled_from(["logistic_regression", "gaussian_nb", "decision_tree"]))
+def test_mask_accuracies_equal_the_reference(data, seed, algorithm):
     """Every lone column, as `feature_report` scores them, and all columns,
-    in one batch, score as the reference does on the table masked first."""
+    in one batch, score as the reference does on the table masked first,
+    whether the wrapper fits the stack at once or a table at a time (a
+    decision tree draws its features from `train`'s generator)."""
     X, _ = data
     y = np.arange(len(X)) % 2
     ds = _dataset(X, y)
     plan = wrapper_plan(ds, 3, seed)
-    wrapper = LearnerSpec("logistic_regression", {}, seed)
+    wrapper = LearnerSpec(algorithm, {}, seed)
     folds = wrapper_folds(ds, plan)
     masks = np.vstack([np.eye(ds.n_features, dtype=np.uint8),
                        np.ones((1, ds.n_features), dtype=np.uint8)])
@@ -535,33 +522,20 @@ def test_mask_accuracies_equal_the_reference(data, seed):
 
 @pytest.mark.parametrize("algorithm", ["logistic_regression", "gaussian_nb"])
 def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean, algorithm):
-    """Each fold fit and prediction, alone (`train`, `predict`) or as one
-    table of a stack (`LogisticRegression.stack_labels`), gets the rows,
-    columns, bytes and memory layout that masking the table first and then
-    taking the fold gives."""
+    """Each fold fit and prediction, as one table of a stack
+    (`learners.stack_labels`), gets the rows, columns, bytes and memory
+    layout that masking the table first and then taking the fold gives."""
     ds, _ = pima_split_clean
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 1], dtype=np.uint8)
     wrapper = LearnerSpec(algorithm, {}, 4)
     fits, scored = [], []
 
-    def train_spy(spec, part, **kwargs):
-        fits.append(part)
-        return train(spec, part, **kwargs)
-
-    def predict_spy(model, X):
-        scored.append(X)
-        return predict(model, X)
-
-    stack_labels = LogisticRegression.stack_labels
-
-    def stack_spy(learner, X, y, X_held):
+    def stack_spy(spec, X, y, X_held):
         fits.extend(SimpleNamespace(features=a, labels=y) for a in X)
         scored.extend(X_held)
-        return stack_labels(learner, X, y, X_held)
+        return stack_labels(spec, X, y, X_held)
 
-    with mock.patch.object(genetic, "train", train_spy), \
-            mock.patch.object(genetic, "predict", predict_spy), \
-            mock.patch.object(LogisticRegression, "stack_labels", stack_spy):
+    with mock.patch.object(genetic, "stack_labels", stack_spy):
         got = fitness(bits, ds, wrapper, cv_k=5, seed=3)
     plan = wrapper_plan(ds, 5, 3)
     masked = select_features(ds, np.flatnonzero(bits))
@@ -570,11 +544,8 @@ def test_fold_fits_and_predictions_see_the_reference_tables(pima_split_clean, al
     for fold, (part, X) in enumerate(zip(fits, scored)):
         want = masked.take(plan.train_indices(fold))
         held = masked.take(plan.test_indices(fold))
-        pairs = [(part.features, want.features), (X, held.features), (part.labels, want.labels)]
-        if algorithm != "logistic_regression":
-            pairs.append((part.row_ids, want.row_ids))
-            assert part.schema == want.schema
-        for a, b in pairs:
+        for a, b in [(part.features, want.features), (X, held.features),
+                     (part.labels, want.labels)]:
             assert same_bits(a, b) and a.strides == b.strides
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stackga import genetic, learners
+from stackga import genetic
 from stackga.config import load_config
 from stackga.dataset import Dataset, Schema
 from stackga.errors import ConfigError
@@ -25,6 +25,7 @@ from stackga.genetic import (
     run_ga,
 )
 from stackga.learners import LearnerSpec, linear
+from stackga.learners.naive_bayes import GaussianNB
 from stackga.pipeline import ga_mask, ga_wrapper_spec, holdout_partitions
 from stackga.rng import child_rng, derive_seed
 
@@ -327,6 +328,19 @@ class TestWrapperFitness:
             genetic.mask_accuracies(folds, LearnerSpec("logistic_regression", {}, 0),
                                     np.vstack([np.eye(8), np.zeros((1, 8))]))
 
+    @pytest.mark.parametrize("algorithm", ["logistic_regression", "gaussian_nb"])
+    def test_a_non_finite_cell_fails_before_any_fit(self, algorithm, recwarn):
+        """The error names the cell's column in the table, not in a mask's
+        columns, and no fold fit runs on it to warn about overflow."""
+        ds = make_single_informative(n=40, n_features=4, seed=3)
+        X = ds.features.copy()
+        X[7, 3] = np.inf
+        ds = Dataset(X, ds.labels, ds.schema)
+        config = GaConfig(n_bits=4, nind=4, subpop=2, maxgen=2, seed=1)
+        with pytest.raises(ValueError, match=r"non-finite input: row \d+, column 3 is inf"):
+            run_ga(config, ds, LearnerSpec(algorithm, {}, 0), cv_k=3)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_deterministic(self, pima_split_clean):
         tr, _ = pima_split_clean
         wrapper = LearnerSpec("logistic_regression", {}, 5)
@@ -361,8 +375,9 @@ class TestRunGa:
         newton = linear.newton
         monkeypatch.setattr(linear, "newton", lambda Z, *rest: (
             systems.append(len(Z)), newton(Z, *rest))[1])
-        monkeypatch.setattr(genetic, "train", lambda spec, ds: (
-            fits.append(spec), learners.train(spec, ds))[1])
+        gaussian_fit = GaussianNB.fit
+        monkeypatch.setattr(GaussianNB, "fit", lambda self, *args, **kwargs: (
+            fits.append(self), gaussian_fit(self, *args, **kwargs))[1])
         cfg = GaConfig(n_bits=8, nind=6, subpop=2, maxgen=3, stall_generations=3, seed=2)
         run = run_ga(cfg, tr, LearnerSpec("logistic_regression", {}, 5), cv_k=3)
         assert sum(systems) == (2**8 - 1) * 3 and fits == []
