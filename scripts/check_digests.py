@@ -81,8 +81,14 @@ CASES = {
         },
     ),
     "xval_k5": (
-        [["xval", "--config", XVAL, "--set", "split.ks=[5]", "--out", "{out}", "-q"]],
-        {"report.json": "41f9907613fb6d222905c794a970df03a138b88c32883ec75ee5ed3bab9c84f0"},
+        [["xval", "--config", XVAL, "--set", "split.ks=[5]", "--out", "{out}", "-q"]]
+        + [["report", "--report", "{out}/report.json", "--format", fmt, "--out", "{out}", "-q"]
+           for fmt in ("markdown", "csv")],
+        {
+            "report.json": "41f9907613fb6d222905c794a970df03a138b88c32883ec75ee5ed3bab9c84f0",
+            "report.md": "dde90439623287750935135fb77572d1edc3523745cdd98bb642504cb51e47b9",
+            "report.csv": "2b786f434efc6938103a998c4f3b47940a2c7c077b5f223466af3af6d9e8a7b9",
+        },
     ),
     "xval_k5_paper_faithful": (
         [["xval", "--config", XVAL, "--set", "split.ks=[5]", "--set",

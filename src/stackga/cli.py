@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .config import (
@@ -42,6 +41,7 @@ from .pipeline import (
     single_names,
     train_group,
 )
+from .records import to_plain
 from .report import parse_report, render_report
 from .rng import derive_seed
 
@@ -214,7 +214,7 @@ def cmd_select(args) -> int:
     table = feature_report(cleaned, ga_wrapper_spec(cfg), run, cv_k=cfg.ga.cv_folds,
                            seed=derive_seed(cfg.master_seed, "ga", "select"))
     _write(out / "feature_table.json",
-           json.dumps([asdict(r) for r in table], indent=2) + "\n", args)
+           json.dumps(to_plain(table), indent=2) + "\n", args)
     _say(args, f"selected {len(mask['selected'])} features: {', '.join(mask['selected'])}")
     return EXIT_OK
 
@@ -321,7 +321,7 @@ def cmd_report(args) -> int:
     text = Path(args.report).read_text(encoding="utf-8")
     try:
         report = parse_report(text)
-    except (KeyError, ValueError, TypeError) as e:
+    except (ConfigError, ValueError) as e:
         raise ConfigError(f"{args.report}: not a report JSON ({e})") from None
     ext = {"json": "json", "csv": "csv", "markdown": "md"}[args.format]
     _write(Path(args.out) / f"report.{ext}", render_report(report, args.format), args)

@@ -1,9 +1,10 @@
 """Experiment configuration: a versioned, human-editable JSON file.
 
 Each section's dataclass is the only statement of its keys: parsing, the
-echo and the hash are derived from its fields. `config_from_dict` checks
-every value when the config loads and names a bad one as `section.key`, so
-a bad config fails before any data is read. The GA knobs are
+echo and the hash are derived from its fields. `config_from_dict` reads the
+file with `records.from_plain`, which checks every key and value and names a
+bad one as `section.key`, then checks the values' ranges (a k in `split.ks`
+at most once), so a bad config fails before any data is read. The GA knobs are
 `genetic.GaConfig`'s fields, checked by building a GaConfig; the stack
 settings are checked by building the StackSpec a run would train.
 `apply_overrides` implements the CLI's repeatable `--set dotted.path=value`
@@ -13,14 +14,13 @@ flag, which may only touch keys that already exist in the resolved config.
 import copy
 import hashlib
 import json
-from dataclasses import (MISSING, dataclass, field, fields, is_dataclass, make_dataclass,
-                         replace)
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from .dataset import Schema
 from .errors import ConfigError, DataError
 from .genetic import GaConfig
-from .learners import ALGORITHMS, LearnerSpec
-from .records import to_plain
+from .learners import LearnerSpec
+from .records import from_plain, require_keys, to_plain
 from .rng import derive_seed
 from .stacking import StackSpec
 
@@ -122,77 +122,20 @@ class ExperimentConfig:
         return GaConfig(n_bits=len(self.dataset.columns) - 1, **knobs)
 
 
-def _require_keys(d: dict, allowed, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {d!r}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
-
-
-#: the JSON values each field annotation accepts; a bool is not a number
-_JSON_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    tuple: ((list, tuple), "a list"),
-    dict: ((dict,), "an object"),
-}
-
-
-def _parse_section(d: dict, cls, where: str):
-    """`cls` from the JSON object `d`, each value checked against its field;
-    `where` is the section's name, empty at the top level."""
-    _require_keys(d, [f.name for f in fields(cls)], where or "config")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in d:
-            key = f"{where}.{f.name}" if where else f.name
-            kwargs[f.name] = _field_value(d[f.name], f, key, kwargs)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where or 'config'}: missing required key {f.name!r}")
-    return cls(**kwargs)
-
-
-def _field_value(value, f, where: str, section: dict):
-    """`value` for field `f`, checked; lists become tuples. `section` holds
-    the section's earlier fields."""
-    if value is None and f.default is None:
-        return None
-    if is_dataclass(f.type):
-        return _parse_section(value, f.type, where)
-    parse = f.metadata.get("parse")
-    if parse is not None and f.type is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        return tuple(parse(v, f"{where}[{i}]", section) for i, v in enumerate(value))
-    if parse is not None:
-        return parse(value, where, section)
-    types, name = _JSON_TYPES[f.type]
-    if isinstance(value, bool) != (f.type is bool) or not isinstance(value, types):
-        raise ConfigError(f"{where} must be {name}, got {value!r}")
-    return tuple(value) if f.type is tuple else value
-
-
 def _learner_entry(entry, where: str) -> dict:
     if isinstance(entry, str):
         entry = {"algorithm": entry}
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an algorithm name or object")
-    _require_keys(entry, ("algorithm", "hyperparameters"), where)
+    require_keys(entry, ("algorithm", "hyperparameters"), where)
     if "algorithm" not in entry:
         raise ConfigError(f"{where}: missing 'algorithm'")
-    if not isinstance(entry["algorithm"], str) or entry["algorithm"] not in ALGORITHMS:
-        raise ConfigError(
-            f"{where}: unknown algorithm {entry['algorithm']!r}; choose from {sorted(ALGORITHMS)}"
-        )
     hyperparameters = entry.get("hyperparameters", {})
     if not isinstance(hyperparameters, dict):
         raise ConfigError(f"{where}.hyperparameters must be an object, got {hyperparameters!r}")
     out = {"algorithm": entry["algorithm"], "hyperparameters": dict(hyperparameters)}
     try:
-        LearnerSpec(out["algorithm"], out["hyperparameters"])  # check the hyperparameters now
+        LearnerSpec(out["algorithm"], out["hyperparameters"])  # check the entry now
     except ConfigError as e:
         raise ConfigError(f"{where}: {e}") from None
     return out
@@ -222,7 +165,7 @@ def _prefixed(section: str, check) -> None:
 def config_from_dict(d: dict) -> ExperimentConfig:
     if isinstance(d, dict) and d.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {d.get('version')!r}")
-    cfg = _parse_section(d, ExperimentConfig, "")
+    cfg = from_plain(ExperimentConfig, d, "")
     if len(cfg.dataset.columns) < 2 or not all(isinstance(c, str) for c in cfg.dataset.columns):
         raise ConfigError(f"dataset.columns must name a label and at least one predictor, "
                           f"got {list(cfg.dataset.columns)!r}")
@@ -241,6 +184,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                                for k in cfg.split.ks):
         raise ConfigError(f"split.ks must be a non-empty list of integers of at least 2, "
                           f"got {list(cfg.split.ks)!r}")
+    if len(set(cfg.split.ks)) < len(cfg.split.ks):
+        raise ConfigError(f"split.ks must not repeat a k, got {list(cfg.split.ks)!r}")
     if cfg.ga.cv_folds < 2:
         raise ConfigError(f"ga.cv_folds must be at least 2, got {cfg.ga.cv_folds!r}")
     _prefixed("ga", lambda: cfg.ga_run_config)
@@ -313,39 +258,25 @@ def apply_overrides(raw: dict, overrides) -> dict:
             value = raw_value
         parts = path.split(".")
         node = out
-        for i, part in enumerate(parts[:-1]):
-            node = _descend(node, part, path)
-        _assign(node, parts[-1], value, path)
+        for part in parts[:-1]:
+            node = node[_slot(node, part, path, f"{part!r} is not a section")]
+        node[_slot(node, parts[-1], path, "cannot assign into a scalar")] = value
     return out
 
 
-def _descend(node, part, path):
+def _slot(node, part, path, scalar_error):
+    """The key or list index of `node` that the dotted-path part `part`
+    names; `scalar_error` says why `node` cannot hold one."""
     if isinstance(node, list):
-        idx = _list_index(node, part, path)
-        return node[idx]
+        try:
+            idx = int(part)
+        except ValueError:
+            raise ConfigError(f"override {path!r}: {part!r} is not a list index") from None
+        if not 0 <= idx < len(node):
+            raise ConfigError(f"override {path!r}: index {idx} out of range")
+        return idx
     if isinstance(node, dict):
         if part not in node:
             raise ConfigError(f"override {path!r}: no such config key {part!r}")
-        return node[part]
-    raise ConfigError(f"override {path!r}: {part!r} is not a section")
-
-
-def _assign(node, part, value, path):
-    if isinstance(node, list):
-        node[_list_index(node, part, path)] = value
-    elif isinstance(node, dict):
-        if part not in node:
-            raise ConfigError(f"override {path!r}: no such config key {part!r}")
-        node[part] = value
-    else:
-        raise ConfigError(f"override {path!r}: cannot assign into a scalar")
-
-
-def _list_index(node, part, path):
-    try:
-        idx = int(part)
-    except ValueError:
-        raise ConfigError(f"override {path!r}: {part!r} is not a list index") from None
-    if not 0 <= idx < len(node):
-        raise ConfigError(f"override {path!r}: index {idx} out of range")
-    return idx
+        return part
+    raise ConfigError(f"override {path!r}: {scalar_error}")

@@ -130,7 +130,7 @@ class LearnerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; choose from {sorted(ALGORITHMS)}"
             )

@@ -192,6 +192,11 @@ def _scored_row(name: str, y_true, proba, error) -> tuple:
     return row, curve
 
 
+def _runs_ga(config: ExperimentConfig) -> bool:
+    """Whether a training group runs the GA: its mask is read only by the stack."""
+    return config.ga.enabled and config.stack.enabled
+
+
 def ga_wrapper_spec(config: ExperimentConfig) -> LearnerSpec:
     """The GA's wrapper learner, seeded from the master seed."""
     return learner_spec(config.ga.wrapper, derive_seed(config.master_seed, "ga-wrapper"))
@@ -206,17 +211,19 @@ def ga_mask(config: ExperimentConfig, ds: Dataset, seed_tags) -> GaRun:
 
 
 def train_group(config: ExperimentConfig, fit_ds: Dataset, ga_tags) -> GroupFit:
-    """The group's models fitted on `fit_ds`, the GA seeded from `ga_tags`;
-    a failure is returned as its exception. The singles and the GA are one
-    `run_tasks` list: the singles first, so the workers take them, and the GA
-    last, so this process starts with it. The stack follows on the GA's columns.
+    """The group's models fitted on `fit_ds`, the GA (run only for the stack)
+    seeded from `ga_tags`; a failure is returned as its exception. The singles
+    and the GA are one `run_tasks` list: the singles first, so the workers take
+    them, and the GA last, so this process starts with it. The stack follows
+    on the GA's columns.
     """
     tasks = [(train, learner_spec(entry, derive_seed(config.master_seed, "bench", i)), fit_ds)
              for i, entry in enumerate(config.learners)]
-    if config.ga.enabled:
+    with_ga = _runs_ga(config)
+    if with_ga:
         tasks.append((ga_mask, config, fit_ds, ga_tags))
     fits = run_tasks(_timed, tasks)
-    singles, ga = tuple(fits[:len(config.learners)]), fits[-1] if config.ga.enabled else None
+    singles, ga = tuple(fits[:len(config.learners)]), fits[-1] if with_ga else None
     ga_run, _, ga_error = ga or (None, 0.0, None)
     mask = None if ga_run is None else np.flatnonzero(ga_run.best_chromosome)
     stack = None
@@ -270,11 +277,11 @@ def ga_summary(ga_run: GaRun, ds: Dataset) -> GaSummary:
 def experiment_report(config: ExperimentConfig, timings: dict, rows=(), kfold_rows=(),
                       ga: GaSummary = None) -> Report:
     """The report of a run of `config`, its kind the split mode, with the
-    protocol's notes."""
+    protocol's notes and, when a GA ran, the GA's."""
     notes = [FAITHFUL_NOTE if config.protocol == "paper_faithful" else CLEAN_NOTE]
-    if config.ga.enabled and config.split.mode == "kfold":
+    if _runs_ga(config) and config.split.mode == "kfold":
         notes.append(KFOLD_GA_NOTES[config.protocol])
-    if config.ga.enabled:
+    if _runs_ga(config):
         notes.append(GA_REFERENCE_NOTE)
     return Report(kind=config.split.mode, protocol=config.protocol,
                   master_seed=config.master_seed, rows=tuple(rows),
@@ -363,18 +370,10 @@ def feature_report(ds: Dataset, wrapper: LearnerSpec, ga_run: GaRun,
     folds = wrapper_folds(ds, wrapper_plan(ds, cv_k, seed))
     lone = mask_accuracies(folds, wrapper, np.eye(ds.n_features, dtype=np.uint8))
     freq = ga_run.final_population.mean(axis=0)
-    best = ga_run.best_chromosome.astype(bool)
-    rows = []
-    for i, (name, acc) in enumerate(zip(ds.schema.predictor_names, lone)):
-        rows.append(
-            FeatureRow(
-                name=name,
-                single_feature_cv_accuracy=float(acc),
-                ga_selection_frequency=float(freq[i]),
-                in_best_mask=bool(best[i]),
-            )
-        )
-    return tuple(rows)
+    return tuple(FeatureRow(name=name, single_feature_cv_accuracy=float(acc),
+                            ga_selection_frequency=float(f), in_best_mask=bool(b))
+                 for name, acc, f, b in zip(ds.schema.predictor_names, lone, freq,
+                                            ga_run.best_chromosome))
 
 
 __all__ = [

@@ -1,7 +1,8 @@
 """Experiment reports: typed rows, canonical JSON, CSV and markdown views.
 
 JSON is the lossless canonical form; `parse_report(render_report(r, "json"))`
-reconstructs `r` exactly. Wall-clock timings are carried on the report but
+reconstructs `r` exactly, and refuses a report whose keys or values do not
+fit its fields. Wall-clock timings are carried on the report but
 excluded from rendering unless asked for, so rendered bytes are a pure
 function of (config, seed).
 """
@@ -66,8 +67,8 @@ class FeatureRow:
 
 @dataclass(frozen=True)
 class GaSummary:
-    mask: tuple
-    feature_names: tuple
+    mask: tuple[int, ...]
+    feature_names: tuple[str, ...]
     best_fitness: float
     generations: int
     evaluations: int
@@ -82,7 +83,7 @@ class Report:
     kfold_rows: tuple[KfoldRow, ...] = ()
     ga: GaSummary = None
     feature_table: tuple[FeatureRow, ...] = ()
-    notes: tuple = ()
+    notes: tuple[str, ...] = ()
     config_echo: dict = field(default_factory=dict)
     timings: dict = None
     version: int = REPORT_VERSION
@@ -94,10 +95,6 @@ def report_to_dict(report: Report, include_timings: bool = False) -> dict:
     if include_timings and timings is not None:
         d["timings"] = timings
     return {"version": d.pop("version"), **d}
-
-
-def report_from_dict(d: dict) -> Report:
-    return from_plain(Report, d)
 
 
 def _fmt(x, digits=4):
@@ -126,10 +123,7 @@ def _render_markdown(report: Report) -> str:
              "", f"protocol: `{report.protocol}` | master seed: {report.master_seed}", ""]
     if report.kind == "kfold":
         ks = sorted({r.k for r in report.kfold_rows})
-        names = []
-        for r in report.kfold_rows:
-            if r.name not in names:
-                names.append(r.name)
+        names = dict.fromkeys(r.name for r in report.kfold_rows)
         by = {(r.name, r.k): r for r in report.kfold_rows}
         lines.append("| Model | " + " | ".join(f"k={k}" for k in ks) + " |")
         lines.append("|" + "---|" * (len(ks) + 1))
@@ -176,5 +170,10 @@ def render_report(report: Report, fmt: str, include_timings: bool = False) -> st
 
 
 def parse_report(text: str) -> Report:
-    """Inverse of the JSON rendering."""
-    return report_from_dict(json.loads(text))
+    """Inverse of the JSON rendering. Invalid JSON raises a ValueError, and a
+    report of another version, or a bad key or value, a ConfigError that
+    names it, e.g. `report.rows[0].accuracy`."""
+    d = json.loads(text)
+    if isinstance(d, dict) and d.get("version", REPORT_VERSION) != REPORT_VERSION:
+        raise ConfigError(f"unsupported report version {d.get('version')!r}")
+    return from_plain(Report, d, "report")

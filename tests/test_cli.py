@@ -540,6 +540,35 @@ class TestReportCommand:
         p.write_text("{\"hello\": 1}")
         assert run_cli("report", "--report", p, "--format", "csv", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("path,value,named", [
+        (("rows", 0, "accuracy"), "x", "report.rows[0].accuracy must be a number, got 'x'"),
+        (("notes",), "abc", "report.notes must be a list, got 'abc'"),
+        (("master_seed",), "s", "report.master_seed must be an integer, got 's'"),
+        (("kind",), None, "report.kind must be a string, got None"),
+        (("version",), 99, "unsupported report version 99"),
+        (("ga", "feature_names", 1), 7, "report.ga.feature_names[1] must be a string, got 7"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_malformed_report_exits_2_naming_its_field(self, tmp_path, capsys, path, value,
+                                                       named, fmt):
+        shipped = Path(__file__).resolve().parents[1] / "out" / "holdout" / "report.json"
+        d = json.loads(shipped.read_text(encoding="utf-8"))
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        assert run_cli("report", "--report", p, "--format", fmt, "--out", tmp_path) == 2
+        assert capsys.readouterr().err == f"config error: {p}: not a report JSON ({named})\n"
+        assert not (tmp_path / f"report.{'md' if fmt == 'markdown' else fmt}").exists()
+
+    def test_invalid_json_report_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "x.json"
+        p.write_text("{\"kind\": ")
+        assert run_cli("report", "--report", p, "--format", "csv", "--out", tmp_path) == 2
+        assert f"{p}: not a report JSON (Expecting value" in capsys.readouterr().err
+
 
 class TestArgumentHandling:
     def test_unknown_command_exits_2(self):

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ class TestSpecValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
             LearnerSpec("perceptron_9000", {})
+
+    @pytest.mark.parametrize("algorithm", [["knn"], {"algorithm": "knn"}, None, 3])
+    def test_non_string_algorithm_is_unknown(self, algorithm):
+        with pytest.raises(ConfigError, match=f"^unknown algorithm {re.escape(repr(algorithm))};"):
+            LearnerSpec(algorithm)
 
     def test_unknown_hyperparameter(self):
         with pytest.raises(ConfigError, match="unknown hyperparameters"):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stackga import parallel, pipeline, stacking
 from stackga.cli import main
@@ -141,6 +143,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section,key,value", [
         ("split", "ks", []),
         ("split", "ks", [5, True]),
+        ("split", "ks", [3, 3]),
         (None, "master_seed", True),
         (None, "master_seed", 1.5),
         ("preprocessing", "iqr_multiplier", 0),
@@ -235,6 +238,17 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="key.path=value"):
             apply_overrides(config_to_dict(light_config), ["justakey"])
 
+    @pytest.mark.parametrize("override,message", [
+        ("learners.x.algorithm=mlp", "override 'learners.x.algorithm': 'x' is not a list index"),
+        ("learners.9=knn", "override 'learners.9': index 9 out of range"),
+        ("ga.turbo.x=1", "override 'ga.turbo.x': no such config key 'turbo'"),
+        ("master_seed.x=1", "override 'master_seed.x': cannot assign into a scalar"),
+        ("master_seed.x.y=1", "override 'master_seed.x.y': 'x' is not a section"),
+    ])
+    def test_bad_override_path_names_its_part(self, light_config, override, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            apply_overrides(config_to_dict(light_config), [override])
+
 
 class TestHoldout:
     def test_rows_and_stack_row(self, light_report):
@@ -326,6 +340,24 @@ class TestKfold:
             assert set(report.timings) == expected
             assert all(v >= 0 for v in report.timings.values())
             assert "timings" not in json.loads(render_report(report, "json"))
+
+    def test_no_ga_runs_without_a_stack_to_read_its_mask(self, pima_csv, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_ga(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_ga", counted)
+        d = light_config_dict(pima_csv)
+        d["split"] = {"mode": "kfold", "ks": [3], "stratified": True}
+        d["stack"]["enabled"] = False
+        report = run_kfold(config_from_dict(d))
+        assert calls == []
+        assert not any(key.startswith("ga") for key in report.timings)
+        assert report.notes == (pipeline.CLEAN_NOTE,)
+        assert [r.name for r in report.kfold_rows] == ["KNN", "D tree Classifier", "NB"]
 
     def test_leave_one_out_small(self, tmp_path):
         ds = make_single_informative(n=10, n_features=2, seed=0)
@@ -557,6 +589,35 @@ class TestRendering:
         text = render_report(report, "json", include_timings=True)
         assert parse_report(text) == report
         assert "timings" not in json.loads(render_report(report, "json"))
+
+    @given(st.data())
+    def test_any_rendered_report_parses_back_equal(self, data):
+        text = st.text(max_size=8)
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        metric = st.none() | number
+        model_row = st.builds(ModelRow, name=text, accuracy=metric, sensitivity=metric,
+                              specificity=metric, fscore=metric, f1=metric, auc=metric,
+                              status=text, error=st.none() | text)
+        kfold_row = st.builds(KfoldRow, name=text, k=st.integers(2, 20), mean_accuracy=metric,
+                              std=metric, fold_accuracies=st.lists(metric, max_size=5).map(tuple),
+                              status=text, error=st.none() | text)
+        ga = st.builds(GaSummary, mask=st.lists(st.integers(0, 1), max_size=8).map(tuple),
+                       feature_names=st.lists(text, max_size=4).map(tuple),
+                       best_fitness=number, generations=st.integers(0, 500),
+                       evaluations=st.integers(0, 5000))
+        feature_row = st.builds(FeatureRow, name=text, single_feature_cv_accuracy=number,
+                                ga_selection_frequency=number, in_best_mask=st.booleans())
+        report = data.draw(st.builds(
+            Report, kind=st.sampled_from(["holdout", "kfold"]), protocol=st.sampled_from(PROTOCOLS),
+            master_seed=st.integers(0, 2**63), rows=st.lists(model_row, max_size=3).map(tuple),
+            kfold_rows=st.lists(kfold_row, max_size=3).map(tuple), ga=st.none() | ga,
+            feature_table=st.lists(feature_row, max_size=3).map(tuple),
+            notes=st.lists(text, max_size=2).map(tuple),
+            config_echo=st.dictionaries(text, st.integers() | text, max_size=3),
+            timings=st.none() | st.dictionaries(text, number, max_size=3)))
+        include_timings = data.draw(st.booleans())
+        again = parse_report(render_report(report, "json", include_timings=include_timings))
+        assert again == (report if include_timings else dataclasses.replace(report, timings=None))
 
     def test_empty_report_renders(self):
         empty = Report(kind="holdout", protocol="clean", master_seed=0)
