@@ -1,12 +1,11 @@
 """Experiment configuration: a versioned, human-editable JSON file.
 
-Each section's dataclass is the only statement of its keys: parsing, the
-echo and the hash are derived from its fields. `config_from_dict` reads the
-file with `records.from_plain`, which checks every key and value and names a
-bad one as `section.key`, then checks the values' ranges (a k in `split.ks`
-at most once), so a bad config fails before any data is read. The GA knobs are
-`genetic.GaConfig`'s fields, checked by building a GaConfig; the stack
-settings are checked by building the StackSpec a run would train.
+Each section's dataclass is the one statement of its keys and, in their
+annotations, of their values: parsing, the echo and the hash derive from its
+fields. `config_from_dict` reads the file with `records.from_plain`, which
+names a bad value as `section.key`, then checks what no annotation states
+(the columns, `split.ks`), the GA knobs by building a GaConfig and the stack
+settings, enabled or not, by building the StackSpec a run would train.
 `apply_overrides` implements the CLI's repeatable `--set dotted.path=value`
 flag, which may only touch keys that already exist in the resolved config.
 """
@@ -15,18 +14,20 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, make_dataclass, replace
+from typing import Annotated, get_args
 
 from .dataset import Schema
 from .errors import ConfigError, DataError
 from .genetic import GaConfig
 from .learners import LearnerSpec
 from .records import from_plain, require_keys, to_plain
+from .report import Folds, Protocol, SplitMode
 from .rng import derive_seed
-from .stacking import StackSpec
+from .stacking import Level1FeatureKind, Level1Mode, StackSpec
 
 CONFIG_VERSION = 1
 
-PROTOCOLS = ("clean", "paper_faithful")
+PROTOCOLS = get_args(Protocol)
 
 #: GaConfig fields that each GA run sets (the dataset's width, a derived
 #: seed) instead of the config
@@ -41,7 +42,7 @@ COLUMNS = {"parse": lambda value, where, section: _column_index(value, section["
 @dataclass(frozen=True)
 class DatasetConfig:
     path: str
-    columns: tuple
+    columns: tuple[str, ...]
     label_column: int = field(metadata=COLUMNS)
     zero_as_missing: tuple = field(default=(), metadata=COLUMNS)
     has_header: bool = True
@@ -58,14 +59,14 @@ class DatasetConfig:
 class PreprocessConfig:
     impute: bool = True
     clip: bool = True
-    iqr_multiplier: float = 1.5
+    iqr_multiplier: Annotated[float, ("exclusiveMinimum", 0)] = 1.5
 
 
 @dataclass(frozen=True)
 class SplitConfig:
-    mode: str = "holdout"
-    train_fraction: float = 0.7
-    ks: tuple = (5, 10, 15)
+    mode: SplitMode = "holdout"
+    train_fraction: Annotated[float, ("exclusiveMinimum", 0), ("exclusiveMaximum", 1)] = 0.7
+    ks: tuple[Folds, ...] = (5, 10, 15)
     stratified: bool = True
 
 
@@ -76,9 +77,9 @@ class StackSettings:
     base: tuple = field(default=(), metadata=LEARNERS)
     meta: dict = field(default_factory=lambda: {"algorithm": "gradient_boosting",
                                                 "hyperparameters": {}}, metadata=LEARNERS)
-    level1_mode: str = "out_of_fold"
+    level1_mode: Level1Mode = "out_of_fold"
     level1_folds: int = 5
-    level1_feature_kind: str = "probability"
+    level1_feature_kind: Level1FeatureKind = "probability"
 
 
 GaSettings = make_dataclass(
@@ -86,7 +87,7 @@ GaSettings = make_dataclass(
     [("enabled", bool, True),
      ("wrapper", dict, field(default_factory=lambda: {"algorithm": "logistic_regression",
                                                       "hyperparameters": {}}, metadata=LEARNERS)),
-     ("cv_folds", int, 5)]
+     ("cv_folds", Folds, 5)]
     + [(f.name, f.type, f.default) for f in fields(GaConfig) if f.name not in _GA_RUN_FIELDS],
     frozen=True,
     namespace={"__module__": __name__,
@@ -108,7 +109,7 @@ class ExperimentConfig:
     learners: tuple = field(default=(), metadata=LEARNERS)
     stack: StackSettings = StackSettings()
     ga: GaSettings = GaSettings()
-    protocol: str = "clean"
+    protocol: Protocol = "clean"
     master_seed: int = 0
     report: ReportConfig = ReportConfig()
     version: int = CONFIG_VERSION
@@ -166,35 +167,20 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if isinstance(d, dict) and d.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {d.get('version')!r}")
     cfg = from_plain(ExperimentConfig, d, "")
-    if len(cfg.dataset.columns) < 2 or not all(isinstance(c, str) for c in cfg.dataset.columns):
+    if len(cfg.dataset.columns) < 2:
         raise ConfigError(f"dataset.columns must name a label and at least one predictor, "
                           f"got {list(cfg.dataset.columns)!r}")
     try:
         cfg.dataset.schema()
     except DataError as e:
         raise ConfigError(f"dataset: {e}") from None
-    if cfg.preprocessing.iqr_multiplier <= 0:
-        raise ConfigError(f"preprocessing.iqr_multiplier must be positive, "
-                          f"got {cfg.preprocessing.iqr_multiplier!r}")
-    if cfg.split.mode not in ("holdout", "kfold"):
-        raise ConfigError(f"split.mode must be 'holdout' or 'kfold', got {cfg.split.mode!r}")
-    if not 0 < cfg.split.train_fraction < 1:
-        raise ConfigError("split.train_fraction must lie strictly between 0 and 1")
-    if not cfg.split.ks or any(isinstance(k, bool) or not isinstance(k, int) or k < 2
-                               for k in cfg.split.ks):
-        raise ConfigError(f"split.ks must be a non-empty list of integers of at least 2, "
+    if not cfg.split.ks or len(set(cfg.split.ks)) < len(cfg.split.ks):
+        raise ConfigError(f"split.ks must list at least one k and none twice, "
                           f"got {list(cfg.split.ks)!r}")
-    if len(set(cfg.split.ks)) < len(cfg.split.ks):
-        raise ConfigError(f"split.ks must not repeat a k, got {list(cfg.split.ks)!r}")
-    if cfg.ga.cv_folds < 2:
-        raise ConfigError(f"ga.cv_folds must be at least 2, got {cfg.ga.cv_folds!r}")
     _prefixed("ga", lambda: cfg.ga_run_config)
-    if cfg.stack.enabled:
-        _prefixed("stack", lambda: stack_spec_from_config(cfg))
-    if cfg.protocol not in PROTOCOLS:
-        raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {cfg.protocol!r}")
     if not cfg.learners and not cfg.stack.enabled:
         raise ConfigError("config enables no learners and no stack; nothing to run")
+    _prefixed("stack", lambda: stack_spec_from_config(cfg))
     return cfg
 
 

@@ -50,7 +50,7 @@ class GaConfig:
     insr: float = 0.95
     subpop: int = 5
     miggen: int = 20
-    mutation_rate: float = None  # default 1/n_bits
+    mutation_rate: float | None = None  # default 1/n_bits
     crossover_rate: float = 0.9
     selective_pressure: float = 2.0
     stall_generations: int = 25

@@ -2,16 +2,18 @@
 
 `to_plain` walks a dataclass in field order: nested dataclasses become dicts
 and tuples become lists. `from_plain`, its checked inverse, reads every
-config and report: each key must be a field and each value of its field's
-JSON type (a bool is no number; None only where the default is None). Lists
-become tuples, objects the dataclass a field (or each item of a
-`tuple[Row, ...]` field) is annotated with, and a `parse` metadata hook reads
-its field's value (each item, for a tuple). A ConfigError names a bad value's
-path, e.g. `report.rows[0].accuracy`.
+config and report; a field's annotation states its allowed values. Each key
+must be a field and each value of its JSON type (a bool is no number; None
+only for `X | None`), one of a `Literal`'s values, inside an `Annotated`
+number's bounds. Lists become tuples, objects the annotated dataclass (or a
+`dict[str, X]`), and a `parse` metadata hook reads its field's value (each
+item, for a tuple). A ConfigError names a bad value's path, e.g.
+`report.rows[0].accuracy`.
 """
 
+import operator
 from dataclasses import MISSING, fields, is_dataclass
-from typing import get_args, get_origin
+from typing import Annotated, Literal, get_args, get_origin
 
 from .errors import ConfigError
 
@@ -24,6 +26,10 @@ _ACCEPTS = {
     tuple: ((list, tuple), "a list"),
     dict: ((dict,), "an object"),
 }
+
+#: the bounds an `Annotated[number, (keyword, limit), ...]` states: test, wording
+_BOUNDS = {"minimum": (operator.ge, "at least"), "exclusiveMinimum": (operator.gt, "greater than"),
+           "maximum": (operator.le, "at most"), "exclusiveMaximum": (operator.lt, "less than")}
 
 
 def to_plain(value):
@@ -54,29 +60,39 @@ def from_plain(cls, d, where: str):
     for f in fields(cls):
         if f.name in d:
             path = f"{where}.{f.name}" if where else f.name
-            kwargs[f.name] = _read(f.type, d[f.name], path, f.default is None,
-                                   f.metadata.get("parse"), kwargs)
+            kwargs[f.name] = _read(f.type, d[f.name], path, f.metadata.get("parse"), kwargs)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where or 'config'}: missing required key {f.name!r}")
     return cls(**kwargs)
 
 
-def _read(tp, value, path: str, nullable: bool, parse=None, section=None):
-    """`value` read as annotation `tp`: None if `nullable`, then a dataclass,
-    a `parse` hook's result, or a checked JSON value (lists become tuples)."""
-    if value is None and nullable:
-        return None
+def _read(tp, value, path: str, parse=None, section=None):
+    """`value` read as annotation `tp`: None for `X | None`, a dataclass, a
+    `parse` hook's result, or a checked JSON value (lists become tuples)."""
+    origin, args = get_origin(tp) or tp, get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _read(args[0], value, path, parse, section)
     if is_dataclass(tp):
         return from_plain(tp, value, path)
-    origin = get_origin(tp) or tp
     if parse is not None and origin is not tuple:
         return parse(value, path, section)
+    if origin is Literal:
+        if _read(type(args[0]), value, path) not in args:
+            raise ConfigError(f"{path} must be one of {sorted(args)}, got {value!r}")
+        return value
+    if origin is Annotated:
+        value = _read(args[0], value, path)
+        if not all(_BOUNDS[key][0](value, limit) for key, limit in args[1:]):
+            text = " and ".join(f"{_BOUNDS[key][1]} {limit}" for key, limit in args[1:])
+            raise ConfigError(f"{path} must be {text}, got {value!r}")
+        return value
     types, name = _ACCEPTS[origin]
     if isinstance(value, bool) != (origin is bool) or not isinstance(value, types):
         raise ConfigError(f"{path} must be {name}, got {value!r}")
+    if origin is dict and args:
+        return {k: _read(args[1], v, f"{path}[{k!r}]") for k, v in value.items()}
     if origin is not tuple:
         return value
-    item = (get_args(tp) or (None,))[0]
     return tuple(parse(v, f"{path}[{i}]", section) if parse
-                 else v if item is None else _read(item, v, f"{path}[{i}]", False)
+                 else _read(args[0], v, f"{path}[{i}]") if args else v
                  for i, v in enumerate(value))

@@ -9,6 +9,7 @@ function of (config, seed).
 
 import json
 from dataclasses import dataclass, field, fields
+from typing import Annotated, Literal
 
 from .errors import ConfigError
 from .records import from_plain, to_plain
@@ -32,61 +33,67 @@ DISPLAY_NAMES = {
 STACK_ROW_GA = "Suggest Method (ST-GA)"
 STACK_ROW_PLAIN = "Suggest Method (ST)"
 
+#: closed sets and ranges of report fields (configs share the first three)
+Protocol = Literal["clean", "paper_faithful"]
+SplitMode = Literal["holdout", "kfold"]
+Folds = Annotated[int, ("minimum", 2)]
+Fraction = Annotated[float, ("minimum", 0), ("maximum", 1)]
+
 
 @dataclass(frozen=True)
 class ModelRow:
     name: str
-    accuracy: float = None
-    sensitivity: float = None
-    specificity: float = None
-    fscore: float = None
-    f1: float = None
-    auc: float = None
-    status: str = "ok"
-    error: str = None
+    accuracy: Fraction | None = None
+    sensitivity: Fraction | None = None
+    specificity: Fraction | None = None
+    fscore: Fraction | None = None
+    f1: Fraction | None = None
+    auc: Fraction | None = None
+    status: Literal["ok", "failed"] = "ok"
+    error: str | None = None
 
 
 @dataclass(frozen=True)
 class KfoldRow:
     name: str
-    k: int
-    mean_accuracy: float = None
-    std: float = None
-    fold_accuracies: tuple = ()
-    status: str = "ok"
-    error: str = None
+    k: Folds
+    mean_accuracy: Fraction | None = None
+    std: Annotated[float, ("minimum", 0)] | None = None
+    fold_accuracies: tuple[Fraction | None, ...] = ()
+    status: Literal["ok", "partial", "failed"] = "ok"
+    error: str | None = None
 
 
 @dataclass(frozen=True)
 class FeatureRow:
     name: str
-    single_feature_cv_accuracy: float
-    ga_selection_frequency: float
+    single_feature_cv_accuracy: Fraction
+    ga_selection_frequency: Fraction
     in_best_mask: bool
 
 
 @dataclass(frozen=True)
 class GaSummary:
-    mask: tuple[int, ...]
+    mask: tuple[Literal[0, 1], ...]
     feature_names: tuple[str, ...]
-    best_fitness: float
-    generations: int
-    evaluations: int
+    best_fitness: Fraction
+    generations: Annotated[int, ("minimum", 0)]
+    evaluations: Annotated[int, ("minimum", 0)]
 
 
 @dataclass(frozen=True)
 class Report:
-    kind: str  # "holdout" | "kfold"
-    protocol: str
+    kind: SplitMode
+    protocol: Protocol
     master_seed: int
     rows: tuple[ModelRow, ...] = ()
     kfold_rows: tuple[KfoldRow, ...] = ()
-    ga: GaSummary = None
+    ga: GaSummary | None = None
     feature_table: tuple[FeatureRow, ...] = ()
     notes: tuple[str, ...] = ()
     config_echo: dict = field(default_factory=dict)
-    timings: dict = None
-    version: int = REPORT_VERSION
+    timings: dict[str, Annotated[float, ("minimum", 0)]] = None  # never null in JSON
+    version: Literal[REPORT_VERSION] = REPORT_VERSION
 
 
 def report_to_dict(report: Report, include_timings: bool = False) -> dict:

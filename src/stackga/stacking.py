@@ -14,6 +14,7 @@ on it. Two construction modes:
 """
 
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -23,17 +24,17 @@ from .learners import LearnerSpec, TrainedModel, both_classes, predict, predict_
 from .parallel import run_tasks
 from .rng import derive_seed
 
-LABEL = "label"
-PROBABILITY = "probability"
+Level1Mode = Literal["out_of_fold", "naive"]
+Level1FeatureKind = Literal["label", "probability"]
 
 
 @dataclass(frozen=True)
 class StackSpec:
     base_specs: tuple
     meta_spec: LearnerSpec
-    level1_mode: str = "out_of_fold"
+    level1_mode: Level1Mode = "out_of_fold"
     level1_folds: int = 5
-    level1_feature_kind: str = PROBABILITY
+    level1_feature_kind: Level1FeatureKind = "probability"
     seed: int = 0
 
     def __post_init__(self):
@@ -41,13 +42,13 @@ class StackSpec:
         # each message starts with the setting's name in a config's `stack` section
         if not self.base_specs:
             raise ConfigError("base: a stack needs at least one base learner")
-        if self.level1_mode not in ("out_of_fold", "naive"):
+        if self.level1_mode not in get_args(Level1Mode):
             raise ConfigError(f"level1_mode must be 'out_of_fold' or 'naive', "
                               f"got {self.level1_mode!r}")
         if self.level1_mode == "out_of_fold" and self.level1_folds < 2:
             raise ConfigError("level1_folds must be at least 2 for out_of_fold stacking")
-        if self.level1_feature_kind not in (LABEL, PROBABILITY):
-            raise ConfigError(f"level1_feature_kind must be {LABEL!r} or {PROBABILITY!r}, "
+        if self.level1_feature_kind not in get_args(Level1FeatureKind):
+            raise ConfigError(f"level1_feature_kind must be 'label' or 'probability', "
                               f"got {self.level1_feature_kind!r}")
 
 
@@ -66,7 +67,7 @@ def _level1_schema(spec: StackSpec, ds: Dataset) -> Schema:
 
 
 def _base_outputs(model: TrainedModel, X: np.ndarray, kind: str) -> np.ndarray:
-    if kind == LABEL:
+    if kind == "label":
         return predict(model, X).astype(np.float64)
     return predict_proba(model, X)[:, 1]
 

@@ -1,16 +1,18 @@
 """Helpers that only tests use: small synthetic tables, the nine benchmark
 learner specs, a fitted tree's depth, a fitted SVM's optimality gap, the
 GA's fitness of one mask, a per-mask fitness as `evolve`'s batch fitness,
-and a holdout run through `stackga train` and `stackga eval`."""
+a holdout run through `stackga train` and `stackga eval`, and drawn valid
+reports."""
 
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from stackga import cli, genetic
 from stackga.dataset import Dataset, Schema
 from stackga.learners import LearnerSpec
-from stackga.report import Report, parse_report
+from stackga.report import FeatureRow, GaSummary, KfoldRow, ModelRow, Report, parse_report
 from stackga.rng import child_rng
 
 
@@ -118,3 +120,36 @@ def holdout_report(config: dict, out_dir, *overrides) -> Report:
     assert code == (cli.EXIT_OK if all(r.status == "ok" for r in report.rows)
                     else cli.EXIT_MODEL_FAILURE)
     return report
+
+
+def reports():
+    """A hypothesis strategy of reports whose every value is one that its
+    field's annotation allows: fractions in [0, 1], counts and seconds at
+    least 0, k at least 2, each status and mask bit one of its values."""
+    text = st.text(max_size=8)
+    fraction = st.floats(0, 1)
+    metric = st.none() | fraction
+    seconds = st.floats(min_value=0, allow_infinity=False)
+    model_row = st.builds(ModelRow, name=text, accuracy=metric, sensitivity=metric,
+                          specificity=metric, fscore=metric, f1=metric, auc=metric,
+                          status=st.sampled_from(["ok", "failed"]), error=st.none() | text)
+    kfold_row = st.builds(KfoldRow, name=text, k=st.integers(2, 20), mean_accuracy=metric,
+                          std=st.none() | seconds,
+                          fold_accuracies=st.lists(metric, max_size=5).map(tuple),
+                          status=st.sampled_from(["ok", "partial", "failed"]),
+                          error=st.none() | text)
+    ga = st.builds(GaSummary, mask=st.lists(st.integers(0, 1), max_size=8).map(tuple),
+                   feature_names=st.lists(text, max_size=4).map(tuple),
+                   best_fitness=fraction, generations=st.integers(0, 500),
+                   evaluations=st.integers(0, 5000))
+    feature_row = st.builds(FeatureRow, name=text, single_feature_cv_accuracy=fraction,
+                            ga_selection_frequency=fraction, in_best_mask=st.booleans())
+    return st.builds(
+        Report, kind=st.sampled_from(["holdout", "kfold"]),
+        protocol=st.sampled_from(["clean", "paper_faithful"]),
+        master_seed=st.integers(0, 2**63), rows=st.lists(model_row, max_size=3).map(tuple),
+        kfold_rows=st.lists(kfold_row, max_size=3).map(tuple), ga=st.none() | ga,
+        feature_table=st.lists(feature_row, max_size=3).map(tuple),
+        notes=st.lists(text, max_size=2).map(tuple),
+        config_echo=st.dictionaries(text, st.integers() | text, max_size=3),
+        timings=st.none() | st.dictionaries(text, seconds, max_size=3))

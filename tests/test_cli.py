@@ -518,6 +518,17 @@ def test_bad_value_exits_2_naming_it_before_any_output(pima_csv, tmp_path, capsy
     assert not (out / "model.pkl").exists() and not (out / "report.json").exists()
 
 
+def test_a_disabled_stacks_bad_setting_exits_2_naming_it(pima_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(light_config_dict(pima_csv)))
+    out = tmp_path / "out"
+    assert run_cli("train", "--config", cfg, "--out", out, "--set", "stack.enabled=false",
+                   "--set", "stack.level1_mode=bogus", "-q") == 2
+    assert capsys.readouterr().err == ("config error: stack.level1_mode must be one of "
+                                       "['naive', 'out_of_fold'], got 'bogus'\n")
+    assert not out.exists()
+
+
 class TestReportCommand:
     def test_rerender_markdown_and_csv(self, pima_csv, tmp_path):
         d = light_config_dict(pima_csv)
@@ -547,6 +558,22 @@ class TestReportCommand:
         (("kind",), None, "report.kind must be a string, got None"),
         (("version",), 99, "unsupported report version 99"),
         (("ga", "feature_names", 1), 7, "report.ga.feature_names[1] must be a string, got 7"),
+        (("kfold_rows",), [{"name": "A", "k": 3, "fold_accuracies": ["x", {"a": 1}],
+                            "status": "bogus"}],
+         "report.kfold_rows[0].fold_accuracies[0] must be a number, got 'x'"),
+        (("kfold_rows",), [{"name": "A", "k": 3, "fold_accuracies": [0.5, {"a": 1}]}],
+         "report.kfold_rows[0].fold_accuracies[1] must be a number, got {'a': 1}"),
+        (("kfold_rows",), [{"name": "A", "k": 3, "fold_accuracies": [0.5, None],
+                            "status": "bogus"}],
+         "report.kfold_rows[0].status must be one of ['failed', 'ok', 'partial'], got 'bogus'"),
+        (("kind",), "nonsense", "report.kind must be one of ['holdout', 'kfold'], got 'nonsense'"),
+        (("rows", 0, "status"), "bogus",
+         "report.rows[0].status must be one of ['failed', 'ok'], got 'bogus'"),
+        (("rows", 0, "accuracy"), 1.7,
+         "report.rows[0].accuracy must be at least 0 and at most 1, got 1.7"),
+        (("ga", "mask", 0), 7, "report.ga.mask[0] must be one of [0, 1], got 7"),
+        (("protocol",), "leaky",
+         "report.protocol must be one of ['clean', 'paper_faithful'], got 'leaky'"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
     def test_malformed_report_exits_2_naming_its_field(self, tmp_path, capsys, path, value,

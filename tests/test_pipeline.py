@@ -45,7 +45,7 @@ from stackga.report import (
 )
 from stackga.rng import child_rng, derive_seed
 
-from support import holdout_report, make_single_informative
+from support import holdout_report, make_single_informative, reports
 
 
 def light_config_dict(csv_path, **tweaks):
@@ -158,6 +158,40 @@ class TestConfigParsing:
         where = f"{section}.{key}" if section else key
         with pytest.raises(ConfigError, match=re.escape(where)):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("split", "mode", "loo", "split.mode must be one of ['holdout', 'kfold'], got 'loo'"),
+        (None, "protocol", "leaky",
+         "protocol must be one of ['clean', 'paper_faithful'], got 'leaky'"),
+        ("split", "train_fraction", 1,
+         "split.train_fraction must be greater than 0 and less than 1, got 1"),
+        ("preprocessing", "iqr_multiplier", 0,
+         "preprocessing.iqr_multiplier must be greater than 0, got 0"),
+        ("split", "ks", [5, 1], "split.ks[1] must be at least 2, got 1"),
+        ("ga", "cv_folds", 1, "ga.cv_folds must be at least 2, got 1"),
+        ("dataset", "columns", ["a", 7], "dataset.columns[1] must be a string, got 7"),
+    ])
+    def test_annotated_value_is_refused_by_the_reader(self, pima_csv, section, key, value,
+                                                      message):
+        d = light_config_dict(pima_csv)
+        (d[section] if section else d)[key] = value
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(d)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("level1_mode", "bogus",
+         "stack.level1_mode must be one of ['naive', 'out_of_fold'], got 'bogus'"),
+        ("level1_feature_kind", "nope",
+         "stack.level1_feature_kind must be one of ['label', 'probability'], got 'nope'"),
+        ("level1_folds", -3, "stack.level1_folds must be at least 2 for out_of_fold stacking"),
+    ])
+    def test_a_disabled_stack_is_checked_too(self, pima_csv, key, value, message):
+        d = light_config_dict(pima_csv)
+        d["stack"].update({"enabled": False, key: value})
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(d)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("section,keys", [
         ("report", {"path": "out/report.json", "format": "json"}),
@@ -592,29 +626,7 @@ class TestRendering:
 
     @given(st.data())
     def test_any_rendered_report_parses_back_equal(self, data):
-        text = st.text(max_size=8)
-        number = st.floats(allow_nan=False, allow_infinity=False)
-        metric = st.none() | number
-        model_row = st.builds(ModelRow, name=text, accuracy=metric, sensitivity=metric,
-                              specificity=metric, fscore=metric, f1=metric, auc=metric,
-                              status=text, error=st.none() | text)
-        kfold_row = st.builds(KfoldRow, name=text, k=st.integers(2, 20), mean_accuracy=metric,
-                              std=metric, fold_accuracies=st.lists(metric, max_size=5).map(tuple),
-                              status=text, error=st.none() | text)
-        ga = st.builds(GaSummary, mask=st.lists(st.integers(0, 1), max_size=8).map(tuple),
-                       feature_names=st.lists(text, max_size=4).map(tuple),
-                       best_fitness=number, generations=st.integers(0, 500),
-                       evaluations=st.integers(0, 5000))
-        feature_row = st.builds(FeatureRow, name=text, single_feature_cv_accuracy=number,
-                                ga_selection_frequency=number, in_best_mask=st.booleans())
-        report = data.draw(st.builds(
-            Report, kind=st.sampled_from(["holdout", "kfold"]), protocol=st.sampled_from(PROTOCOLS),
-            master_seed=st.integers(0, 2**63), rows=st.lists(model_row, max_size=3).map(tuple),
-            kfold_rows=st.lists(kfold_row, max_size=3).map(tuple), ga=st.none() | ga,
-            feature_table=st.lists(feature_row, max_size=3).map(tuple),
-            notes=st.lists(text, max_size=2).map(tuple),
-            config_echo=st.dictionaries(text, st.integers() | text, max_size=3),
-            timings=st.none() | st.dictionaries(text, number, max_size=3)))
+        report = data.draw(reports())
         include_timings = data.draw(st.booleans())
         again = parse_report(render_report(report, "json", include_timings=include_timings))
         assert again == (report if include_timings else dataclasses.replace(report, timings=None))
