@@ -1,11 +1,12 @@
 """Experiment configuration: a versioned, human-editable JSON file.
 
 Each section's dataclass is the one statement of its keys and, in their
-annotations, of their values: parsing, the echo and the hash derive from its
-fields. `config_from_dict` reads the file with `records.from_plain`, which
-names a bad value as `section.key`, then checks what no annotation states
-(the columns, `split.ks`), the GA knobs by building a GaConfig and the stack
-settings, enabled or not, by building the StackSpec a run would train.
+annotations, of their values (the `ga` section's are GaConfig's, and a
+learner's hyperparameters are its class's): parsing, the echo and the hash
+derive from its fields. `config_from_dict` reads the file with
+`records.from_plain`, which names a bad value as `section.key`, then checks
+the rules across fields that no annotation states (the columns, `split.ks`,
+something to run, a stack's bases).
 `apply_overrides` implements the CLI's repeatable `--set dotted.path=value`
 flag, which may only touch keys that already exist in the resolved config.
 """
@@ -20,8 +21,8 @@ from .dataset import Schema
 from .errors import ConfigError, DataError
 from .genetic import GaConfig
 from .learners import LearnerSpec
-from .records import from_plain, require_keys, to_plain
-from .report import Folds, Protocol, SplitMode
+from .records import Folds, from_plain, require_keys, to_plain
+from .report import Protocol, SplitMode
 from .rng import derive_seed
 from .stacking import Level1FeatureKind, Level1Mode, StackSpec
 
@@ -78,7 +79,7 @@ class StackSettings:
     meta: dict = field(default_factory=lambda: {"algorithm": "gradient_boosting",
                                                 "hyperparameters": {}}, metadata=LEARNERS)
     level1_mode: Level1Mode = "out_of_fold"
-    level1_folds: int = 5
+    level1_folds: Folds = 5
     level1_feature_kind: Level1FeatureKind = "probability"
 
 
@@ -154,15 +155,6 @@ def _column_index(ref, columns, where: str) -> int:
     return columns.index(ref)
 
 
-def _prefixed(section: str, check) -> None:
-    """Run `check`, naming `section` in its ConfigError; the checks' messages
-    start with the field name, so this names `section.key`."""
-    try:
-        check()
-    except ConfigError as e:
-        raise ConfigError(f"{section}.{e}") from None
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
     if isinstance(d, dict) and d.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {d.get('version')!r}")
@@ -177,10 +169,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if not cfg.split.ks or len(set(cfg.split.ks)) < len(cfg.split.ks):
         raise ConfigError(f"split.ks must list at least one k and none twice, "
                           f"got {list(cfg.split.ks)!r}")
-    _prefixed("ga", lambda: cfg.ga_run_config)
     if not cfg.learners and not cfg.stack.enabled:
         raise ConfigError("config enables no learners and no stack; nothing to run")
-    _prefixed("stack", lambda: stack_spec_from_config(cfg))
+    if not (cfg.stack.base or cfg.learners):
+        raise ConfigError("stack.base: a stack needs at least one base learner")
     return cfg
 
 

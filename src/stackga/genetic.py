@@ -17,12 +17,14 @@ regression wrapper fits a batch as stacked Newton systems; over at most
 
 import math
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
 from .dataset import Dataset, FoldPlan, make_folds
 from .errors import ConfigError
 from .learners import ALGORITHMS, LearnerSpec, check_finite, check_labels, stack_labels
+from .records import Count, Fraction, check_fields
 from .rng import child_rng, derive_seed
 
 #: the most features over which `run_ga` scores all 2**d - 1 masks before the
@@ -40,47 +42,24 @@ Chromosome = np.ndarray  # 1-d uint8 vector of 0/1 genes
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Run parameters. The chromosome length is `n_bits`, one plain bit per
-    candidate feature."""
+    """Run parameters, each checked against its annotation when built. The
+    chromosome length is `n_bits`, one plain bit per candidate feature."""
 
-    n_bits: int
-    nind: int = 20
-    maxgen: int = 100
-    migr: float = 0.2
-    insr: float = 0.95
-    subpop: int = 5
-    miggen: int = 20
-    mutation_rate: float | None = None  # default 1/n_bits
-    crossover_rate: float = 0.9
-    selective_pressure: float = 2.0
-    stall_generations: int = 25
+    n_bits: Count
+    nind: Annotated[int, ("minimum", 2)] = 20
+    maxgen: Count = 100
+    migr: Annotated[float, ("exclusiveMinimum", 0), ("maximum", 1)] = 0.2
+    insr: Annotated[float, ("exclusiveMinimum", 0), ("maximum", 1)] = 0.95
+    subpop: Count = 5
+    miggen: Count = 20
+    mutation_rate: Fraction | None = None  # default 1/n_bits
+    crossover_rate: Fraction = 0.9
+    selective_pressure: Annotated[float, ("minimum", 1), ("maximum", 2)] = 2.0
+    stall_generations: Count = 25
     seed: int = 0
 
     def __post_init__(self):
-        # each message starts with the field's name, which is its key in a config's `ga` section
-        if self.n_bits < 1:
-            raise ConfigError("n_bits must be at least 1")
-        if self.nind < 2:
-            raise ConfigError("nind must be at least 2")
-        if self.maxgen < 1:
-            raise ConfigError("maxgen must be at least 1")
-        if not 0 < self.migr <= 1:
-            raise ConfigError("migr must lie in (0, 1]")
-        if not 0 < self.insr <= 1:
-            raise ConfigError("insr must lie in (0, 1]")
-        if self.subpop < 1:
-            raise ConfigError("subpop must be at least 1")
-        if self.miggen < 1:
-            raise ConfigError("miggen must be at least 1")
-        if self.stall_generations < 1:
-            raise ConfigError("stall_generations must be at least 1")
-        if not 1 <= self.selective_pressure <= 2:
-            raise ConfigError("selective_pressure must lie in [1, 2]")
-        rate = self.effective_mutation_rate
-        if not 0 <= rate <= 1:
-            raise ConfigError("mutation_rate must lie in [0, 1]")
-        if not 0 <= self.crossover_rate <= 1:
-            raise ConfigError("crossover_rate must lie in [0, 1]")
+        check_fields(self)
 
     @property
     def effective_mutation_rate(self) -> float:

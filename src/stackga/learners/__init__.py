@@ -7,14 +7,14 @@ are rejected outright. Labels are argmax of the probability output with
 exact 0.5 ties resolving to class 0, uniformly across algorithms.
 """
 
-import math
-import sys
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
 from ..dataset import Dataset
 from ..errors import ConfigError
+from ..records import from_plain
 from ..rng import child_rng
 from .adaboost import AdaBoost
 from .boosting import GradientBoosting
@@ -24,7 +24,7 @@ from .linear import LogisticRegression
 from .mlp import MlpClassifier
 from .naive_bayes import GaussianNB
 from .svm import SmoSvm
-from .tree import ClassificationTree
+from .tree import ClassificationTree, Criterion, Depth, MaxFeatures
 
 __all__ = [
     "LearnerSpec",
@@ -41,66 +41,11 @@ __all__ = [
 ]
 
 
-#: the numeric kinds a rule may name, each with its test (on a number that is
-#: not a bool and fits a float) and its text; no choice in `_RULES` is spelled
-#: like one
-_KINDS = {
-    "count": (lambda v: isinstance(v, int) and v >= 1, "an integer of at least 1"),
-    "positive": (lambda v: math.isfinite(v) and v > 0, "a finite number greater than 0"),
-    "nonnegative": (lambda v: math.isfinite(v) and v >= 0, "a finite number of at least 0"),
-    "finite": (math.isfinite, "a finite number"),
-}
-_DEPTH = ("count", None)
-_CRITERION = ("entropy", "gini")
-_MAX_FEATURES = ("count", None, "all", "sqrt", "auto")
-
-#: every hyperparameter of every algorithm, with what it may be: a value of
-#: one of the `_KINDS` named in its rule or one of the rule's other entries;
-#: the keys are the parameters of the algorithm's class, checked when a spec
-#: is made (an integer `max_features` larger than the table is found at fit)
-_RULES = {
-    "decision_tree": {"criterion": _CRITERION, "max_depth": _DEPTH,
-                      "max_features": _MAX_FEATURES},
-    "random_forest": {"n_estimators": ("count",), "criterion": _CRITERION,
-                      "max_depth": _DEPTH, "max_features": _MAX_FEATURES},
-    "extra_trees": {"n_estimators": ("count",), "criterion": _CRITERION,
-                    "max_depth": _DEPTH, "max_features": _MAX_FEATURES},
-    "knn": {"n_neighbors": ("count",)},
-    "gaussian_nb": {"var_smoothing": ("nonnegative",)},
-    "mlp": {"hidden_units": ("count",), "batch_size": ("count",),
-            "learning_rate": ("adaptive", "constant"), "learning_rate_init": ("positive",),
-            "max_iter": ("count",)},
-    "adaboost": {"n_estimators": ("count",), "learning_rate": ("positive",),
-                 "criterion": _CRITERION, "max_depth": _DEPTH},
-    "gradient_boosting": {"n_estimators": ("count",), "learning_rate": ("positive",),
-                          "max_depth": _DEPTH},
-    "svm": {"c": ("positive",), "kernel": ("sigmoid", "rbf", "linear"),
-            "gamma": ("positive", "scale"), "coef0": ("finite",), "tol": ("positive",),
-            "max_pass_factor": ("count",)},
-    "logistic_regression": {"reg_strength": ("nonnegative",), "max_iter": ("count",),
-                            "tol": ("positive",)},
-}
-
-
-def _obeys(rule, value) -> bool:
-    # an int too large for a float is no number here: `math.isfinite` overflows on it
-    number = isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
-                                          and abs(value) <= sys.float_info.max)
-    return any(number and _KINDS[a][0](value) if a in _KINDS else value == a for a in rule)
-
-
-def _rule_text(rule) -> str:
-    """E.g. "an integer of at least 1 or None", "one of ['entropy', 'gini']"."""
-    kinds = [_KINDS[a][1] for a in rule if a in _KINDS]
-    choices = [a for a in rule if a not in _KINDS]
-    named = [f"one of {choices}"] if len(choices) > 1 else [repr(c) for c in choices]
-    return " or ".join(kinds + named)
-
-
 class _DecisionTreeLearner(ClassificationTree):
     """Single CART tree with the benchmark's defaults."""
 
-    def __init__(self, criterion="entropy", max_depth=3, max_features="auto"):
+    def __init__(self, criterion: Criterion = "entropy", max_depth: Depth = 3,
+                 max_features: MaxFeatures = "auto"):
         super().__init__(criterion=criterion, max_depth=max_depth, max_features=max_features)
 
 
@@ -119,11 +64,24 @@ ALGORITHMS = {
 }
 
 
+#: algorithm name -> the record of its hyperparameters: the parameters of
+#: its class, with their annotations and defaults. A record is built only to
+#: be read and dropped, so it gets no `__repr__`, `__eq__` or generated
+#: docstring, which would cost import time
+_HYPERPARAMETERS = {
+    name: make_dataclass(f"{name}_hyperparameters",
+                         [(p.name, p.annotation, p.default)
+                          for p in inspect.signature(cls).parameters.values()],
+                         repr=False, eq=False, namespace={"__doc__": f"{name} hyperparameters"})
+    for name, (cls, _) in ALGORITHMS.items()
+}
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     """Algorithm identity + hyperparameter overrides + seed. The algorithm
-    and every hyperparameter key and value are checked against `_RULES`
-    when a spec is made; `train` passes them to the class unchecked."""
+    and the hyperparameters, read as its record of them, are checked when a
+    spec is made; `train` passes the dict to the class unchecked."""
 
     algorithm: str
     hyperparameters: dict = field(default_factory=dict)
@@ -134,15 +92,7 @@ class LearnerSpec:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; choose from {sorted(ALGORITHMS)}"
             )
-        rules = _RULES[self.algorithm]
-        unknown = sorted(set(self.hyperparameters) - set(rules))
-        if unknown:
-            raise ConfigError(f"{self.algorithm}: unknown hyperparameters {unknown}; "
-                              f"known: {sorted(rules)}")
-        for key, value in self.hyperparameters.items():
-            if not _obeys(rules[key], value):
-                raise ConfigError(f"{self.algorithm}: {key} must be "
-                                  f"{_rule_text(rules[key])}, got {value!r}")
+        from_plain(_HYPERPARAMETERS[self.algorithm], self.hyperparameters, self.algorithm)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ the training prior.
 
 import numpy as np
 
-from .tree import BoosterGrower, ClassificationTree, ScoredTrees, node_values
+from ..records import Count, Positive
+from .tree import BoosterGrower, ClassificationTree, Criterion, Depth, ScoredTrees, node_values
 
 _CLIP = 1e-12
 
@@ -21,8 +22,8 @@ def _scores(value):
 
 
 class AdaBoost(ScoredTrees):
-    def __init__(self, n_estimators=100, learning_rate=1.0, criterion="gini",
-                 max_depth=1):
+    def __init__(self, n_estimators: Count = 100, learning_rate: Positive = 1.0,
+                 criterion: Criterion = "gini", max_depth: Depth = 1):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.criterion = criterion

@@ -7,7 +7,8 @@ what makes the per-stage training loss reliably non-increasing.
 
 import numpy as np
 
-from .tree import BoosterGrower, RegressionTree, ScoredTrees
+from ..records import Count, Positive
+from .tree import BoosterGrower, Depth, RegressionTree, ScoredTrees
 
 
 def _sigmoid(z):
@@ -20,7 +21,8 @@ def _deviance(y, raw):
 
 
 class GradientBoosting(ScoredTrees):
-    def __init__(self, n_estimators=50, learning_rate=0.1, max_depth=3):
+    def __init__(self, n_estimators: Count = 50, learning_rate: Positive = 0.1,
+                 max_depth: Depth = 3):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth

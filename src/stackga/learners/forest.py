@@ -5,7 +5,9 @@ probabilities IS the majority vote.
 
 import numpy as np
 
-from .tree import ClassificationTree, ScoredTrees, fit_trees, node_values
+from ..records import Count
+from .tree import (ClassificationTree, Criterion, Depth, MaxFeatures, ScoredTrees, fit_trees,
+                   node_values)
 
 _SEED_BOUND = 2**63
 
@@ -22,8 +24,8 @@ def _tree_rngs(rng, n):
 
 
 class RandomForest(ScoredTrees):
-    def __init__(self, n_estimators=100, criterion="entropy", max_depth=10,
-                 max_features="all"):
+    def __init__(self, n_estimators: Count = 100, criterion: Criterion = "entropy",
+                 max_depth: Depth = 10, max_features: MaxFeatures = "all"):
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth
@@ -52,8 +54,8 @@ class ExtraTrees(ScoredTrees):
     """Like the forest but trained on the full sample with uniformly random
     split thresholds per candidate feature."""
 
-    def __init__(self, n_estimators=50, criterion="gini", max_depth=3,
-                 max_features="auto"):
+    def __init__(self, n_estimators: Count = 50, criterion: Criterion = "gini",
+                 max_depth: Depth = 3, max_features: MaxFeatures = "auto"):
         self.n_estimators = n_estimators
         self.criterion = criterion
         self.max_depth = max_depth

@@ -6,13 +6,15 @@ deterministic regardless of value ordering.
 
 import numpy as np
 
+from ..records import Count
+
 # rows per block when adding the norms to the distance product: the block's
 # norm sums stay in cache (550 KB against 538 training rows)
 _ROW_BLOCK = 128
 
 
 class KNeighbors:
-    def __init__(self, n_neighbors=5):
+    def __init__(self, n_neighbors: Count = 5):
         self.n_neighbors = n_neighbors
 
     def fit(self, X, y, rng=None):

@@ -10,6 +10,8 @@ of one, and `stack_labels` fits and scores many, as the GA's wrapper does.
 
 import numpy as np
 
+from ..records import Count, NonNegative, Positive
+
 
 def _sigmoid(z):
     """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) elsewhere, both from
@@ -90,7 +92,8 @@ class Standardizing:
 
 
 class LogisticRegression(Standardizing):
-    def __init__(self, reg_strength=1.0, max_iter=1000, tol=1e-6):
+    def __init__(self, reg_strength: NonNegative = 1.0, max_iter: Count = 1000,
+                 tol: Positive = 1e-6):
         self.reg_strength = reg_strength
         self.max_iter = max_iter
         self.tol = tol

@@ -13,8 +13,11 @@ operations and their order are those of a per-parameter Adam step, so the
 fitted weights are the same bits.
 """
 
+from typing import Literal
+
 import numpy as np
 
+from ..records import Count, Positive
 from .linear import Standardizing
 
 _NAMES = ("W1", "b1", "W2", "b2")
@@ -86,8 +89,9 @@ class MlpClassifier(Standardizing):
     above) or "constant", and `learning_rate_init` the first step size, as
     in scikit-learn's `MLPClassifier`; `max_iter` counts epochs."""
 
-    def __init__(self, hidden_units=100, batch_size=100, learning_rate="adaptive",
-                 learning_rate_init=1e-3, max_iter=100):
+    def __init__(self, hidden_units: Count = 100, batch_size: Count = 100,
+                 learning_rate: Literal["adaptive", "constant"] = "adaptive",
+                 learning_rate_init: Positive = 1e-3, max_iter: Count = 100):
         self.hidden_units = hidden_units
         self.batch_size = batch_size
         self.learning_rate = learning_rate

@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from ..records import NonNegative
+
 
 class GaussianNB:
-    def __init__(self, var_smoothing=1e-9):
+    def __init__(self, var_smoothing: NonNegative = 1e-9):
         self.var_smoothing = var_smoothing
 
     def fit(self, X, y, rng=None):
@@ -14,9 +16,11 @@ class GaussianNB:
         self.priors_ = np.array([(y == c).mean() for c in self.classes_])
         self.means_ = np.array([X[y == c].mean(axis=0) for c in self.classes_])
         var = np.array([X[y == c].var(axis=0) for c in self.classes_])
-        # epsilon tied to the largest feature variance keeps degenerate
-        # (constant) columns from producing infinite densities
-        self.eps_ = self.var_smoothing * float(X.var(axis=0).max())
+        # epsilon tied to the largest feature variance keeps degenerate (constant)
+        # columns from producing infinite densities; when every column is
+        # constant, unit variance makes the fit predict its class prior
+        largest = float(X.var(axis=0).max())
+        self.eps_ = self.var_smoothing * largest if largest > 0 else 1.0
         self.vars_ = var + self.eps_
         return self
 

@@ -21,8 +21,11 @@ pseudo-probabilities; they are only used as ranking scores and stacking
 features.
 """
 
+from typing import Literal
+
 import numpy as np
 
+from ..records import Count, Positive
 from .linear import Standardizing
 
 
@@ -44,8 +47,9 @@ _KERNELS = {"sigmoid": sigmoid_kernel, "rbf": rbf_kernel, "linear": linear_kerne
 
 
 class SmoSvm(Standardizing):
-    def __init__(self, c=1.0, kernel="sigmoid", gamma="scale", coef0=0.0,
-                 tol=1e-3, max_pass_factor=10):
+    def __init__(self, c: Positive = 1.0, kernel: Literal["sigmoid", "rbf", "linear"] = "sigmoid",
+                 gamma: Positive | Literal["scale"] = "scale", coef0: float = 0.0,
+                 tol: Positive = 1e-3, max_pass_factor: Count = 10):
         self.c = c
         self.kernel = kernel
         self.gamma = gamma

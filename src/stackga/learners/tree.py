@@ -40,8 +40,11 @@ prediction and kept on it, but not in its pickle (`ScoredTrees`).
 """
 
 import operator
+from typing import Literal
 
 import numpy as np
+
+from ..records import Count
 
 _INF = np.inf
 
@@ -87,6 +90,12 @@ def _gini_sum(w1, w):
 
 
 _CRITERIA = {"entropy": _entropy_sum, "gini": _gini_sum}
+
+#: a tree learner's split criterion, depth limit (None: none) and candidate
+#: features per split (an integer past the table's width is refused at fit)
+Criterion = Literal["entropy", "gini"]
+Depth = Count | None
+MaxFeatures = Count | Literal["all", "sqrt", "auto"] | None
 
 
 def _resolve_max_features(mode, d):

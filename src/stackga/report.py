@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from typing import Annotated, Literal
 
 from .errors import ConfigError
-from .records import from_plain, to_plain
+from .records import Folds, Fraction, NonNegative, from_plain, to_plain
 
 REPORT_VERSION = 1
 
@@ -33,11 +33,9 @@ DISPLAY_NAMES = {
 STACK_ROW_GA = "Suggest Method (ST-GA)"
 STACK_ROW_PLAIN = "Suggest Method (ST)"
 
-#: closed sets and ranges of report fields (configs share the first three)
+#: closed sets of report fields that configs share
 Protocol = Literal["clean", "paper_faithful"]
 SplitMode = Literal["holdout", "kfold"]
-Folds = Annotated[int, ("minimum", 2)]
-Fraction = Annotated[float, ("minimum", 0), ("maximum", 1)]
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class KfoldRow:
     name: str
     k: Folds
     mean_accuracy: Fraction | None = None
-    std: Annotated[float, ("minimum", 0)] | None = None
+    std: NonNegative | None = None
     fold_accuracies: tuple[Fraction | None, ...] = ()
     status: Literal["ok", "partial", "failed"] = "ok"
     error: str | None = None
@@ -92,7 +90,7 @@ class Report:
     feature_table: tuple[FeatureRow, ...] = ()
     notes: tuple[str, ...] = ()
     config_echo: dict = field(default_factory=dict)
-    timings: dict[str, Annotated[float, ("minimum", 0)]] = None  # never null in JSON
+    timings: dict[str, NonNegative] = None  # never null in JSON
     version: Literal[REPORT_VERSION] = REPORT_VERSION
 
 

@@ -14,7 +14,7 @@ on it. Two construction modes:
 """
 
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import Literal
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .dataset import Dataset, Schema, make_folds
 from .errors import ConfigError
 from .learners import LearnerSpec, TrainedModel, both_classes, predict, predict_proba, train
 from .parallel import run_tasks
+from .records import Folds, check_fields
 from .rng import derive_seed
 
 Level1Mode = Literal["out_of_fold", "naive"]
@@ -30,26 +31,21 @@ Level1FeatureKind = Literal["label", "probability"]
 
 @dataclass(frozen=True)
 class StackSpec:
+    """The stack a run trains; each setting is checked against its
+    annotation when built."""
+
     base_specs: tuple
     meta_spec: LearnerSpec
     level1_mode: Level1Mode = "out_of_fold"
-    level1_folds: int = 5
+    level1_folds: Folds = 5
     level1_feature_kind: Level1FeatureKind = "probability"
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "base_specs", tuple(self.base_specs))
-        # each message starts with the setting's name in a config's `stack` section
         if not self.base_specs:
-            raise ConfigError("base: a stack needs at least one base learner")
-        if self.level1_mode not in get_args(Level1Mode):
-            raise ConfigError(f"level1_mode must be 'out_of_fold' or 'naive', "
-                              f"got {self.level1_mode!r}")
-        if self.level1_mode == "out_of_fold" and self.level1_folds < 2:
-            raise ConfigError("level1_folds must be at least 2 for out_of_fold stacking")
-        if self.level1_feature_kind not in get_args(Level1FeatureKind):
-            raise ConfigError(f"level1_feature_kind must be 'label' or 'probability', "
-                              f"got {self.level1_feature_kind!r}")
+            raise ConfigError("a stack needs at least one base learner")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import inspect
 import re
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from stackga.dataset import Dataset, Schema
 from stackga.errors import ConfigError
 from stackga.learners import (
-    _RULES,
     ALGORITHMS,
     LearnerSpec,
     both_classes,
@@ -53,8 +53,9 @@ class TestSpecValidation:
             LearnerSpec(algorithm)
 
     def test_unknown_hyperparameter(self):
-        with pytest.raises(ConfigError, match="unknown hyperparameters"):
+        with pytest.raises(ConfigError) as caught:
             LearnerSpec("knn", {"n_neighbours": 3})
+        assert str(caught.value) == "knn: unknown keys ['n_neighbours']; allowed: ['n_neighbors']"
 
     @pytest.mark.parametrize("k", [0, -2, 2.5, True, "5", None])
     def test_knn_n_neighbors_must_be_a_positive_int(self, k):
@@ -96,30 +97,43 @@ class TestSpecValidation:
             ("gradient_boosting", "loss", "deviance"),
             ("gradient_boosting", "criterion", "friedman_mse"), ("svm", "degree", 3),
         ]:
-            with pytest.raises(ConfigError, match=rf"^{algorithm}: unknown hyperparameters "
-                                                  rf"\['{key}'\]"):
+            with pytest.raises(ConfigError, match=rf"^{algorithm}: unknown keys \['{key}'\]"):
                 LearnerSpec(algorithm, {key: value})
         with pytest.raises(ConfigError, match="unknown algorithm 'bagging'"):
             LearnerSpec("bagging", {})
 
-    def test_the_rule_table_names_every_constructor_parameter(self):
+    def test_every_constructor_parameter_is_annotated_and_its_default_obeys_it(self):
+        criteria = []
         for algorithm, (cls, _) in ALGORITHMS.items():
-            assert set(_RULES[algorithm]) == set(inspect.signature(cls).parameters), algorithm
-        assert set(_RULES["svm"]["kernel"]) == set(svm._KERNELS)
-        assert set(_RULES["decision_tree"]["criterion"]) == set(tree._CRITERIA)
+            parameters = inspect.signature(cls).parameters.values()
+            assert all(p.annotation is not p.empty for p in parameters), algorithm
+            LearnerSpec(algorithm, {p.name: p.default for p in parameters})
+            criteria += [p.annotation for p in parameters if p.name == "criterion"]
+        kernel = inspect.signature(svm.SmoSvm).parameters["kernel"].annotation
+        assert set(get_args(kernel)) == set(svm._KERNELS)
+        assert len(criteria) == 4
+        assert all(set(get_args(c)) == set(tree._CRITERIA) for c in criteria)
 
     @pytest.mark.parametrize("algorithm,key,value,text", [
-        ("svm", "kernel", "poly", "one of ['sigmoid', 'rbf', 'linear'], got 'poly'"),
-        ("svm", "gamma", 0, "a finite number greater than 0 or 'scale', got 0"),
-        ("decision_tree", "max_depth", 0, "an integer of at least 1 or None, got 0"),
+        ("svm", "kernel", "poly", "one of ['linear', 'rbf', 'sigmoid'], got 'poly'"),
+        ("svm", "gamma", 0, "a number greater than 0 or 'scale', got 0"),
+        ("decision_tree", "max_depth", 0, "at least 1, got 0"),
         ("random_forest", "max_features", "log2",
-         "an integer of at least 1 or one of [None, 'all', 'sqrt', 'auto'], got 'log2'"),
-        ("mlp", "learning_rate", 0.01, "one of ['adaptive', 'constant'], got 0.01"),
+         "an integer of at least 1 or one of ['all', 'auto', 'sqrt'] or None, got 'log2'"),
+        ("mlp", "learning_rate", 0.01, "a string, got 0.01"),
+        ("svm", "coef0", float("inf"), "a finite number, got inf"),
     ])
     def test_a_bad_value_is_named_with_its_rule(self, algorithm, key, value, text):
         with pytest.raises(ConfigError) as caught:
             LearnerSpec(algorithm, {key: value})
-        assert str(caught.value) == f"{algorithm}: {key} must be {text}"
+        assert str(caught.value) == f"{algorithm}.{key} must be {text}"
+
+
+def test_gaussian_nb_on_constant_columns_predicts_its_class_prior():
+    # the largest column variance is 0, so the variance smoothing is floored
+    model = train(LearnerSpec("gaussian_nb"), tiny_ds(np.ones((4, 2)), [0, 1, 1, 1]))
+    proba = predict_proba(model, np.array([[1.0, 1.0], [5.0, -3.0]]))
+    np.testing.assert_allclose(proba, [[0.25, 0.75], [0.25, 0.75]])
 
 
 class TestTrainContract:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 import warnings
@@ -22,7 +23,7 @@ from stackga.config import (
 from stackga.dataset import load_csv, make_folds, write_csv
 from stackga.errors import ConfigError
 from stackga.genetic import GaConfig, run_ga
-from stackga.learners import LearnerSpec
+from stackga.learners import ALGORITHMS, LearnerSpec
 from stackga.pipeline import (
     error_text,
     evaluate_partition,
@@ -46,6 +47,29 @@ from stackga.report import (
 from stackga.rng import child_rng, derive_seed
 
 from support import holdout_report, make_single_informative, reports
+
+
+#: the settings a config and a direct construction both take: the `ga`
+#: knobs, the stack's level-1 settings and every learner's hyperparameters
+_GA_KNOBS = [f.name for f in dataclasses.fields(GaConfig) if f.name not in ("n_bits", "seed")]
+_STACK_SETTINGS = ["level1_mode", "level1_folds", "level1_feature_kind"]
+_HYPERPARAMETERS = [(algorithm, key) for algorithm, (cls, _) in ALGORITHMS.items()
+                    for key in inspect.signature(cls).parameters]
+_SETTING_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([10**400, -10**400]),
+    st.floats(), st.floats(-3, 3),
+    st.sampled_from(["", "scale", "auto", "all", "gini", "entropy", "rbf", "adaptive", "naive",
+                     "out_of_fold", "label", "probability"]),
+)
+
+
+def _refusal(build):
+    """The message of the ConfigError that `build()` raises, None if none."""
+    try:
+        build()
+    except ConfigError as e:
+        return str(e)
+    return None
 
 
 def light_config_dict(csv_path, **tweaks):
@@ -116,8 +140,10 @@ class TestConfigParsing:
         d = light_config_dict(
             pima_csv, learners=[{"algorithm": "knn", "hyperparameters": {"k": 3}}]
         )
-        with pytest.raises(ConfigError, match="unknown hyperparameters"):
+        with pytest.raises(ConfigError) as caught:
             config_from_dict(d)
+        assert str(caught.value) == ("learners[0]: knn: unknown keys ['k']; "
+                                     "allowed: ['n_neighbors']")
 
     @pytest.mark.parametrize("entry,message", [
         ({"algorithm": ["knn"]}, "unknown algorithm"),
@@ -170,6 +196,8 @@ class TestConfigParsing:
         ("split", "ks", [5, 1], "split.ks[1] must be at least 2, got 1"),
         ("ga", "cv_folds", 1, "ga.cv_folds must be at least 2, got 1"),
         ("dataset", "columns", ["a", 7], "dataset.columns[1] must be a string, got 7"),
+        ("preprocessing", "iqr_multiplier", float("inf"),
+         "preprocessing.iqr_multiplier must be a finite number, got inf"),
     ])
     def test_annotated_value_is_refused_by_the_reader(self, pima_csv, section, key, value,
                                                       message):
@@ -179,19 +207,42 @@ class TestConfigParsing:
             config_from_dict(d)
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("level1_mode", "bogus",
+    @pytest.mark.parametrize("settings,message", [
+        ({"level1_mode": "bogus"},
          "stack.level1_mode must be one of ['naive', 'out_of_fold'], got 'bogus'"),
-        ("level1_feature_kind", "nope",
+        ({"level1_feature_kind": "nope"},
          "stack.level1_feature_kind must be one of ['label', 'probability'], got 'nope'"),
-        ("level1_folds", -3, "stack.level1_folds must be at least 2 for out_of_fold stacking"),
+        ({"level1_folds": -3}, "stack.level1_folds must be at least 2, got -3"),
+        ({"level1_mode": "naive", "level1_folds": -3},
+         "stack.level1_folds must be at least 2, got -3"),
     ])
-    def test_a_disabled_stack_is_checked_too(self, pima_csv, key, value, message):
+    def test_a_disabled_stack_is_checked_too(self, pima_csv, settings, message):
         d = light_config_dict(pima_csv)
-        d["stack"].update({"enabled": False, key: value})
+        d["stack"].update({"enabled": False, **settings})
         with pytest.raises(ConfigError) as caught:
             config_from_dict(d)
         assert str(caught.value) == message
+
+    @given(data=st.data())
+    def test_a_setting_is_refused_by_the_reader_as_by_direct_construction(self, pima_csv, data):
+        d = light_config_dict(pima_csv)
+        value = data.draw(_SETTING_VALUES, label="value")
+        place = data.draw(st.sampled_from(["ga", "stack", "learner"]), label="place")
+        if place == "ga":
+            key = data.draw(st.sampled_from(_GA_KNOBS), label="key")
+            d["ga"][key] = value
+            prefix, build = "ga.", lambda: GaConfig(n_bits=8, **{key: value})
+        elif place == "stack":
+            key = data.draw(st.sampled_from(_STACK_SETTINGS), label="key")
+            d["stack"][key] = value
+            knn = LearnerSpec("knn")
+            prefix, build = "stack.", lambda: stacking.StackSpec((knn,), knn, **{key: value})
+        else:
+            algorithm, key = data.draw(st.sampled_from(_HYPERPARAMETERS), label="key")
+            d["learners"] = [{"algorithm": algorithm, "hyperparameters": {key: value}}]
+            prefix, build = "learners[0]: ", lambda: LearnerSpec(algorithm, {key: value})
+        direct = _refusal(build)
+        assert _refusal(lambda: config_from_dict(d)) == (direct and prefix + direct)
 
     @pytest.mark.parametrize("section,keys", [
         ("report", {"path": "out/report.json", "format": "json"}),
@@ -229,7 +280,7 @@ class TestConfigParsing:
                                                                  key, value):
         d = light_config_dict(pima_csv)
         d["learners"].append({"algorithm": algorithm, "hyperparameters": {key: value}})
-        with pytest.raises(ConfigError, match=rf"^learners\[3\]: {algorithm}: .*{key}"):
+        with pytest.raises(ConfigError, match=rf"^learners\[3\]: {algorithm}\.{key} must be "):
             config_from_dict(d)
 
     def test_ga_section_is_the_ga_config_knobs(self, light_config):
