@@ -70,14 +70,14 @@ CASES = {
         {
             "report.json": "0fc869e9330eb0c608c9bc8b868fcdaee9df62b77f1306594879559f1e9bb0df",
             "report.md": "67d595ea4efb3779e1b4c540a62beb31264ce0cb480240615849015a47d3c84d",
-            "model.pkl": "7ebc0dec1e8b4c07c3e5d1a23babdc860e4e1b885454336162789f0c055f38be",
+            "model.pkl": "2ecc705cdb91941daf74a2a407ee11991a7bf8c3c750a23abcaf75e603f2b760",
         },
     ),
     "paper_faithful": (
         _train_eval(PAPER_FAITHFUL),
         {
             "report.json": "f3201aacbdfe5610ed2baf753593cd191be205fc1bde9a42a6906d428b50b1de",
-            "model.pkl": "c67a243ac8c077c0c96ab655a848c70a459cfdfd07171d1c561bf4c558038f19",
+            "model.pkl": "c34774e622de6924e698c9ecd613df57a9881306b134d2f69bbc618f35c613a9",
         },
     ),
     "xval_k5": (

@@ -36,7 +36,7 @@ of `fit_trees`.
 
 Prediction finds every row's leaf in every tree of a model at once from
 threshold ranks and leaf bitmasks (`LeafScorer`), built at the model's first
-prediction and kept on it, but not in its pickle (`ScoredTrees`).
+prediction and kept on it (`ScoredTrees`).
 """
 
 import operator
@@ -448,14 +448,6 @@ def _grow_group(tree, X, y, w, counts, rngs, order):
             for c, hi, s, n in zip(n_nodes, ends, g.starts, g.sizes)]
 
 
-def _set_arrays(tree, feature, threshold, value, left, right, d):
-    """Store a grown tree's node arrays, always in this order, so that trees
-    grown by either grower pickle to the same bytes."""
-    tree.feature, tree.threshold, tree.value = feature, threshold, value
-    tree.left, tree.right = left, right
-    tree.n_features_ = d
-
-
 def fit_trees(trees, X, y, sample_weight=None, counts=None, rngs=None, order=None):
     """Fit `trees` (one settings for all) together.
 
@@ -488,8 +480,9 @@ def fit_trees(trees, X, y, sample_weight=None, counts=None, rngs=None, order=Non
         while j < len(trees) and sum(rows[i:j + 1]) * d <= _MAX_CELLS:
             j += 1
         arrays = _grow_group(trees[i], X, y, w, counts[i:j], rngs[i:j], order)
-        for tree, (feature, threshold, left, right, value, leaf) in zip(trees[i:j], arrays):
-            _set_arrays(tree, feature, threshold, value, left, right, d)
+        for tree, (*nodes, leaf) in zip(trees[i:j], arrays):
+            tree.feature, tree.threshold, tree.left, tree.right, tree.value = nodes
+            tree.n_features_ = d
             leaves.append(leaf)
         i = j
     return leaves
@@ -586,9 +579,8 @@ class BoosterGrower:
                                  (value, inner)):
                 array += [blank] * (2 * len(split))
             level, depth = range(first, len(parts)), depth + 1
-        _set_arrays(tree, np.array(feature, dtype=np.int32), np.array(threshold),
-                    np.array(value), np.array(left, dtype=np.int32),
-                    np.array(right, dtype=np.int32), d)
+        tree.feature, tree.left, tree.right = (np.array(a, np.int32) for a in (feature, left, right))
+        tree.threshold, tree.value, tree.n_features_ = np.array(threshold), np.array(value), d
         return tree, leaf_of
 
     def _split(self, tree, ord_, start, size, y, w, wy, unit, last):
@@ -821,9 +813,8 @@ class ScoredTrees:
     """Base of fitted models that score rows through their trees' leaves.
 
     `leaf_scorer(trees)` is the `LeafScorer` of the model's trees, built at
-    its first prediction and kept until the trees change (a fit gives every
-    tree new node arrays). Pickles leave it out, so a model's bytes do not
-    depend on whether it has predicted.
+    its first prediction and kept as `_scorer`, a cache that artifacts leave
+    out, until the trees change (a fit gives every tree new node arrays).
     """
 
     def leaf_scorer(self, trees):
@@ -833,11 +824,6 @@ class ScoredTrees:
                 or any(map(operator.is_not, cached[0], key))):
             cached = self._scorer = key, LeafScorer(trees)
         return cached[1]
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_scorer", None)
-        return state
 
 
 class _Tree(ScoredTrees):

@@ -14,14 +14,9 @@ process from the back. A caller that puts its longest tasks first thus has
 them started early and leaves the short ones to fill in at both ends. The
 workers inherit the task list through `fork`, so only results are pickled,
 and the calling process does its share of the fits instead of waiting.
-Every result, on either path and in whichever process it was made, is
-pickled and unpickled once, so it arrives as a fresh object graph and the
-bytes of anything that pickles results again (a saved model) do not depend
-on the number of CPUs or on which process ran which task.
 """
 
 import os
-import pickle
 
 
 def usable_cpus() -> int:
@@ -30,11 +25,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this OS
         return os.cpu_count() or 1
-
-
-def _fresh(result):
-    """`result` through one pickle round trip, as a worker's result arrives."""
-    return pickle.loads(pickle.dumps(result))
 
 
 def _outcome(fn, args) -> tuple:
@@ -75,7 +65,7 @@ def run_tasks(fn, tasks) -> list:
     tasks = list(tasks)
     processes = min(usable_cpus(), len(tasks))
     if processes < 2 or not hasattr(os, "fork"):
-        return [_fresh(fn(*t)) for t in tasks]
+        return [fn(*t) for t in tasks]
     import multiprocessing
     from queue import Empty
 
@@ -90,7 +80,7 @@ def run_tasks(fn, tasks) -> list:
             workers[-1].start()
         i = len(tasks) - 1
         while i >= 0:
-            outcomes[i] = _fresh(_outcome(fn, tasks[i]))
+            outcomes[i] = _outcome(fn, tasks[i])
             i = _claim(ends, from_back=True)
         while len(outcomes) < len(tasks):
             exited = all(w.exitcode is not None for w in workers)

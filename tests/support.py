@@ -1,10 +1,12 @@
 """Helpers that only tests use: small synthetic tables, the nine benchmark
 learner specs, a fitted tree's depth, a fitted SVM's optimality gap, the
 GA's fitness of one mask, a per-mask fitness as `evolve`'s batch fitness,
-a holdout run through `stackga train` and `stackga eval`, and drawn valid
-reports."""
+a holdout run through `stackga train` and `stackga eval`, drawn valid
+reports, and the bytes of a saved artifact."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from stackga import cli, genetic
 from stackga.dataset import Dataset, Schema
 from stackga.learners import LearnerSpec
+from stackga.persist import save_artifact
 from stackga.report import FeatureRow, GaSummary, KfoldRow, ModelRow, Report, parse_report
 from stackga.rng import child_rng
 
@@ -101,6 +104,14 @@ def fitness(ch, ds: Dataset, wrapper: LearnerSpec, cv_k: int = 5, seed: int = 0)
 def batched(fitness_of_one):
     """`evolve`'s batch fitness function from one that scores one mask."""
     return lambda masks: [fitness_of_one(bits) for bits in masks]
+
+
+def saved_bytes(value) -> bytes:
+    """The bytes of a `learner` artifact that holds `value`."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "model.pkl")
+        save_artifact(path, "learner", {"model": value})
+        return path.read_bytes()
 
 
 def holdout_report(config: dict, out_dir, *overrides) -> Report:

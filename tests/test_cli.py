@@ -1,6 +1,5 @@
 import json
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -341,11 +340,10 @@ class TestTrainEval:
     def test_eval_refuses_a_version_2_artifact(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg_path, "--out", out, "-q") == 0
-        envelope = pickle.loads((out / "model.pkl").read_bytes())
-        envelope["version"] = 2
-        del envelope["payload"]["singles"]  # what version 2 held
+        header, rest = (out / "model.pkl").read_bytes().split(b"\n", 1)
+        fmt, _, digest = header.split(b" ")
         old = tmp_path / "old.pkl"
-        old.write_bytes(pickle.dumps(envelope, protocol=4))
+        old.write_bytes(b" ".join([fmt, b"2", digest]) + b"\n" + rest)
         assert run_cli("eval", "--config", cfg_path, "--model", old,
                        "--out", tmp_path / "eval", "-q") == 2
         err = capsys.readouterr().err
@@ -362,9 +360,7 @@ class TestTrainEval:
 
     def test_eval_with_wrong_artifact_kind_exits_2(self, cfg_path, tmp_path):
         bogus = tmp_path / "bogus.pkl"
-        import pickle
-
-        bogus.write_bytes(pickle.dumps({"format": "other"}))
+        save_artifact(bogus, "other", {})
         assert run_cli("eval", "--config", cfg_path, "--model", bogus,
                        "--out", tmp_path, "-q") == 2
 

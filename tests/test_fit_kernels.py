@@ -12,7 +12,6 @@ with the fast kernels on small inputs. The SMO solver has no reference: its
 property checks the optimality conditions of the dual it solves.
 """
 
-import pickle
 from types import SimpleNamespace
 from unittest import mock
 
@@ -36,7 +35,7 @@ from stackga.learners.mlp import MlpClassifier
 from stackga.learners.svm import SmoSvm
 from stackga.learners.tree import ClassificationTree, RegressionTree
 
-from support import batched, fitness, svm_gap
+from support import batched, fitness, saved_bytes, svm_gap
 
 
 def same_bits(a, b):
@@ -190,8 +189,8 @@ def run_ga_reference(config, ds, wrapper, cv_k):
         select_features(ds, np.flatnonzero(bits)), wrapper, plan)))
 
 
-def forest_tree_pickles_reference(forest, X, y, rng):
-    """The pickled trees of `RandomForest.fit` as it grew each tree on its
+def forest_tree_bytes_reference(forest, X, y, rng):
+    """The saved bytes of the trees of `RandomForest.fit` as it grew each tree on its
     bootstrap sample's duplicated rows, presorted by its own argsort."""
     X = np.asarray(X, dtype=np.float64)
     n = len(y)
@@ -201,7 +200,7 @@ def forest_tree_pickles_reference(forest, X, y, rng):
     for sample, tree_rng in zip(samples, rngs):
         tree = ClassificationTree(forest.criterion, forest.max_depth, forest.max_features)
         tree_module.fit_trees([tree], X[sample], y[sample], rngs=[tree_rng])
-        trees.append(pickle.dumps(tree))
+        trees.append(saved_bytes(tree))
     return trees
 
 
@@ -304,7 +303,7 @@ def test_mlp_fit_equals_the_per_parameter_adam_loop(data, hidden, batch, epochs,
     for k in want:
         assert same_bits(clf.params_[k], want[k]), k
         assert clf.params_[k].flags.c_contiguous and clf.params_[k].base is None
-    assert pickle.dumps(clf.params_) == pickle.dumps(want)
+    assert saved_bytes(clf.params_) == saved_bytes(want)
     Q = np.vstack([X, X * 1.5 + 0.25])
     h = np.maximum((Q - clf.mean_) / clf.scale_ @ want["W1"] + want["b1"], 0.0)
     assert same_bits(clf.predict_proba(Q), softmax_reference(h @ want["W2"] + want["b2"]))
@@ -560,8 +559,8 @@ def test_counts_forest_equals_the_duplicated_row_reference(criterion, data, seed
     forest = RandomForest(n_estimators=6, criterion=criterion, max_depth=depth,
                           max_features=max_features)
     forest.fit(X, y, rng=np.random.default_rng(seed))
-    want = forest_tree_pickles_reference(forest, X, y, np.random.default_rng(seed))
-    assert [pickle.dumps(tree) for tree in forest.trees_] == want
+    want = forest_tree_bytes_reference(forest, X, y, np.random.default_rng(seed))
+    assert [saved_bytes(tree) for tree in forest.trees_] == want
 
 
 @given(data=tables(), depth=st.integers(1, 4), rounds=st.integers(1, 12))
@@ -570,7 +569,7 @@ def test_gradient_boosting_equals_one_fit_trees_call_a_stage(data, depth, rounds
     got = GradientBoosting(n_estimators=rounds, max_depth=depth).fit(X, y)
     want = gradient_boosting_fit_reference(
         GradientBoosting(n_estimators=rounds, max_depth=depth), X, y)
-    assert pickle.dumps(got) == pickle.dumps(want)
+    assert saved_bytes(got) == saved_bytes(want)
 
 
 @given(data=tables(), depth=st.integers(1, 3), criterion=st.sampled_from(["gini", "entropy"]),
@@ -579,7 +578,7 @@ def test_adaboost_equals_one_fit_trees_call_a_round(data, depth, criterion, roun
     X, y = data
     settings = dict(n_estimators=rounds, criterion=criterion, max_depth=depth)
     got = AdaBoost(**settings).fit(X, y, rng=np.random.default_rng(0))
-    assert pickle.dumps(got) == pickle.dumps(adaboost_fit_reference(AdaBoost(**settings), X, y))
+    assert saved_bytes(got) == saved_bytes(adaboost_fit_reference(AdaBoost(**settings), X, y))
 
 
 @given(seed=st.integers(0, 2**16), d=st.integers(1, 4), nodes=st.integers(1, 6),

@@ -4,7 +4,6 @@ process."""
 
 import json
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -94,16 +93,6 @@ def test_a_dead_worker_is_an_error_not_a_hang(cpus):
     cpus(2)
     with pytest.raises(RuntimeError, match="exited with codes \\[3\\]"):
         run_tasks(_dies_in_a_worker, [(os.getpid(),)] * 6)
-
-
-def test_results_pickle_alike_whichever_process_made_them(cpus):
-    # results made in one process would share numpy's dtype object; every
-    # result comes through one pickle round trip, so none does
-    tasks = [(3,)] * 20
-    cpus(1)
-    alone = pickle.dumps(run_tasks(np.zeros, tasks))
-    cpus(2)
-    assert pickle.dumps(run_tasks(np.zeros, tasks)) == alone
 
 
 @pytest.mark.parametrize("first_error", [ConfigError, ZeroDivisionError])

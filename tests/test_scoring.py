@@ -8,7 +8,6 @@ thresholds exactly; a stack trained here scores 5,000 rows in batches as
 the reference scorer does.
 """
 
-import pickle
 from unittest import mock
 
 import numpy as np
@@ -24,10 +23,12 @@ from stackga.learners.forest import ExtraTrees, RandomForest
 from stackga.learners.knn import KNeighbors
 from stackga.learners import tree as tree_module
 from stackga.learners.tree import ClassificationTree, LeafScorer, RegressionTree
+from stackga.persist import load_artifact
 from stackga.rng import child_rng
 from stackga.stacking import StackSpec, predict_proba_stack, train_stack
 from stackga.synth import make_pima_like
 
+from support import saved_bytes
 from test_trees import tied_data
 
 _CLIP = 1e-12
@@ -333,16 +334,19 @@ def test_tree_learners_score_a_row_alike_in_any_batch(tree_models, i):
         assert same_bits(np.vstack(parts), whole), size
 
 
-def test_predicting_leaves_the_pickle_alone(tree_models, pima_split_clean):
+def test_predicting_leaves_the_saved_artifact_bytes_alone(tree_models, pima_split_clean,
+                                                          tmp_path):
     train_ds, test_ds = pima_split_clean
     stack = train_stack(StackSpec(LIGHT_BASES, LearnerSpec("logistic_regression", {}, 8),
                                   level1_folds=3, seed=9), train_ds)
     models, X = tree_models
     for model, score in [(m, predict_proba) for m in models] + [(stack, predict_proba_stack)]:
-        before = pickle.dumps(model, protocol=4)
+        before = saved_bytes(model)
         want = score(model, X)
-        assert pickle.dumps(model, protocol=4) == before
-        assert same_bits(score(pickle.loads(before), X), want)
+        assert saved_bytes(model) == before
+        path = tmp_path / "model.pkl"
+        path.write_bytes(before)
+        assert same_bits(score(load_artifact(path, "learner")["model"], X), want)
 
 
 def test_knn_ties_beyond_k_keep_the_lower_training_index():

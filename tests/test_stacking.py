@@ -1,4 +1,3 @@
-import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from stackga.stacking import (
 )
 from stackga.rng import child_rng
 
-from support import make_separable_clouds
+from support import make_separable_clouds, saved_bytes
 from test_acceptance import shipped_config
 
 KNN1 = LearnerSpec("knn", {"n_neighbors": 1}, 0)
@@ -115,9 +114,7 @@ class TestNaiveRefits:
         bases = (TREE, KNN1, LearnerSpec("random_forest", {"n_estimators": 5}, 4))
         model = train_stack(StackSpec(bases, LOGIT, "naive"), ds)
         for base, fitted in zip(bases, model.base_models):
-            # a fit arrives from `run_tasks` through one pickle round trip
-            fresh = pickle.loads(pickle.dumps(train(base, ds)))
-            assert pickle.dumps(fitted) == pickle.dumps(fresh)
+            assert saved_bytes(fitted) == saved_bytes(train(base, ds))
 
     def test_paper_faithful_fit_trains_each_model_once(self, pima_csv, monkeypatch):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # count in this process

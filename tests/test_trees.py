@@ -1,7 +1,6 @@
 """Flat-array trees: group growth, a brute-force split oracle, presorting."""
 
 import math
-import pickle
 from unittest import mock
 
 import numpy as np
@@ -16,6 +15,8 @@ from stackga.learners.forest import ExtraTrees, RandomForest
 from stackga.learners.tree import (BoosterGrower, ClassificationTree, RegressionTree,
                                    fit_trees, presort)
 from stackga.rng import child_rng
+
+from support import saved_bytes
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
@@ -180,7 +181,7 @@ def _assert_same_tree(got, want, got_leaf, want_leaf, X):
     for name in NODE_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert pickle.dumps(got) == pickle.dumps(want)
+    assert saved_bytes(got) == saved_bytes(want)
     assert got_leaf.dtype == want_leaf.dtype
     np.testing.assert_array_equal(got_leaf, want_leaf)
     np.testing.assert_array_equal(got_leaf, want.apply(X))
